@@ -28,6 +28,7 @@ from .geometry import (
     bloch_vector,
     classify_geometry,
     conjugate_state,
+    orbit_bloch_table,
     relational_chirality,
     tetra_product_decomposition,
 )

@@ -49,9 +49,6 @@ class TetraGroup:
         if len(self.elements) != 2**self.n:
             raise ValueError("group must have 2^n elements")
 
-    def element_matrix(self, g: int) -> np.ndarray:
-        return self.elements[g].to_matrix()
-
 
 @lru_cache(maxsize=None)
 def build_tetra_group(n: int) -> TetraGroup:

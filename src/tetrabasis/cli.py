@@ -17,7 +17,7 @@ import numpy as np
 from .basisgen import build_tetra_group, check_orthonormal, orbit_basis
 from .entanglement import invariant_fingerprint
 from .fiducial import PolynomialParseError, build_fiducial, parse_polynomial
-from .geometry import basis_bloch_table, classify_geometry
+from .geometry import classify_geometry, orbit_bloch_table
 from .hierarchy import DEFAULT_CAP, clifford_level_test, diagonal_clifford_level
 from .qcore import CapacityError
 from .reproduce import SUITE_NAMES, reproduce_suite
@@ -100,14 +100,15 @@ def hits_csv(hits: list[SearchHit]) -> str:
     return out.getvalue()
 
 
-def _parse_tolerances(entries: list[str]) -> dict[str, float]:
-    tols = {}
+def _tolerance(entries: list[str] | None, name: str, default: float) -> float:
+    """The command's one tolerance, overridden by repeatable NAME=VALUE entries."""
+    value = default
     for entry in entries or []:
-        name, _, value = entry.partition("=")
-        if not value:
-            raise ValueError(f"tolerance override {entry!r} is not name=value")
-        tols[name.strip()] = float(value)
-    return tols
+        key, _, text = entry.partition("=")
+        if key.strip() != name or not text:
+            raise ValueError(f"tolerance override {entry!r} is not {name}=value")
+        value = float(text)
+    return value
 
 
 def _load_config(path: str) -> dict[str, str]:
@@ -132,23 +133,24 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="key=value config file; explicit flags win")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, poly=True):
+    def add_common(p, poly=True, tolerance=None):
         p.add_argument("--n", type=int, required=True, help="qubit count")
         p.add_argument("--m", type=int, default=2, help="phase precision (default 2)")
         if poly:
             p.add_argument("--poly", required=True, help="phase polynomial text, e.g. 'z1 z2'")
         p.add_argument("--format", choices=["json", "csv", "text"], default="json")
-        p.add_argument("--tolerance", action="append", metavar="NAME=VALUE",
-                       help="tolerance override (norm, geo); repeatable")
+        if tolerance:
+            p.add_argument("--tolerance", action="append", metavar=f"{tolerance}=VALUE",
+                           help=f"override the {tolerance} tolerance; repeatable")
 
     p_build = sub.add_parser("build", help="fiducial state and orbit basis of a polynomial")
     add_common(p_build)
 
     p_verify = sub.add_parser("verify", help="orthonormality check of the orbit basis")
-    add_common(p_verify)
+    add_common(p_verify, tolerance="norm")
 
     p_gekm = sub.add_parser("geometry", help="Bloch geometry report of the orbit basis")
-    add_common(p_gekm)
+    add_common(p_gekm, tolerance="geo")
 
     p_inv = sub.add_parser("invariants", help="invariant fingerprint of the orbit basis")
     add_common(p_inv)
@@ -228,8 +230,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    tols = _parse_tolerances(args.tolerance)
-    report = check_orthonormal(_basis(args), tol=tols.get("norm", 1e-10))
+    report = check_orthonormal(_basis(args), tol=_tolerance(args.tolerance, "norm", 1e-10))
     payload = {"ok": report.ok, "max_violation": report.max_violation}
     print(render_json(payload) if args.format != "text"
           else f"orthonormal: {report.ok} (max violation {report.max_violation:.3e})")
@@ -237,12 +238,12 @@ def cmd_verify(args) -> int:
 
 
 def cmd_geometry(args) -> int:
-    tols = _parse_tolerances(args.tolerance)
-    report = classify_geometry(basis_bloch_table(_basis(args)), tol=tols.get("geo", 1e-8))
+    report = classify_geometry(orbit_bloch_table(_basis(args)),
+                               tol=_tolerance(args.tolerance, "geo", 1e-8))
     payload = report.to_json_dict()
     if args.format == "text":
         print(f"classes: {', '.join(report.classes)}")
-        print(f"r: {report.r}")
+        print(f"r: {fmt_number(report.r)}")
         print(f"chirality: {report.chirality_signature()}")
     else:
         print(render_json(payload))
@@ -251,9 +252,12 @@ def cmd_geometry(args) -> int:
 
 def cmd_invariants(args) -> int:
     basis = _basis(args)
-    fingerprint = invariant_fingerprint(basis)
-    print(render_json(fingerprint.to_json_dict()) if args.format != "text"
-          else fingerprint)
+    payload = invariant_fingerprint(basis).to_json_dict()
+    if args.format == "text":
+        for key, value in _formatted(payload).items():
+            print(f"{key}: {value}")
+    else:
+        print(render_json(payload))
     return 0
 
 

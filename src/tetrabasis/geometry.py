@@ -9,7 +9,7 @@ compares handedness between qubits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 
@@ -43,6 +43,12 @@ def bloch_vector(psi: np.ndarray, qubit: int) -> np.ndarray:
     )
 
 
+# Bloch-space action of conjugating by I, X, Y, Z: even sign changes.
+_PAULI_FLIPS = np.array(
+    [[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]], dtype=float
+)
+
+
 def basis_bloch_table(basis: Basis) -> np.ndarray:
     """Array of shape (n, 2^n, 3): Bloch vector of qubit l in basis column g."""
     table = np.empty((basis.n, basis.size, 3))
@@ -51,6 +57,20 @@ def basis_bloch_table(basis: Basis) -> np.ndarray:
         for l in range(basis.n):
             table[l, g] = bloch_vector(col, l + 1)
     return table
+
+
+def orbit_bloch_table(basis: Basis) -> np.ndarray:
+    """``basis_bloch_table`` of an orbit basis from the fiducial's n Bloch vectors.
+
+    Column g is U_g|psi> with U_g a phase times one Pauli letter per qubit,
+    so its qubit-l marginal is the fiducial's conjugated by that letter:
+    v_l with the letter's even sign flip.
+    """
+    if basis.group is None:
+        raise ValueError("the orbit Bloch table needs the basis's group")
+    vectors = np.array([bloch_vector(basis.fiducial, l) for l in range(1, basis.n + 1)])
+    letters = np.array([["IXYZ".index(c) for c in e.letters] for e in basis.group.elements])
+    return vectors[:, None, :] * _PAULI_FLIPS[letters.T]
 
 
 @dataclass(frozen=True)
@@ -83,18 +103,6 @@ class GeometryReport:
         }
 
 
-def _direction_lines(vectors: np.ndarray, tol: float) -> list[np.ndarray]:
-    """Group unit vectors into lines (v identified with -v), deterministic order."""
-    lines: list[np.ndarray] = []
-    for v in vectors:
-        for rep in lines:
-            if min(np.linalg.norm(v - rep), np.linalg.norm(v + rep)) <= tol:
-                break
-        else:
-            lines.append(_canonical_sign(v))
-    return lines
-
-
 def _canonical_sign(v: np.ndarray) -> np.ndarray:
     for comp in v:
         if abs(comp) > 1e-12:
@@ -103,48 +111,47 @@ def _canonical_sign(v: np.ndarray) -> np.ndarray:
 
 
 def classify_geometry(table: np.ndarray, tol: float = EPS_GEO) -> GeometryReport:
-    """Per-qubit geometry class, common length, direction lines, and pair chirality."""
+    """Per-qubit geometry class, common length, direction lines, and pair chirality.
+
+    A qubit whose row is not the sign-flip orbit of its column-0 vector v
+    (within tol) is degenerate.  Otherwise the class follows from the zero
+    and equal magnitudes of v, and the lines are the distinct sign flips of
+    v/|v| in order of first appearance over the columns.  Components of v
+    within tol of zero are taken as exact zeros.
+    """
     n = table.shape[0]
+    anchors = np.where(np.abs(table[:, 0]) <= tol, 0.0, table[:, 0])
+    lengths = np.linalg.norm(anchors, axis=1)
     classes = []
-    lengths = []
     all_lines = []
-    nonzero = True
     for l in range(n):
-        vecs = table[l]
-        nonzero = nonzero and bool(np.min(np.abs(vecs)) > tol)
-        norms = np.linalg.norm(vecs, axis=1)
-        length = float(np.mean(norms))
-        lengths.append(length)
-        if np.max(np.abs(norms - length)) > tol or length <= tol:
+        v = anchors[l]
+        labels = _flip_labels(table[l], tol)
+        zeros = int(np.count_nonzero(v == 0.0))
+        if labels is None or zeros == 3:
             classes.append("degenerate")
             all_lines.append(())
             continue
-        lines = _direction_lines(vecs / norms[:, None], max(tol, 1e-7))
-        all_lines.append(tuple(tuple(float(x) for x in v) for v in lines))
-        if len(lines) == 1:
-            classes.append("collinear")
-        elif len(lines) == 2:
-            classes.append("planar_rectangle")
-        elif len(lines) == 4:
-            dots = [abs(np.dot(a, b)) for i, a in enumerate(lines) for b in lines[i + 1:]]
-            if all(abs(d - 1 / 3) <= max(tol, 1e-7) for d in dots):
-                classes.append("regular_tetrahedron")
-            else:
-                classes.append("disphenoid")
+        if zeros == 0:
+            regular = np.ptp(np.abs(v)) <= tol
+            classes.append("regular_tetrahedron" if regular else "disphenoid")
         else:
-            classes.append("disphenoid")
+            classes.append("planar_rectangle" if zeros == 1 else "collinear")
+        # + 0.0 turns the -0.0 of a flipped zero component into 0.0
+        flips = [tuple((_canonical_sign(v / lengths[l] * f) + 0.0).tolist())
+                 for f in _PAULI_FLIPS]
+        all_lines.append(tuple(dict.fromkeys(flips[g] for g in labels.tolist())))
 
+    lengths = lengths.tolist()
     spread = max(lengths) - min(lengths)
     r = float(np.mean(lengths)) if spread <= max(tol, 1e-9) else None
 
     chirality: dict[tuple[int, int], int | None] = {}
-    for k in range(1, n + 1):
-        for l in range(k + 1, n + 1):
-            if classes[k - 1] == "regular_tetrahedron" and classes[l - 1] == "regular_tetrahedron":
-                sign, _ = relational_chirality(table, k, l, tol)
-                chirality[(k, l)] = sign
-            else:
-                chirality[(k, l)] = None
+    for k, l in combinations(range(1, n + 1), 2):
+        if classes[k - 1] == classes[l - 1] == "regular_tetrahedron":
+            chirality[(k, l)] = relational_chirality(table, k, l, tol)[0]
+        else:
+            chirality[(k, l)] = None
 
     return GeometryReport(
         classes=tuple(classes),
@@ -152,14 +159,20 @@ def classify_geometry(table: np.ndarray, tol: float = EPS_GEO) -> GeometryReport
         r=r,
         lines=tuple(all_lines),
         chirality=chirality,
-        nonzero_components=nonzero,
+        nonzero_components=bool(np.min(np.abs(table)) > tol),
     )
 
 
-# Bloch-space action of conjugating by I, X, Y, Z: even sign changes.
-_PAULI_FLIPS = np.array(
-    [[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]], dtype=float
-)
+def _flip_labels(vectors: np.ndarray, tol: float) -> np.ndarray | None:
+    """Per column, the index of the sign flip of column 0 that it lies on.
+
+    Indexes ``_PAULI_FLIPS``; None when some column is farther than tol from
+    all four flips, so the row is not the orbit of its first vector.
+    """
+    dist = np.linalg.norm(vectors[:, None, :] - vectors[0] * _PAULI_FLIPS, axis=2)
+    if np.max(np.min(dist, axis=1)) > tol:
+        return None
+    return np.argmin(dist, axis=1)
 
 
 def _labeled_vertices(vectors: np.ndarray, tol: float) -> np.ndarray:
@@ -170,13 +183,11 @@ def _labeled_vertices(vectors: np.ndarray, tol: float) -> np.ndarray:
     Bloch action is the even-sign-change family.  Every table vector must lie
     on that anchored orbit.
     """
-    vertices = vectors[0] * _PAULI_FLIPS
-    for v in vectors:
-        if min(np.linalg.norm(v - w) for w in vertices) > max(tol, 1e-7):
-            raise ChiralityInconsistencyError(
-                "Bloch table does not carry the sign-change orbit structure"
-            )
-    return vertices
+    if _flip_labels(vectors, max(tol, 1e-7)) is None:
+        raise ChiralityInconsistencyError(
+            "Bloch table does not carry the sign-change orbit structure"
+        )
+    return vectors[0] * _PAULI_FLIPS
 
 
 def relational_chirality(table: np.ndarray, k: int, l: int,
@@ -184,31 +195,26 @@ def relational_chirality(table: np.ndarray, k: int, l: int,
     """Orthogonal map aligning the two qubits' group-labeled tetra, and its det sign.
 
     O carries qubit k's vertex for each local Pauli label onto qubit l's
-    vertex for the same label (solved from three labeled vertices, verified
-    on the fourth); a -1 sign means mirrored tetrahedra.  Vertices are
-    normalized first, so tetra of different sizes compare by shape alone.
+    vertex for the same label; a -1 sign means mirrored tetrahedra.  Vertices
+    are normalized first, so tetra of different sizes compare by shape alone.
+    Both vertex sets are the sign flips of their label-I vertices u_k and
+    u_l, so O = diag(u_l / u_k) and its sign is that of prod(u_l / u_k).
     """
-    vk = _labeled_vertices(table[k - 1], tol)
-    vl = _labeled_vertices(table[l - 1], tol)
-    nk, nl = np.linalg.norm(vk[0]), np.linalg.norm(vl[0])
+    uk = _labeled_vertices(table[k - 1], tol)[0]
+    ul = _labeled_vertices(table[l - 1], tol)[0]
+    nk, nl = np.linalg.norm(uk), np.linalg.norm(ul)
     if nk < max(tol, 1e-9) or nl < max(tol, 1e-9):
         raise DegenerateGeometryError("vanishing Bloch vectors carry no orientation")
-    vk = vk / nk
-    vl = vl / nl
-    mk = vk[:3].T  # columns are the I, X, Y labeled vertices
-    ml = vl[:3].T
-    if abs(np.linalg.det(mk)) < 1e-9:
+    uk = uk / nk
+    ul = ul / nl
+    # 4 * prod(u_k) is the determinant of the I, X, Y labeled vertices
+    if abs(4 * np.prod(uk)) < 1e-9:
         raise DegenerateGeometryError(f"qubit {k} Bloch vectors span rank < 3")
-    omap = ml @ np.linalg.inv(mk)
-    residual = float(np.linalg.norm(omap @ vk[3] - vl[3]))
-    if residual > max(tol, 1e-7):
-        raise ChiralityInconsistencyError(
-            f"no labeled map aligns qubits {k},{l} (residual {residual:.3e})"
-        )
+    ratio = ul / uk
+    omap = np.diag(ratio)
     if np.max(np.abs(omap @ omap.T - np.eye(3))) > 1e-6:
         raise ChiralityInconsistencyError(f"alignment map for qubits {k},{l} is not orthogonal")
-    det = float(np.linalg.det(omap))
-    return (1 if det > 0 else -1), omap
+    return (1 if np.prod(ratio) > 0 else -1), omap
 
 
 def conjugate_state(psi: np.ndarray) -> np.ndarray:

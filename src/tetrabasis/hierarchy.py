@@ -23,6 +23,7 @@ from .qcore import (
     is_unitary,
     num_qubits,
     pauli_expansion,
+    phase_canonical_key,
 )
 
 DEFAULT_CAP = 6
@@ -81,14 +82,6 @@ def _generator_strings(n: int) -> list[str]:
     return gens
 
 
-def _canonical_key(u: np.ndarray) -> bytes:
-    """Matrix key invariant under global phase, for memoizing levels."""
-    flat = u.ravel()
-    pivot = flat[np.argmax(np.abs(np.round(flat, 8)))]
-    canon = u * (abs(pivot) / pivot)
-    return (np.round(canon, 8) + 0.0).tobytes()
-
-
 class _LevelEngine:
     """Recursive level computation with memoization on phase-canonical matrices."""
 
@@ -112,7 +105,7 @@ class _LevelEngine:
         if budget <= 1:
             return None
         layer = min(depth, self.full_layers)
-        key = (layer, _canonical_key(u))
+        key = (layer, phase_canonical_key(u))
         cached = self.memo.get(key)
         if cached is not None:
             if cached > 0:

@@ -218,10 +218,6 @@ def psd_sqrt(hm: np.ndarray, tol: float = EPS_PSD) -> np.ndarray:
     return (vecs * root) @ vecs.conj().T
 
 
-def state_norm_ok(psi: np.ndarray, tol: float = EPS_NORM) -> bool:
-    return bool(abs(np.linalg.norm(psi) - 1.0) <= tol)
-
-
 def apply_on_qubit(op: np.ndarray, psi: np.ndarray, qubit: int) -> np.ndarray:
     """Apply a single-qubit operator to one qubit (1-indexed) of a state."""
     n = num_qubits(psi.shape[0])
@@ -231,5 +227,8 @@ def apply_on_qubit(op: np.ndarray, psi: np.ndarray, qubit: int) -> np.ndarray:
     return np.moveaxis(out, 0, axis).reshape(-1)
 
 
-def expectation(psi: np.ndarray, op: np.ndarray) -> complex:
-    return complex(np.vdot(psi, op @ psi))
+def phase_canonical_key(u: np.ndarray) -> bytes:
+    """Matrix key invariant under global phase, rounded to 8 decimals."""
+    flat = u.ravel()
+    pivot = flat[np.argmax(np.abs(np.round(flat, 8)))]
+    return (np.round(u * (abs(pivot) / pivot), 8) + 0.0).tobytes()

@@ -8,7 +8,6 @@ number.  Suites are deterministic; numeric comparisons use tolerances.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 
 import numpy as np
 
@@ -23,16 +22,15 @@ from .basisgen import (
 )
 from .entanglement import (
     pairwise_concurrence,
-    permutation_operator_apply,
     permutation_stabilizer_order,
     three_tangle,
 )
 from .fiducial import parse_polynomial, build_fiducial
 from .geometry import (
     apply_local_unitaries,
-    basis_bloch_table,
     bloch_vector,
     classify_geometry,
+    orbit_bloch_table,
     tetra_product_decomposition,
 )
 from .hierarchy import diagonal_clifford_level
@@ -219,7 +217,7 @@ def suite_table1() -> ReproductionSuite:
             checks.append(_num_check(
                 f"row {row} [{text}] orthonormality violation", 0.0,
                 check_orthonormal(basis).max_violation, 1e-10))
-            geometry = classify_geometry(basis_bloch_table(basis))
+            geometry = classify_geometry(orbit_bloch_table(basis))
             checks.append(_bool_check(f"row {row} [{text}] regular on all qubits",
                                       geometry.all_regular))
             checks.append(_num_check(f"row {row} [{text}] Bloch length r",
@@ -310,7 +308,7 @@ def suite_appD() -> ReproductionSuite:
     f1 = parse_polynomial(APPD_EXAMPLE1, 4, 2)
     psi1 = build_fiducial(f1)
     basis1 = orbit_basis(psi1, group, f1)
-    geometry1 = classify_geometry(basis_bloch_table(basis1))
+    geometry1 = classify_geometry(orbit_bloch_table(basis1))
     checks.append(_bool_check("example 1 regular on all qubits", geometry1.all_regular))
     for qubit in range(1, 5):
         checks.append(_vec_check(f"example 1 qubit-{qubit} Bloch vector",
@@ -322,18 +320,14 @@ def suite_appD() -> ReproductionSuite:
     # (-7168, -31744, 1024, 1024, -29696, -5120) are local-unitary invariants
     # that no non-identity qubit permutation preserves, so the order is 1.
     stab = permutation_stabilizer_order(psi1)
-    all_fix = all(
-        abs(np.vdot(psi1, permutation_operator_apply(psi1, perm))) >= 1 - 1e-9
-        for perm in permutations(range(4))
-    )
     checks.append(Check(
         "example 1 full permutation-phase invariance (stabilizer order 24)",
-        24, stab, 0, bool(stab == 24 or all_fix)))
+        24, stab, 0, stab == 24))
 
     f2 = parse_polynomial(APPD_EXAMPLE2, 4, 2)
     psi2 = build_fiducial(f2)
     basis2 = orbit_basis(psi2, group, f2)
-    geometry2 = classify_geometry(basis_bloch_table(basis2))
+    geometry2 = classify_geometry(orbit_bloch_table(basis2))
     checks.append(_bool_check("example 2 regular on all qubits", geometry2.all_regular))
     for qubit in range(1, 5):
         checks.append(_vec_check(f"example 2 qubit-{qubit} Bloch vector",
@@ -351,7 +345,7 @@ def suite_conjecture() -> ReproductionSuite:
     for n, text, r_expected, level_expected in CONJECTURE_REPRESENTATIVES:
         f = parse_polynomial(text, n, 2)
         basis = orbit_basis(build_fiducial(f), build_tetra_group(n), f)
-        geometry = classify_geometry(basis_bloch_table(basis))
+        geometry = classify_geometry(orbit_bloch_table(basis))
         checks.append(_bool_check(f"n={n} representative regular", geometry.all_regular))
         checks.append(_num_check(f"n={n} Bloch length sqrt(3)/2^(n-1)",
                                  r_expected, geometry.r, 1e-9))

@@ -18,9 +18,9 @@ import numpy as np
 from .basisgen import Basis, build_tetra_group, check_orthonormal, orbit_basis
 from .entanglement import InvariantFingerprint, invariant_fingerprint
 from .fiducial import PhasePolynomial, build_fiducial
-from .geometry import GeometryReport, basis_bloch_table, classify_geometry, conjugate_state
-from .hierarchy import DEFAULT_CAP, diagonal_clifford_level
-from .qcore import CapacityError, apply_on_qubit, num_qubits
+from .geometry import GeometryReport, classify_geometry, conjugate_state, orbit_bloch_table
+from .hierarchy import diagonal_clifford_level
+from .qcore import CapacityError, apply_on_qubit, num_qubits, phase_canonical_key
 
 FULL_ENUMERATION_LIMIT = 2**23
 
@@ -58,7 +58,6 @@ class SearchConfig:
     require_regular: bool = True
     require_nonzero: bool = False
     min_degree: int = 2
-    level_cap: int = DEFAULT_CAP
     jobs: int = 1
     chunk_size: int = 64
     sample: int | None = None      # sampled search for spaces over the full-run limit
@@ -70,6 +69,8 @@ class SearchConfig:
             raise ValueError("search needs n >= 2")
         if self.m < 1:
             raise ValueError("precision m must be positive")
+        if self.sample is not None and self.sample < 1:
+            raise ValueError("sample size must be positive")
 
 
 @dataclass(frozen=True)
@@ -95,7 +96,7 @@ def evaluate_polynomial_candidate(f: PhasePolynomial) -> SearchHit:
             f"orbit of {f.to_text()!r} unexpectedly non-orthonormal "
             f"(violation {report.max_violation:.3e})"
         )
-    geometry = classify_geometry(basis_bloch_table(basis))
+    geometry = classify_geometry(orbit_bloch_table(basis))
     fingerprint = invariant_fingerprint(basis, geometry)
     return SearchHit(f, geometry, fingerprint, diagonal_clifford_level(f))
 
@@ -178,25 +179,19 @@ _PHASE_GATE = np.array([[1, 0], [0, 1j]], dtype=complex)
 _HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
 
-def _phase_canonical(u: np.ndarray) -> bytes:
-    flat = u.ravel()
-    pivot = flat[np.argmax(np.abs(np.round(flat, 8)))]
-    return (np.round(u * (abs(pivot) / pivot), 8) + 0.0).tobytes()
-
-
 @lru_cache(maxsize=1)
 def single_qubit_cliffords() -> tuple[np.ndarray, ...]:
     """The 24 single-qubit Cliffords up to phase, in breadth-first generator order."""
     start = np.eye(2, dtype=complex)
     order = [start]
-    seen = {_phase_canonical(start)}
+    seen = {phase_canonical_key(start)}
     head = 0
     while head < len(order):
         base = order[head]
         head += 1
         for gate in (_PHASE_GATE, _HADAMARD):
             candidate = base @ gate
-            key = _phase_canonical(candidate)
+            key = phase_canonical_key(candidate)
             if key not in seen:
                 seen.add(key)
                 order.append(candidate)

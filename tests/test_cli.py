@@ -45,6 +45,12 @@ class TestVerify:
         assert code == 1  # fp rounding exceeds an absurdly tight tolerance
         assert json.loads(out)["ok"] is False
 
+    @pytest.mark.parametrize("entry", ["nrom=1e-30", "geo=1e-3"])
+    def test_unknown_tolerance_name_rejected(self, capsys, entry):
+        code, _ = run_cli(capsys, "verify", "--n", "2", "--m", "2", "--poly", "z1 z2",
+                          "--tolerance", entry)
+        assert code == 2
+
 
 class TestGeometry:
     def test_json_keys(self, capsys):
@@ -57,6 +63,21 @@ class TestGeometry:
         assert abs(payload["r"] - np.sqrt(3) / 2) < 1e-9
         assert payload["chirality"] == {"1,2": -1}
 
+    def test_text_r_twelve_significant_digits(self, capsys):
+        code, out = run_cli(capsys, "geometry", "--n", "3", "--m", "2",
+                            "--poly", "z1 z3 + 3 z2 z3 + z1 z2 z3", "--format", "text")
+        assert code == 0
+        assert out.splitlines() == [
+            "classes: regular_tetrahedron, regular_tetrahedron, regular_tetrahedron",
+            "r: 0.433012701892",
+            "chirality: +++",
+        ]
+
+    def test_unknown_tolerance_name_rejected(self, capsys):
+        code, _ = run_cli(capsys, "geometry", "--n", "2", "--m", "2", "--poly", "z1 z2",
+                          "--tolerance", "norm=1e-3")
+        assert code == 2
+
 
 class TestInvariants:
     def test_json_keys_and_values(self, capsys):
@@ -68,6 +89,19 @@ class TestInvariants:
                                         "stab_order", "conjugate_flag"]
         assert abs(payload["tangle"] - np.sqrt(65) / 16) < 1e-9
         assert payload["stab_order"] == 6
+
+    def test_text_one_line_per_key(self, capsys):
+        code, out = run_cli(capsys, "invariants", "--n", "3", "--m", "2",
+                            "--poly", "z1 z3 + 3 z2 z3 + z1 z2 z3", "--format", "text")
+        assert code == 0
+        assert out.splitlines() == [
+            "tangle: 0.5038911093",
+            "concurrence_sq: [0.1543044454, 0.1543044454, 0.1543044454]",
+            "r: 0.4330127019",
+            "chirality: +++",
+            "stab_order: 6",
+            "conjugate_flag: None",
+        ]
 
 
 class TestLevel:
@@ -115,6 +149,14 @@ class TestSearch:
         assert first[1] == "4"
         assert abs(float(first[3]) - np.sqrt(145) / 16) < 1e-9
         assert first[9] == "3 z1 z2 z3 + 3 z1 z3"  # negated-coefficient partner
+
+
+    @pytest.mark.parametrize("command", ["search", "classify"])
+    @pytest.mark.parametrize("size", ["0", "-5"])
+    def test_non_positive_sample_rejected(self, capsys, command, size):
+        code, out = run_cli(capsys, command, "--n", "2", "--m", "2", "--sample", size)
+        assert code == 2
+        assert out == ""
 
 
 class TestClassify:
@@ -181,6 +223,15 @@ class TestUsageErrors:
     def test_unknown_flag(self):
         with pytest.raises(SystemExit) as err:
             main(["build", "--n", "2", "--poly", "z1 z2", "--bogus"])
+        assert err.value.code == 2
+
+    @pytest.mark.parametrize("command", ["build", "invariants", "level", "search"])
+    def test_tolerance_only_on_commands_that_read_it(self, command):
+        argv = [command, "--n", "2", "--m", "2", "--tolerance", "norm=1e-3"]
+        if command != "search":
+            argv += ["--poly", "z1 z2"]
+        with pytest.raises(SystemExit) as err:
+            main(argv)
         assert err.value.code == 2
 
     def test_malformed_polynomial(self, capsys):

@@ -11,17 +11,20 @@ from tetrabasis.fiducial import parse_polynomial, build_fiducial
 from tetrabasis.geometry import (
     ChiralityInconsistencyError,
     DegenerateGeometryError,
+    GEOMETRY_CLASSES,
     apply_local_unitaries,
     basis_bloch_table,
     bloch_vector,
     classify_geometry,
     conjugate_state,
+    orbit_bloch_table,
     product_state,
     relational_chirality,
     tetra_product_decomposition,
 )
 from tetrabasis.qcore import basis_state, partial_trace
 from tetrabasis.reproduce import APPD_EXAMPLE1, APPD_EXAMPLE2
+from tetrabasis.search import canonical_monomials, enumerate_polynomials, polynomial_from_coeffs
 
 
 def table1_basis(text="z1 z3 + 3 z2 z3 + z1 z2 z3"):
@@ -173,6 +176,96 @@ class TestRelationalChirality:
         with pytest.raises(DegenerateGeometryError):
             relational_chirality(table, 1, 2)
 
+
+
+def orbit_cases():
+    """Full n=3, m=2 space, 300 seeded n=4 polynomials and both appD examples."""
+    polys = list(enumerate_polynomials(3, 2))
+    monos = canonical_monomials(4)
+    rng = np.random.default_rng(2024)
+    for _ in range(300):
+        coeffs = tuple(int(c) for c in rng.integers(0, 4, len(monos)))
+        polys.append(polynomial_from_coeffs(4, 2, monos, coeffs))
+    polys += [parse_polynomial(APPD_EXAMPLE1, 4, 2), parse_polynomial(APPD_EXAMPLE2, 4, 2)]
+    return [orbit_basis(build_fiducial(f), build_tetra_group(f.n), f) for f in polys]
+
+
+# I, X, Y, Z labeled sign flips, written out for the reference solve below
+LABEL_FLIPS = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]], dtype=float)
+
+
+class TestOrbitBlochTable:
+    @pytest.fixture(scope="class")
+    def tables(self):
+        return [(orbit_bloch_table(b), basis_bloch_table(b)) for b in orbit_cases()]
+
+    def test_matches_partial_trace_table(self, tables):
+        assert len(tables) == 256 + 300 + 2
+        for fast, reference in tables:
+            assert fast.shape == reference.shape
+            np.testing.assert_allclose(fast, reference, rtol=0, atol=1e-12)
+
+    def test_classification_agrees_with_reference_table(self, tables):
+        classes_seen = set()
+        for fast, reference in tables:
+            got, want = classify_geometry(fast), classify_geometry(reference)
+            assert got.classes == want.classes
+            assert got.chirality == want.chirality
+            assert got.nonzero_components == want.nonzero_components
+            np.testing.assert_allclose(got.lengths, want.lengths, rtol=0, atol=1e-12)
+            assert (got.r is None) == (want.r is None)
+            if got.r is not None:
+                assert abs(got.r - want.r) <= 1e-12
+            assert [len(q) for q in got.lines] == [len(q) for q in want.lines]
+            for got_lines, want_lines in zip(got.lines, want.lines):
+                if got_lines:
+                    np.testing.assert_allclose(got_lines, want_lines, rtol=0, atol=1e-12)
+            classes_seen.update(got.classes)
+        assert classes_seen == set(GEOMETRY_CLASSES)
+
+    def test_chirality_map_matches_labeled_vertex_solve(self, tables):
+        solved = 0
+        for fast, _ in tables:
+            report = classify_geometry(fast)
+            n = fast.shape[0]
+            for k in range(1, n + 1):
+                for l in range(k + 1, n + 1):
+                    if {report.classes[k - 1], report.classes[l - 1]} - {
+                            "regular_tetrahedron", "disphenoid"}:
+                        continue
+                    uk = fast[k - 1, 0] / np.linalg.norm(fast[k - 1, 0])
+                    ul = fast[l - 1, 0] / np.linalg.norm(fast[l - 1, 0])
+                    mk = (uk * LABEL_FLIPS[:3]).T  # columns: I, X, Y vertices
+                    ml = (ul * LABEL_FLIPS[:3]).T
+                    # O mk = ml  <=>  mk^T O^T = ml^T
+                    expected = np.linalg.solve(mk.T, ml.T).T
+                    np.testing.assert_allclose(expected @ (uk * LABEL_FLIPS[3]),
+                                               ul * LABEL_FLIPS[3], atol=1e-12)
+                    if np.max(np.abs(expected @ expected.T - np.eye(3))) > 1e-6:
+                        with pytest.raises(ChiralityInconsistencyError):
+                            relational_chirality(fast, k, l)
+                        continue
+                    sign, omap = relational_chirality(fast, k, l)
+                    np.testing.assert_allclose(omap, expected, rtol=0, atol=1e-12)
+                    assert sign == np.sign(np.linalg.det(expected))
+                    solved += 1
+        assert solved >= 3 * 40
+
+    def test_group_required(self):
+        with pytest.raises(ValueError):
+            orbit_bloch_table(ejm_reference_basis())
+
+    def test_noise_components_reported_as_zero(self):
+        # the partial-trace table carries ~1e-17 noise in the vanishing
+        # components of collinear and planar qubits; the report has exact zeros
+        f = parse_polynomial("z1 z3", 3, 2)
+        basis = orbit_basis(build_fiducial(f), build_tetra_group(3), f)
+        report = classify_geometry(basis_bloch_table(basis))
+        assert report.classes[0] == "collinear"
+        for qubit_lines in report.lines:
+            for line in qubit_lines:
+                assert all(x == 0.0 or abs(x) > 1e-8 for x in line)
+                assert all(np.copysign(1.0, x) > 0 for x in line if x == 0.0)
 
 class TestConjugateState:
     def test_involution(self):
