@@ -10,6 +10,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 
 import numpy as np
@@ -108,6 +109,8 @@ def _tolerance(entries: list[str] | None, name: str, default: float) -> float:
         if key.strip() != name or not text:
             raise ValueError(f"tolerance override {entry!r} is not {name}=value")
         value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"tolerance {name} must be finite and positive, got {value}")
     return value
 
 
@@ -191,20 +194,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _switch_flags(parser) -> set[str]:
+    """Option strings of the store_true flags of every subcommand."""
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {opt for sub in subparsers.choices.values() for a in sub._actions
+            if isinstance(a, argparse._StoreTrueAction) for opt in a.option_strings}
+
+
 def _apply_config_defaults(parser, argv):
-    """Pull --config before full parsing so file values become defaults."""
+    """Pull --config before full parsing so file values become defaults.
+
+    The key of a store_true flag takes true (pass the flag) or false (omit it).
+    """
     probe = argparse.ArgumentParser(add_help=False)
     probe.add_argument("--config")
     known, _ = probe.parse_known_args(argv)
     if not known.config:
         return argv
     values = _load_config(known.config)
+    switches = _switch_flags(parser)
     extra = []
     for key, value in values.items():
         flag = f"--{key}"
         # config only fills flags the user did not pass, so flags always win
-        if flag not in argv and not any(a.startswith(flag + "=") for a in argv):
+        if flag in argv or any(a.startswith(flag + "=") for a in argv):
+            continue
+        if flag not in switches:
             extra.extend([flag, value])
+        elif value.lower() == "true":
+            extra.append(flag)
+        elif value.lower() != "false":
+            raise ValueError(f"config key {key!r} takes true or false, got {value!r}")
     return argv + extra
 
 
@@ -349,7 +369,7 @@ def cmd_reproduce(args) -> int:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["description", "expected", "actual", "tolerance", "pass"])
         for c in suite.checks:
-            writer.writerow([c.description, c.expected, c.actual, c.tolerance, c.passed])
+            writer.writerow(_formatted(c.to_json_dict()).values())
         sys.stdout.write(out.getvalue())
     else:
         print(suite.format_text())

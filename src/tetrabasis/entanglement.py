@@ -8,59 +8,43 @@ from itertools import combinations, permutations
 import numpy as np
 
 from .basisgen import Basis
-from .geometry import GeometryReport, basis_bloch_table, classify_geometry
-from .qcore import hermitian_eig, num_qubits, partial_trace, psd_sqrt, PAULI_MATS
+from .geometry import GeometryReport, basis_bloch_table, classify_geometry, orbit_bloch_table
+from .qcore import num_qubits, PAULI_MATS
 
 _YY = np.kron(PAULI_MATS["Y"], PAULI_MATS["Y"])
 
 
 def three_tangle(psi: np.ndarray) -> float:
-    """Genuine tripartite entanglement 4|d1 - 2 d2 + 4 d3| of a three-qubit pure state."""
+    """Three-tangle 4|Det a| of a three-qubit pure state.
+
+    Coffman, Kundu and Wootters, PRA 61, 052306 (2000).  Det is Cayley's
+    hyperdeterminant of the amplitude tensor a in discriminant form,
+    b^2 - 4 det(a[0]) det(a[1]), with b the xy coefficient of det(x a[0] + y a[1]).
+    """
     psi = np.asarray(psi, dtype=complex)
     if num_qubits(psi.shape[0]) != 3:
         raise ValueError("three_tangle is defined for exactly 3 qubits")
     a = psi.reshape(2, 2, 2)
-    d1 = (
-        a[0, 0, 0] ** 2 * a[1, 1, 1] ** 2
-        + a[0, 0, 1] ** 2 * a[1, 1, 0] ** 2
-        + a[0, 1, 0] ** 2 * a[1, 0, 1] ** 2
-        + a[1, 0, 0] ** 2 * a[0, 1, 1] ** 2
-    )
-    d2 = (
-        a[0, 0, 0] * a[1, 1, 1] * (
-            a[0, 1, 1] * a[1, 0, 0] + a[1, 0, 1] * a[0, 1, 0] + a[1, 1, 0] * a[0, 0, 1]
-        )
-        + a[0, 1, 1] * a[1, 0, 0] * a[1, 0, 1] * a[0, 1, 0]
-        + a[0, 1, 1] * a[1, 0, 0] * a[1, 1, 0] * a[0, 0, 1]
-        + a[1, 0, 1] * a[0, 1, 0] * a[1, 1, 0] * a[0, 0, 1]
-    )
-    d3 = (
-        a[0, 0, 0] * a[1, 1, 0] * a[1, 0, 1] * a[0, 1, 1]
-        + a[1, 1, 1] * a[0, 0, 1] * a[0, 1, 0] * a[1, 0, 0]
-    )
-    return float(4 * abs(d1 - 2 * d2 + 4 * d3))
+    b = (a[0, 0, 0] * a[1, 1, 1] + a[0, 1, 1] * a[1, 0, 0]
+         - a[0, 0, 1] * a[1, 1, 0] - a[0, 1, 0] * a[1, 0, 1])
+    return float(4 * abs(b**2 - 4 * np.linalg.det(a[0]) * np.linalg.det(a[1])))
 
 
 def pairwise_concurrence(psi: np.ndarray, pair: tuple[int, int]) -> float:
-    """Wootters concurrence of the two-qubit marginal on the given pair.
+    """Wootters concurrence of the two-qubit marginal on a pair of qubits (1-indexed).
 
-    Eigenvalues of rho*rho_tilde are taken from the Hermitian similarity
-    sqrt(rho) rho_tilde sqrt(rho).
+    Wootters, PRL 80, 2245 (1998).  With psi as a matrix A whose 4 rows index
+    the pair, the square roots of the eigenvalues of rho (Y x Y) rho* (Y x Y)
+    are the singular values s of A^T (Y x Y) A, so C = max(0, s_0 - s_1 - ...).
     """
-    k, l = pair
-    if k == l:
-        raise ValueError("pair must consist of two distinct qubits")
     psi = np.asarray(psi, dtype=complex)
-    rho = partial_trace(psi, {k, l})
-    rho_tilde = _YY @ rho.conj() @ _YY
-    root = psd_sqrt(rho)
-    lams, _ = hermitian_eig(root @ rho_tilde @ root)
-    # floor eigenvalues at the matrix noise scale: sqrt of O(eps) rounding
-    # noise would otherwise inject O(1e-8) error into the concurrence
-    lams = np.clip(lams, 0.0, None)
-    lams[lams < 1e-13 * max(lams[0], 1.0)] = 0.0
-    lams = np.sqrt(lams)
-    return float(max(0.0, lams[0] - lams[1] - lams[2] - lams[3]))
+    n = num_qubits(psi.shape[0])
+    k, l = pair
+    if k == l or not (1 <= k <= n and 1 <= l <= n):
+        raise ValueError(f"pair must be two distinct qubits in 1..{n}, got {pair}")
+    a = np.moveaxis(psi.reshape([2] * n), (k - 1, l - 1), (0, 1)).reshape(4, -1)
+    s = np.linalg.svd(a.T @ _YY @ a, compute_uv=False)
+    return float(max(0.0, s[0] - s[1:].sum()))
 
 
 def permutation_operator_apply(psi: np.ndarray, perm: tuple[int, ...]) -> np.ndarray:
@@ -124,7 +108,8 @@ def invariant_fingerprint(basis: Basis, geometry: GeometryReport | None = None) 
     psi = basis.fiducial
     n = basis.n
     if geometry is None:
-        geometry = classify_geometry(basis_bloch_table(basis))
+        table = orbit_bloch_table(basis) if basis.group is not None else basis_bloch_table(basis)
+        geometry = classify_geometry(table)
     tangle = three_tangle(psi) if n == 3 else None
     conc = sorted(
         round(pairwise_concurrence(psi, (k, l)) ** 2, 10)

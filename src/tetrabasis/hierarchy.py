@@ -139,8 +139,8 @@ def clifford_level_test(u: np.ndarray, cap: int = DEFAULT_CAP, mode: str = "gene
         raise ValueError("input is not unitary")
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
-    if cap > DEFAULT_CAP:
-        raise ValueError(f"cap must not exceed {DEFAULT_CAP}")
+    if not 1 <= cap <= DEFAULT_CAP:
+        raise ValueError(f"cap must lie in 1..{DEFAULT_CAP}, got {cap}")
     engine = _LevelEngine(n, mode, cap, tol, full_layers)
     return LevelResult(engine.level(u, cap, 0), cap, mode)
 

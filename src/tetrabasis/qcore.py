@@ -19,7 +19,6 @@ MAX_QUBITS = 6
 
 EPS_NORM = 1e-10
 EPS_UNITARY = 1e-10
-EPS_PSD = 1e-9
 
 PAULI_MATS = {
     "I": np.array([[1, 0], [0, 1]], dtype=complex),
@@ -207,15 +206,6 @@ def hermitian_eig(hm: np.ndarray, tol: float = EPS_UNITARY) -> tuple[np.ndarray,
         raise ValueError("matrix is not Hermitian within tolerance")
     vals, vecs = np.linalg.eigh(hm)
     return vals[::-1].copy(), vecs[:, ::-1].copy()
-
-
-def psd_sqrt(hm: np.ndarray, tol: float = EPS_PSD) -> np.ndarray:
-    """Hermitian square root of a positive-semidefinite matrix."""
-    vals, vecs = hermitian_eig(hm)
-    if vals[-1] < -tol:
-        raise ValueError(f"matrix has negative eigenvalue {vals[-1]:.3e}")
-    root = np.sqrt(np.clip(vals, 0.0, None))
-    return (vecs * root) @ vecs.conj().T
 
 
 def apply_on_qubit(op: np.ndarray, psi: np.ndarray, qubit: int) -> np.ndarray:

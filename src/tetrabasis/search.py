@@ -71,6 +71,8 @@ class SearchConfig:
             raise ValueError("precision m must be positive")
         if self.sample is not None and self.sample < 1:
             raise ValueError("sample size must be positive")
+        if self.jobs < 1:
+            raise ValueError("jobs must be at least 1")
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,12 @@
+import csv
 import json
+import re
 
 import numpy as np
 import pytest
 
 from tetrabasis.cli import CSV_COLUMNS, fmt_number, main
+from tetrabasis.reproduce import SUITE_NAMES
 
 
 def run_cli(capsys, *argv):
@@ -51,6 +54,13 @@ class TestVerify:
                           "--tolerance", entry)
         assert code == 2
 
+    @pytest.mark.parametrize("entry", ["norm=-1", "norm=0", "norm=nan", "norm=inf"])
+    def test_non_positive_or_non_finite_tolerance_rejected(self, capsys, entry):
+        code, out = run_cli(capsys, "verify", "--n", "2", "--m", "2", "--poly", "z1 z2",
+                            "--tolerance", entry)
+        assert code == 2
+        assert out == ""
+
 
 class TestGeometry:
     def test_json_keys(self, capsys):
@@ -72,6 +82,13 @@ class TestGeometry:
             "r: 0.433012701892",
             "chirality: +++",
         ]
+
+    @pytest.mark.parametrize("entry", ["geo=inf", "geo=-1e-8", "geo=nan"])
+    def test_non_positive_or_non_finite_tolerance_rejected(self, capsys, entry):
+        code, out = run_cli(capsys, "geometry", "--n", "2", "--m", "2", "--poly", "z1 z2",
+                            "--tolerance", entry)
+        assert code == 2
+        assert out == ""
 
     def test_unknown_tolerance_name_rejected(self, capsys):
         code, _ = run_cli(capsys, "geometry", "--n", "2", "--m", "2", "--poly", "z1 z2",
@@ -120,6 +137,13 @@ class TestLevel:
         assert payload["matrix"]["level"] == 3
         assert payload["matrix"]["mode"] == "full"
 
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    def test_cap_below_one_rejected(self, capsys, cap):
+        code, out = run_cli(capsys, "level", "--n", "2", "--m", "2", "--poly", "z1 z2",
+                            "--matrix", "--cap", cap)
+        assert code == 2
+        assert out == ""
+
 
 class TestSearch:
     def test_csv_columns_and_rows(self, capsys):
@@ -155,6 +179,13 @@ class TestSearch:
     @pytest.mark.parametrize("size", ["0", "-5"])
     def test_non_positive_sample_rejected(self, capsys, command, size):
         code, out = run_cli(capsys, command, "--n", "2", "--m", "2", "--sample", size)
+        assert code == 2
+        assert out == ""
+
+    @pytest.mark.parametrize("command", ["search", "classify"])
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_non_positive_jobs_rejected(self, capsys, command, jobs):
+        code, out = run_cli(capsys, command, "--n", "2", "--m", "2", "--jobs", jobs)
         assert code == 2
         assert out == ""
 
@@ -208,6 +239,18 @@ class TestReproduce:
         payload = json.loads(out)
         assert payload["suite"] == "appA" and payload["pass"] is True
 
+    @pytest.mark.parametrize("suite", SUITE_NAMES)
+    def test_csv_numbers_at_twelve_significant_digits(self, capsys, suite):
+        _, out = run_cli(capsys, "reproduce", suite, "--format", "csv")
+        rows = list(csv.DictReader(out.splitlines()))
+        assert rows
+        numbers = [float(tok) for row in rows
+                   for key in ("expected", "actual", "tolerance")
+                   for tok in re.findall(r"-?\d+(?:\.\d*)?(?:e[-+]?\d+)?", row[key])]
+        assert numbers
+        for x in numbers:
+            assert float(f"{x:.12g}") == x
+
     def test_unknown_suite_usage_error(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["reproduce", "nosuchsuite"])
@@ -254,6 +297,32 @@ class TestConfigFile:
         code, out = run_cli(capsys, "--config", str(config), "build",
                             "--poly", "3 z1 z2")
         assert json.loads(out)["polynomial"] == "3 z1 z2"
+
+    LEVEL = ("level", "--n", "2", "--m", "2", "--poly", "z1 z2")
+
+    @pytest.mark.parametrize("value", ["true", "True"])
+    def test_boolean_key_true_passes_the_flag(self, tmp_path, capsys, value):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"matrix = {value}\n")
+        code, out = run_cli(capsys, "--config", str(config), *self.LEVEL)
+        assert code == 0
+        assert json.loads(out)["matrix"]["level"] == 3
+
+    def test_boolean_key_false_leaves_the_flag_off(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("matrix = false\n")
+        code, out = run_cli(capsys, "--config", str(config), *self.LEVEL)
+        assert code == 0
+        assert "matrix" not in json.loads(out)
+
+    @pytest.mark.parametrize("value", ["yes", "1", ""])
+    def test_boolean_key_other_value_rejected(self, tmp_path, capsys, value):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"matrix = {value}\n")
+        with pytest.raises(SystemExit) as err:
+            main(["--config", str(config), *self.LEVEL])
+        assert err.value.code == 2
+        assert "takes true or false" in capsys.readouterr().err
 
 
 class TestNumberFormatting:

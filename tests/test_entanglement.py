@@ -1,4 +1,4 @@
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -12,7 +12,9 @@ from tetrabasis.entanglement import (
     three_tangle,
 )
 from tetrabasis.fiducial import parse_polynomial, build_fiducial
-from tetrabasis.qcore import basis_state
+from tetrabasis.geometry import apply_local_unitaries
+from tetrabasis.qcore import PAULI_MATS, basis_state, partial_trace
+from tetrabasis.search import enumerate_polynomials
 
 GHZ = (basis_state(3, 0b000) + basis_state(3, 0b111)) / np.sqrt(2)
 BELL = (basis_state(2, 0b00) + basis_state(2, 0b11)) / np.sqrt(2)
@@ -27,6 +29,24 @@ TABLE1 = {
 
 def fiducial(text):
     return build_fiducial(parse_polynomial(text, 3, 2))
+
+
+def random_state(rng, n):
+    psi = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    return psi / np.linalg.norm(psi)
+
+
+def random_local_unitaries(rng, n):
+    factors = []
+    for _ in range(n):
+        q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        factors.append(q)
+    return factors
+
+
+def concurrences_sq(psi):
+    n = int(np.log2(psi.shape[0]))
+    return [pairwise_concurrence(psi, p) ** 2 for p in combinations(range(1, n + 1), 2)]
 
 
 class TestThreeTangle:
@@ -72,6 +92,57 @@ class TestPairwiseConcurrence:
     def test_same_qubit_rejected(self):
         with pytest.raises(ValueError):
             pairwise_concurrence(GHZ, (2, 2))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_out_of_range_qubit_rejected(self, n):
+        psi = basis_state(n, 0)
+        for pair in ((0, 1), (1, n + 1)):
+            with pytest.raises(ValueError):
+                pairwise_concurrence(psi, pair)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_matches_wootters_reference(self, n):
+        # oracle: sqrt of the eigenvalues of rho (Y x Y) rho* (Y x Y), from a
+        # general (non-Hermitian) eigensolve of the explicit marginal
+        yy = np.kron(PAULI_MATS["Y"], PAULI_MATS["Y"])
+        rng = np.random.default_rng(100 + n)
+        for _ in range(20):
+            psi = random_state(rng, n)
+            for pair in combinations(range(1, n + 1), 2):
+                rho = partial_trace(psi, pair)
+                lams = np.sort(np.sqrt(np.abs(np.linalg.eigvals(rho @ yy @ rho.conj() @ yy))))
+                expected = max(0.0, lams[-1] - lams[:-1].sum())
+                assert abs(pairwise_concurrence(psi, pair) - expected) < 1e-6
+
+
+class TestCoffmanKunduWootters:
+    """4 det rho_A = C_AB^2 + C_AC^2 + tau for every focus qubit A of a 3-qubit pure state.
+
+    The identity ties the tangle to the concurrences independently of how
+    either is computed.
+    """
+
+    @staticmethod
+    def assert_ckw(psi):
+        tau = three_tangle(psi)
+        for a in (1, 2, 3):
+            b, c = (q for q in (1, 2, 3) if q != a)
+            lhs = 4 * np.linalg.det(partial_trace(psi, {a})).real
+            rhs = pairwise_concurrence(psi, (a, b)) ** 2 + pairwise_concurrence(psi, (a, c)) ** 2
+            assert abs(lhs - rhs - tau) < 1e-12
+
+    def test_all_n3_fiducials(self):
+        polys = list(enumerate_polynomials(3, 2))
+        assert len(polys) == 256
+        for f in polys:
+            self.assert_ckw(build_fiducial(f))
+
+    def test_random_states(self):
+        rng = np.random.default_rng(2000)
+        for _ in range(200):
+            self.assert_ckw(random_state(rng, 3))
+        self.assert_ckw(GHZ)
+        self.assert_ckw(basis_state(3, 0b011))
 
 
 class TestPermutationStabilizer:
@@ -144,7 +215,6 @@ class TestInvariantFingerprint:
 
 class TestLocalUnitaryInvariance:
     def test_tangle_and_concurrence_under_random_locals(self):
-        from tetrabasis.geometry import apply_local_unitaries
         rng = np.random.default_rng(17)
         psi = fiducial("z1 z2 + 2 z1 z3 + z1 z2 z3")
         tau0 = three_tangle(psi)
@@ -159,3 +229,16 @@ class TestLocalUnitaryInvariance:
             assert abs(three_tangle(rotated) - tau0) < 1e-9
             for pair, c in zip(((1, 2), (1, 3), (2, 3)), c0):
                 assert abs(pairwise_concurrence(rotated, pair) - c) < 1e-9
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_tangle_and_squared_concurrences_on_random_states(self, n):
+        rng = np.random.default_rng(40 + n)
+        for _ in range(20):
+            psi = random_state(rng, n)
+            images = [np.conj(psi)] + [apply_local_unitaries(psi, random_local_unitaries(rng, n))
+                                       for _ in range(3)]
+            for image in images:
+                if n == 3:
+                    assert abs(three_tangle(image) - three_tangle(psi)) < 1e-12
+                np.testing.assert_allclose(concurrences_sq(image), concurrences_sq(psi),
+                                           rtol=0, atol=1e-12)

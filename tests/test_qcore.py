@@ -12,7 +12,6 @@ from tetrabasis.qcore import (
     pauli_expansion,
     pauli_multiply,
     pauli_reconstruction,
-    psd_sqrt,
     tensor_product,
 )
 
@@ -128,30 +127,6 @@ class TestHermitianEig:
         np.testing.assert_allclose((vecs * vals) @ vecs.conj().T, hm, atol=1e-10)
         np.testing.assert_allclose(vecs.conj().T @ vecs, np.eye(8), atol=1e-10)
         assert abs(vals.sum() - np.trace(hm).real) < 1e-10
-
-
-class TestPsdSqrt:
-    def test_identity(self):
-        np.testing.assert_allclose(psd_sqrt(np.eye(3, dtype=complex)), np.eye(3), atol=1e-14)
-
-    def test_diagonal(self):
-        np.testing.assert_allclose(psd_sqrt(np.diag([4.0, 1.0]).astype(complex)),
-                                   np.diag([2.0, 1.0]), atol=1e-14)
-
-    def test_half(self):
-        np.testing.assert_allclose(psd_sqrt(np.diag([0.5, 0.5]).astype(complex)),
-                                   np.diag([1, 1]) / np.sqrt(2), atol=1e-14)
-
-    def test_square_reproduces(self):
-        rng = np.random.default_rng(3)
-        mat = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        psd = mat @ mat.conj().T
-        root = psd_sqrt(psd)
-        np.testing.assert_allclose(root @ root, psd, atol=1e-10)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            psd_sqrt(np.diag([1.0, -0.5]).astype(complex))
 
 
 class TestPauliStrings:
