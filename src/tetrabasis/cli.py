@@ -114,18 +114,23 @@ def _tolerance(entries: list[str] | None, name: str, default: float) -> float:
     return value
 
 
-def _load_config(path: str) -> dict[str, str]:
-    values = {}
+def _load_config(path: str) -> dict[str | None, dict[str, str]]:
+    """key=value lines by section: None holds the keys before any [name] line."""
+    sections: dict[str | None, dict[str, str]] = {None: {}}
+    current = sections[None]
     with open(path, encoding="utf-8") as fh:
         for line in fh:
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
+            if line.startswith("[") and line.endswith("]"):
+                current = sections.setdefault(line[1:-1].strip(), {})
+                continue
             key, sep, value = line.partition("=")
             if not sep:
                 raise ValueError(f"config line {line!r} is not key=value")
-            values[key.strip()] = value.strip().strip('"')
-    return values
+            current[key.strip()] = value.strip().strip('"')
+    return sections
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -133,7 +138,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="tetrabasis",
         description="Construct, verify, and classify multiqubit tetrahedral measurement bases.",
     )
-    parser.add_argument("--config", help="key=value config file; explicit flags win")
+    parser.add_argument("--config", help="key=value config file, [subcommand] sections; "
+                        "explicit flags win")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, poly=True, tolerance=None):
@@ -194,24 +200,38 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _subcommands(parser) -> dict[str, argparse.ArgumentParser]:
+    return next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
 def _switch_flags(parser) -> set[str]:
     """Option strings of the store_true flags of every subcommand."""
-    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return {opt for sub in subparsers.choices.values() for a in sub._actions
+    return {opt for sub in _subcommands(parser).values() for a in sub._actions
             if isinstance(a, argparse._StoreTrueAction) for opt in a.option_strings}
 
 
 def _apply_config_defaults(parser, argv):
     """Pull --config before full parsing so file values become defaults.
 
-    The key of a store_true flag takes true (pass the flag) or false (omit it).
+    Keys before any [name] line apply to every subcommand; keys in a [name]
+    section apply only when subcommand name runs, and override top-level
+    keys.  The key of a store_true flag takes true (pass the flag) or false
+    (omit it).
     """
     probe = argparse.ArgumentParser(add_help=False)
     probe.add_argument("--config")
-    known, _ = probe.parse_known_args(argv)
+    known, rest = probe.parse_known_args(argv)
     if not known.config:
         return argv
-    values = _load_config(known.config)
+    sections = _load_config(known.config)
+    commands = _subcommands(parser)
+    for name in sections:
+        if name is not None and name not in commands:
+            raise ValueError(f"config section [{name}] names no subcommand")
+    # only --config may precede the subcommand, so it is the first bare word left
+    command = next((a for a in rest if not a.startswith("-")), None)
+    values = {**sections[None], **sections.get(command, {})}
     switches = _switch_flags(parser)
     extra = []
     for key, value in values.items():

@@ -6,7 +6,9 @@ from the definition (U is at level k when every conjugated Pauli sits at
 level k-1).  Conjugating by generators alone is exact for deciding levels
 up to 3 because the Clifford group is closed under products; deciding level
 k >= 4 soundly needs the full Pauli set at the outer layer, which is what
-mode='full' adds.
+mode='full' adds.  The recursion bottoms out in a direct O(4^n) test of
+whether a matrix is a phased Pauli string, read off its permutation support
+and signs, with no Pauli expansion.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from .qcore import (
     all_pauli_letter_strings,
     is_unitary,
     num_qubits,
-    pauli_expansion,
     phase_canonical_key,
 )
 
@@ -48,10 +49,26 @@ def diagonal_clifford_level(f: PhasePolynomial) -> int:
 
 
 def is_pauli_like(u: np.ndarray, tol: float = 1e-9) -> bool:
-    """True when exactly one Pauli-expansion coefficient has unit modulus, rest vanish."""
-    mags = np.abs(np.fromiter(pauli_expansion(u).values(), dtype=complex))
-    big = mags > tol
-    return bool(big.sum() == 1 and abs(mags[big][0] - 1.0) <= tol)
+    """True when u is a unit phase times a Pauli string X^a Z^b, entrywise within tol.
+
+    X^a Z^b |x> = (-1)^(b.x) |x xor a>, so u must be supported on the
+    permutation x -> x xor a, with a read off column 0, a unit-modulus entry
+    u[a, 0], and ratios u[x xor a, x] / u[a, 0] = (-1)^(b.x), with b read
+    off at x = 2^k.  The check is O(4^n).
+    """
+    u = np.asarray(u, dtype=complex)
+    n = num_qubits(u.shape[0])
+    a = int(np.argmax(np.abs(u[:, 0])))
+    pivot = u[a, 0]
+    if abs(abs(pivot) - 1.0) > tol:
+        return False
+    x = np.arange(u.shape[0])
+    powers = 1 << np.arange(n)
+    b_bits = (u[a ^ powers, powers] / pivot).real < 0
+    parity = ((x[:, None] & powers[b_bits]) > 0).sum(axis=1) % 2
+    residual = u.copy()
+    residual[x ^ a, x] -= pivot * (1 - 2 * parity)
+    return bool(np.max(np.abs(residual)) <= tol)
 
 
 @dataclass(frozen=True)

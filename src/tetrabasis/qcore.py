@@ -156,38 +156,6 @@ def partial_trace(psi: np.ndarray, keep: set[int] | list[int] | tuple[int, ...])
     return mat @ mat.conj().T
 
 
-def pauli_expansion(u: np.ndarray) -> dict[str, complex]:
-    """Coefficients c_P = Tr(P^dag U) / 2**n over all Pauli letter strings."""
-    u = np.asarray(u, dtype=complex)
-    n = num_qubits(u.shape[0])
-    stack = _pauli_stack(n)
-    coeffs = np.einsum("kij,ji->k", stack, u) / u.shape[0]
-    return dict(zip(all_pauli_letter_strings(n), coeffs))
-
-
-def pauli_reconstruction(coeffs: dict[str, complex]) -> np.ndarray:
-    """Sum c_P * P; inverse of pauli_expansion."""
-    n = len(next(iter(coeffs)))
-    out = np.zeros((2**n, 2**n), dtype=complex)
-    for letters, c in coeffs.items():
-        out += c * PauliString(letters).to_matrix()
-    return out
-
-
-_PAULI_STACK_CACHE: dict[int, np.ndarray] = {}
-
-
-def _pauli_stack(n: int) -> np.ndarray:
-    """(4**n, 2**n, 2**n) stack of Pauli matrices, cached per qubit count."""
-    check_capacity(2**n)
-    if n not in _PAULI_STACK_CACHE:
-        if n > 4:
-            raise CapacityError("dense Pauli stack limited to n <= 4")
-        mats = [PauliString(s).to_matrix() for s in all_pauli_letter_strings(n)]
-        _PAULI_STACK_CACHE[n] = np.stack(mats)
-    return _PAULI_STACK_CACHE[n]
-
-
 def is_hermitian(m: np.ndarray, tol: float = EPS_UNITARY) -> bool:
     return bool(np.max(np.abs(m - m.conj().T)) <= tol)
 

@@ -1,8 +1,10 @@
 """Exhaustive search over phase polynomials and classification of the hits.
 
 Enumerates canonical polynomials (degree >= 2), keeps those whose orbit basis
-has regular tetrahedral marginals, fingerprints them, and groups the hits
-into equivalence classes with explicit local-Clifford witnesses.
+has regular tetrahedral marginals, fingerprints the survivors, and groups the
+hits into equivalence classes with explicit local-Clifford witnesses.  The
+witness scan visits only the Clifford tuples whose cube rotations carry each
+qubit's Bloch vector onto the target column's.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, product
 
 import numpy as np
@@ -18,9 +20,16 @@ import numpy as np
 from .basisgen import Basis, build_tetra_group, check_orthonormal, orbit_basis
 from .entanglement import InvariantFingerprint, invariant_fingerprint
 from .fiducial import PhasePolynomial, build_fiducial
-from .geometry import GeometryReport, classify_geometry, conjugate_state, orbit_bloch_table
+from .geometry import (
+    GeometryReport,
+    basis_bloch_table,
+    bloch_vector,
+    classify_geometry,
+    conjugate_state,
+    orbit_bloch_table,
+)
 from .hierarchy import diagonal_clifford_level
-from .qcore import CapacityError, apply_on_qubit, num_qubits, phase_canonical_key
+from .qcore import PAULI_MATS, CapacityError, apply_on_qubit, num_qubits, phase_canonical_key
 
 FULL_ENUMERATION_LIMIT = 2**23
 
@@ -79,16 +88,24 @@ class SearchConfig:
 class SearchHit:
     polynomial: PhasePolynomial
     geometry: GeometryReport
-    fingerprint: InvariantFingerprint
     level: int
 
     @property
     def key(self) -> str:
         return self.polynomial.to_text()
 
+    @cached_property
+    def fingerprint(self) -> InvariantFingerprint:
+        """Invariant fingerprint, computed on first use from the rebuilt orbit basis."""
+        return invariant_fingerprint(_hit_basis(self), self.geometry)
+
 
 def evaluate_polynomial_candidate(f: PhasePolynomial) -> SearchHit:
-    """Build the orbit basis of f and compute geometry, fingerprint, and level."""
+    """Build the orbit basis of f and compute geometry and level.
+
+    The fingerprint is left to the first read of ``SearchHit.fingerprint``,
+    so candidates that fail the filters never pay for it.
+    """
     psi = build_fiducial(f)
     group = build_tetra_group(f.n)
     basis = orbit_basis(psi, group, f)
@@ -99,8 +116,7 @@ def evaluate_polynomial_candidate(f: PhasePolynomial) -> SearchHit:
             f"(violation {report.max_violation:.3e})"
         )
     geometry = classify_geometry(orbit_bloch_table(basis))
-    fingerprint = invariant_fingerprint(basis, geometry)
-    return SearchHit(f, geometry, fingerprint, diagonal_clifford_level(f))
+    return SearchHit(f, geometry, diagonal_clifford_level(f))
 
 
 def _passes_filters(hit: SearchHit, cfg: SearchConfig) -> bool:
@@ -201,6 +217,18 @@ def single_qubit_cliffords() -> tuple[np.ndarray, ...]:
     return tuple(order)
 
 
+@lru_cache(maxsize=1)
+def clifford_bloch_rotations() -> np.ndarray:
+    """(24, 3, 3) Bloch rotations R[k]_ij = tr(s_i C_k s_j C_k^dag) / 2, Cliffords in order.
+
+    Each is a signed permutation matrix, so the rounding is exact.
+    """
+    sigma = np.stack([PAULI_MATS[p] for p in "XYZ"])
+    stack = np.stack(single_qubit_cliffords())
+    table = np.einsum("iab,kbc,jcd,kad->kij", sigma, stack, sigma, stack.conj()).real / 2
+    return np.rint(table)
+
+
 @dataclass(frozen=True)
 class Witness:
     """Local-Clifford map carrying a state onto one column of a target basis."""
@@ -233,8 +261,19 @@ def lc_equivalence_witness(psi1: np.ndarray, basis2: Basis, allow_conjugation: b
                            tol: float = 1e-9) -> Witness | None:
     """First local-Clifford tuple mapping psi1 (or its conjugate) onto a column of basis2.
 
-    Exhausts all 24^n tuples in lexicographic index order (non-conjugated pass
-    first); absence of a witness is a definite result for that search space.
+    The result is that of scanning all 24^n tuples in lexicographic index
+    order (non-conjugated pass first), so absence of a witness is a definite
+    result for that search space; psi1 must be a unit vector.  Only tuples that
+    can reach some column are visited.  A Clifford acts on the Bloch sphere
+    as one of the 24 rotations of the cube (it permutes the Paulis up to
+    sign; Gottesman, arXiv:quant-ph/9807006), so it carries qubit l's Bloch
+    vector v_l to R_k v_l.  A hit |<c|phi>| >= 1 - tol puts the two pure
+    states within trace distance sqrt(1 - (1 - tol)^2), and partial traces
+    do not increase it, so every qubit's Bloch vectors then differ by at most
+    2 sqrt(1 - (1 - tol)^2).  Tuple prefixes on qubits 1..n-1 whose rotations
+    miss that bound for every column are skipped; the last qubit is scanned
+    whole.  A zero Bloch vector admits all 24 Cliffords, so the pruning holds
+    for any unit state and any basis, with or without a group.
     """
     psi1 = np.asarray(psi1, dtype=complex)
     n = num_qubits(psi1.shape[0])
@@ -242,36 +281,46 @@ def lc_equivalence_witness(psi1: np.ndarray, basis2: Basis, allow_conjugation: b
         raise ValueError("states act on different qubit counts")
     if n > 4:
         raise CapacityError("witness search supported for n <= 4")
+    if not 0 < tol < 1:
+        raise ValueError(f"witness tolerance must lie in (0, 1), got {tol}")
+    if abs(np.linalg.norm(psi1) - 1) > 1e-9:
+        raise ValueError("witness search needs a unit state")  # the Bloch bound assumes one
     cliffs = single_qubit_cliffords()
     stack = np.stack(cliffs)  # (24, 2, 2)
+    rotations = clifford_bloch_rotations()
     cols_dag = basis2.columns.conj().T
+    targets = orbit_bloch_table(basis2) if basis2.group is not None else basis_bloch_table(basis2)
+    # slack in the overlap covers its float error; the margin covers the Bloch vectors'
+    bound = 2 * np.sqrt(1 - (1 - tol - 1e-12) ** 2) + 1e-12
 
     for conjugated in ((False, True) if allow_conjugation else (False,)):
         base = conjugate_state(psi1) if conjugated else psi1
-
-        def scan(qubit: int, state: np.ndarray) -> Witness | None:
-            if qubit == n:
-                grouped = state.reshape(-1, 2)
-                batch = np.einsum("rb,kab->kra", grouped, stack).reshape(24, -1)
-                overlaps = cols_dag @ batch.T  # (columns, 24)
-                hits = np.argwhere(np.abs(overlaps) >= 1 - tol)
-                if hits.size == 0:
-                    return None
-                # first tuple = smallest last-qubit index, then smallest column
-                order = np.lexsort((hits[:, 0], hits[:, 1]))
-                column, last = int(hits[order[0]][0]), int(hits[order[0]][1])
-                # mapped state = phase * column, phase = <column|mapped>
-                phase = complex(overlaps[column, last])
-                return Witness((last,), conjugated, column, phase)
-            for idx in range(24):
-                result = scan(qubit + 1, apply_on_qubit(cliffs[idx], state, qubit))
-                if result is not None:
-                    return replace(result, clifford_indices=(idx,) + result.clifford_indices)
-            return None
-
-        witness = scan(1, base)
-        if witness is not None:
-            return witness
+        vectors = np.array([bloch_vector(base, l) for l in range(1, n + 1)])
+        rotated = np.einsum("kij,lj->lki", rotations, vectors)  # (n, 24, 3)
+        allowed = np.linalg.norm(
+            rotated[:, :, None, :] - targets[:, None, :, :], axis=-1) <= bound  # (n, 24, cols)
+        reachable = allowed.any(axis=1).all(axis=0)
+        choices = {tuple(tuple(np.flatnonzero(allowed[l, :, c]).tolist()) for l in range(n - 1))
+                   for c in np.flatnonzero(reachable)}
+        prefixes = sorted({t for sets in choices for t in product(*sets)})
+        states = {(): base}  # prefix -> base with the prefix's Cliffords applied
+        for prefix in prefixes:
+            for qubit in range(1, n):
+                if prefix[:qubit] not in states:
+                    states[prefix[:qubit]] = apply_on_qubit(
+                        cliffs[prefix[qubit - 1]], states[prefix[:qubit - 1]], qubit)
+            grouped = states[prefix].reshape(-1, 2)
+            batch = np.einsum("rb,kab->kra", grouped, stack).reshape(24, -1)
+            overlaps = cols_dag @ batch.T  # (columns, 24)
+            hits = np.argwhere(np.abs(overlaps) >= 1 - tol)
+            if hits.size == 0:
+                continue
+            # first tuple = smallest last-qubit index, then smallest column
+            order = np.lexsort((hits[:, 0], hits[:, 1]))
+            column, last = int(hits[order[0]][0]), int(hits[order[0]][1])
+            # mapped state = phase * column, phase = <column|mapped>
+            phase = complex(overlaps[column, last])
+            return Witness(prefix + (last,), conjugated, column, phase)
     return None
 
 

@@ -324,6 +324,39 @@ class TestConfigFile:
         assert err.value.code == 2
         assert "takes true or false" in capsys.readouterr().err
 
+    SHARED = "n = 2\npoly = z1 z2  # both subcommands\n\n[level]\nmatrix = true\n"
+
+    def test_one_file_serves_build_and_level(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text(self.SHARED)
+        code, out = run_cli(capsys, "--config", str(config), "build")
+        assert code == 0
+        assert json.loads(out)["polynomial"] == "z1 z2"
+        code, out = run_cli(capsys, "--config", str(config), "level")
+        assert code == 0
+        assert json.loads(out)["matrix"]["level"] == 3
+
+    def test_section_overrides_top_level_and_flags_win(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text(self.SHARED + "poly = 3 z1 z2\n[build]\nformat = text\n")
+        code, out = run_cli(capsys, "--config", str(config), "level")
+        assert code == 0
+        assert json.loads(out)["polynomial"] == "3 z1 z2" and "matrix" in json.loads(out)
+        code, out = run_cli(capsys, "--config", str(config), "build", "--format", "json",
+                            "--poly", "2 z1 z2")
+        assert code == 0
+        assert json.loads(out)["polynomial"] == "2 z1 z2"
+        code, out = run_cli(capsys, "--config", str(config), "build")
+        assert code == 0 and out.startswith("polynomial: z1 z2\n")
+
+    def test_unknown_section_rejected(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("n = 2\n[levle]\nmatrix = true\n")
+        with pytest.raises(SystemExit) as err:
+            main(["--config", str(config), "build", "--poly", "z1 z2"])
+        assert err.value.code == 2
+        assert "[levle]" in capsys.readouterr().err
+
 
 class TestNumberFormatting:
     def test_twelve_significant_digits(self):

@@ -1,3 +1,4 @@
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -12,11 +13,66 @@ from tetrabasis.hierarchy import (
     two_adic_valuation,
     verify_level_bound,
 )
-from tetrabasis.qcore import PAULI_MATS
+from tetrabasis.qcore import PAULI_MATS, PauliString, all_pauli_letter_strings, num_qubits
 
 X, Y, Z = PAULI_MATS["X"], PAULI_MATS["Y"], PAULI_MATS["Z"]
 H = (X + Z) / np.sqrt(2)
 T = np.diag([1, np.exp(1j * np.pi / 4)])
+S = np.diag([1, 1j])
+
+
+@lru_cache(maxsize=None)
+def pauli_matrices(n):
+    return {s: PauliString(s).to_matrix() for s in all_pauli_letter_strings(n)}
+
+
+def pauli_expansion(u):
+    """Reference: c_P = Tr(P^dag U) / 2^n over every Pauli letter string."""
+    u = np.asarray(u, dtype=complex)
+    n = num_qubits(u.shape[0])
+    return {s: np.trace(p.conj().T @ u) / 2**n for s, p in pauli_matrices(n).items()}
+
+
+def pauli_reconstruction(coeffs):
+    """Sum c_P * P; inverse of pauli_expansion."""
+    return sum(c * PauliString(s).to_matrix() for s, c in coeffs.items())
+
+
+def is_pauli_like_reference(u, tol=1e-9):
+    """Exactly one Pauli-expansion coefficient has unit modulus, the rest vanish."""
+    mags = np.abs(np.array(list(pauli_expansion(u).values())))
+    big = mags > tol
+    return bool(big.sum() == 1 and abs(mags[big][0] - 1.0) <= tol)
+
+
+def embed(gate, first, n):
+    """Gate on consecutive qubits from `first` (1-indexed), identity elsewhere."""
+    k = gate.shape[0].bit_length() - 1
+    return np.kron(np.kron(np.eye(2 ** (first - 1)), gate), np.eye(2 ** (n - first - k + 1)))
+
+
+def random_clifford(n, rng, depth=12):
+    """Product of random H, S and CZ gates."""
+    cz = np.diag([1, 1, 1, -1]).astype(complex)
+    u = np.eye(2**n, dtype=complex)
+    for _ in range(depth):
+        if n > 1 and rng.random() < 0.3:
+            gate = embed(cz, int(rng.integers(1, n)), n)
+        else:
+            gate = embed((H, S)[rng.integers(2)], int(rng.integers(1, n + 1)), n)
+        u = gate @ u
+    return u
+
+
+def random_pauli(n, rng):
+    letters = "".join(rng.choice(list("IXYZ"), n))
+    return np.exp(2j * np.pi * rng.random()) * PauliString(letters).to_matrix()
+
+
+def haar_unitary(n, rng):
+    z = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 class TestDiagonalLevelFormula:
@@ -58,6 +114,33 @@ class TestDiagonalLevelFormula:
         assert two_adic_valuation(6, 3) == 1
 
 
+class TestPauliExpansion:
+    """The reference oracle's own checks: Pauli strings are an orthogonal operator basis."""
+
+    def test_x(self):
+        coeffs = pauli_expansion(PAULI_MATS["X"])
+        assert abs(coeffs["X"] - 1) < 1e-14
+        assert all(abs(c) < 1e-14 for k, c in coeffs.items() if k != "X")
+
+    def test_hadamard(self):
+        coeffs = pauli_expansion(H)
+        assert abs(coeffs["X"] - 1 / np.sqrt(2)) < 1e-14
+        assert abs(coeffs["Z"] - 1 / np.sqrt(2)) < 1e-14
+        assert abs(coeffs["I"]) < 1e-14 and abs(coeffs["Y"]) < 1e-14
+
+    def test_s_gate_trace_system(self):
+        # solve the 2x2 system by hand: c_I = (1+i)/2, c_Z = (1-i)/2
+        coeffs = pauli_expansion(S)
+        assert abs(coeffs["I"] - (1 + 1j) / 2) < 1e-14
+        assert abs(coeffs["Z"] - (1 - 1j) / 2) < 1e-14
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_reconstruction_identity(self, n):
+        rng = np.random.default_rng(n)
+        mat = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+        np.testing.assert_allclose(pauli_reconstruction(pauli_expansion(mat)), mat, atol=1e-12)
+
+
 class TestIsPauliLike:
     def test_pauli_tensor(self):
         assert is_pauli_like(np.kron(X, Z))
@@ -67,6 +150,34 @@ class TestIsPauliLike:
 
     def test_global_phase_irrelevant(self):
         assert is_pauli_like(np.exp(1j * np.pi / 7) * Y)
+
+    def test_non_unit_pivot_rejected(self):
+        assert not is_pauli_like(0.5 * X)
+        assert not is_pauli_like(np.zeros((4, 4), dtype=complex))
+
+    def test_sign_pattern_must_be_a_character(self):
+        # permutation support and unit entries, but signs (+,+,+,-) are no Z^b
+        assert not is_pauli_like(np.diag([1, 1, 1, -1]).astype(complex))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_agrees_with_pauli_expansion(self, n):
+        rng = np.random.default_rng(100 + n)
+        cases = {True: 0, False: 0}
+        for _ in range(40):
+            pauli = random_pauli(n, rng)
+            noise = rng.normal(size=pauli.shape) + 1j * rng.normal(size=pauli.shape)
+            for u in (pauli, random_clifford(n, rng), haar_unitary(n, rng),
+                      pauli + 1e-6 * noise / np.abs(noise).max()):
+                expected = is_pauli_like_reference(u)
+                assert is_pauli_like(u) == expected
+                cases[expected] += 1
+        assert cases[True] >= 40 and cases[False] >= 80
+
+    def test_every_pauli_string_accepted(self):
+        for n in (1, 2, 3):
+            for letters in all_pauli_letter_strings(n):
+                for phase in (1, 1j, -1, -1j):
+                    assert is_pauli_like(PauliString(letters, phase).to_matrix())
 
 
 class TestRecursiveLevelTest:

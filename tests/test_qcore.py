@@ -9,9 +9,7 @@ from tetrabasis.qcore import (
     basis_state,
     hermitian_eig,
     partial_trace,
-    pauli_expansion,
     pauli_multiply,
-    pauli_reconstruction,
     tensor_product,
 )
 
@@ -73,32 +71,6 @@ class TestPartialTrace:
             assert abs(np.trace(rho) - 1) < 1e-12
             np.testing.assert_allclose(rho, rho.conj().T, atol=1e-12)
             assert np.linalg.eigvalsh(rho).min() > -1e-12
-
-
-class TestPauliExpansion:
-    def test_x(self):
-        coeffs = pauli_expansion(PAULI_MATS["X"])
-        assert abs(coeffs["X"] - 1) < 1e-14
-        assert all(abs(c) < 1e-14 for k, c in coeffs.items() if k != "X")
-
-    def test_hadamard(self):
-        h = (PAULI_MATS["X"] + PAULI_MATS["Z"]) / np.sqrt(2)
-        coeffs = pauli_expansion(h)
-        assert abs(coeffs["X"] - 1 / np.sqrt(2)) < 1e-14
-        assert abs(coeffs["Z"] - 1 / np.sqrt(2)) < 1e-14
-        assert abs(coeffs["I"]) < 1e-14 and abs(coeffs["Y"]) < 1e-14
-
-    def test_s_gate_trace_system(self):
-        # solve the 2x2 system by hand: c_I = (1+i)/2, c_Z = (1-i)/2
-        coeffs = pauli_expansion(np.diag([1, 1j]))
-        assert abs(coeffs["I"] - (1 + 1j) / 2) < 1e-14
-        assert abs(coeffs["Z"] - (1 - 1j) / 2) < 1e-14
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_reconstruction_identity(self, n):
-        rng = np.random.default_rng(n)
-        mat = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
-        np.testing.assert_allclose(pauli_reconstruction(pauli_expansion(mat)), mat, atol=1e-12)
 
 
 class TestHermitianEig:

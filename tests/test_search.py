@@ -1,16 +1,24 @@
+import os
+from dataclasses import replace
+from itertools import product
+
 import numpy as np
 import pytest
 
-from tetrabasis.basisgen import build_tetra_group, orbit_basis
+from tetrabasis.basisgen import build_tetra_group, ejm_reference_basis, orbit_basis
 from tetrabasis.fiducial import parse_polynomial, build_fiducial
-from tetrabasis.qcore import CapacityError
+from tetrabasis.geometry import bloch_vector, conjugate_state
+from tetrabasis.qcore import PAULI_MATS, CapacityError, apply_on_qubit, num_qubits
 from tetrabasis.search import (
     SearchConfig,
+    Witness,
     canonical_monomials,
+    clifford_bloch_rotations,
     conjugate_partner_key,
     enumerate_polynomials,
     group_into_classes,
     lc_equivalence_witness,
+    polynomial_from_coeffs,
     polynomial_space_size,
     search_regular,
     single_qubit_cliffords,
@@ -165,6 +173,175 @@ class TestWitness:
         first = lc_equivalence_witness(psi, basis, allow_conjugation=True)
         second = lc_equivalence_witness(psi, basis, allow_conjugation=True)
         assert first == second
+
+
+SIGMA = [PAULI_MATS[p] for p in "XYZ"]
+
+
+def exhaustive_witness(psi1, basis2, allow_conjugation=False, tol=1e-9):
+    """Reference scan: every one of the 24^n tuples in lexicographic index order."""
+    psi1 = np.asarray(psi1, dtype=complex)
+    n = num_qubits(psi1.shape[0])
+    cliffs = single_qubit_cliffords()
+    stack = np.stack(cliffs)
+    cols_dag = basis2.columns.conj().T
+
+    for conjugated in ((False, True) if allow_conjugation else (False,)):
+        base = conjugate_state(psi1) if conjugated else psi1
+
+        def scan(qubit, state):
+            if qubit == n:
+                grouped = state.reshape(-1, 2)
+                batch = np.einsum("rb,kab->kra", grouped, stack).reshape(24, -1)
+                overlaps = cols_dag @ batch.T
+                hits = np.argwhere(np.abs(overlaps) >= 1 - tol)
+                if hits.size == 0:
+                    return None
+                order = np.lexsort((hits[:, 0], hits[:, 1]))
+                column, last = int(hits[order[0]][0]), int(hits[order[0]][1])
+                return Witness((last,), conjugated, column, complex(overlaps[column, last]))
+            for idx in range(24):
+                result = scan(qubit + 1, apply_on_qubit(cliffs[idx], state, qubit))
+                if result is not None:
+                    return replace(result, clifford_indices=(idx,) + result.clifford_indices)
+            return None
+
+        witness = scan(1, base)
+        if witness is not None:
+            return witness
+    return None
+
+
+def orbit_of(f):
+    return orbit_basis(build_fiducial(f), build_tetra_group(f.n), f)
+
+
+def assert_matches_exhaustive(psi, basis, tol=1e-9):
+    """Pruned and exhaustive scans agree exactly, in each pass and in both together.
+
+    The conjugated pass scans conj(psi) as the plain pass would, so the
+    reference runs each pass once.  Returns the number of passes that found
+    a witness.
+    """
+    plain = exhaustive_witness(psi, basis, tol=tol)
+    conj = exhaustive_witness(conjugate_state(psi), basis, tol=tol)
+    assert lc_equivalence_witness(psi, basis, tol=tol) == plain
+    assert lc_equivalence_witness(conjugate_state(psi), basis, tol=tol) == conj
+    both = plain or (conj and replace(conj, conjugated=True))
+    assert lc_equivalence_witness(psi, basis, allow_conjugation=True, tol=tol) == both
+    return (plain is not None) + (conj is not None)
+
+
+@pytest.fixture(scope="module")
+def n3_hits():
+    return search_regular(SearchConfig(3, 2))
+
+
+class TestPrunedWitness:
+    def test_rotation_table_is_the_cube_group(self):
+        rotations = clifford_bloch_rotations()
+        assert rotations.shape == (24, 3, 3)
+        assert len({r.tobytes() for r in rotations}) == 24
+        axes = {tuple(v) for v in np.vstack([np.eye(3), -np.eye(3)])}
+        for r in rotations:
+            np.testing.assert_array_equal(r @ r.T, np.eye(3))
+            assert round(np.linalg.det(r)) == 1
+            assert {tuple(r @ np.array(v)) for v in axes} == axes
+
+    def test_rotation_table_matches_conjugation(self):
+        for c, r in zip(single_qubit_cliffords(), clifford_bloch_rotations()):
+            for j in range(3):
+                image = c @ SIGMA[j] @ c.conj().T
+                np.testing.assert_allclose(image, sum(r[i, j] * SIGMA[i] for i in range(3)),
+                                           atol=1e-12)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-9, 1.0, 2.0])
+    def test_tolerance_outside_unit_interval_rejected(self, tol):
+        f = parse_polynomial("z1 z2", 2, 2)
+        with pytest.raises(ValueError):
+            lc_equivalence_witness(build_fiducial(f), orbit_of(f), tol=tol)
+
+    def test_non_unit_state_rejected(self):
+        f = parse_polynomial("z1 z2", 2, 2)
+        with pytest.raises(ValueError):
+            lc_equivalence_witness(2 * build_fiducial(f), orbit_of(f))
+
+    def test_n3_hits_against_negation_and_other_class(self, n3_hits):
+        first_key = n3_hits[0].fingerprint.class_key()
+        foreign = next(h for h in n3_hits if h.fingerprint.class_key() != first_key)
+        found = 0
+        for hit in n3_hits:
+            psi = build_fiducial(hit.polynomial)
+            fixed = foreign if hit.fingerprint.class_key() == first_key else n3_hits[0]
+            for target in (hit.polynomial.negated(), fixed.polynomial):
+                found += assert_matches_exhaustive(psi, orbit_of(target))
+        assert found >= 40
+
+    @pytest.mark.parametrize("tol", [1e-2, 1e-5, 1e-9])
+    def test_near_hits_at_the_tolerance(self, n3_hits, tol):
+        # a state at overlap 1 - 0.99 tol with a fiducial, tilted along a
+        # Pauli axis orthogonal to one qubit's Bloch vector: that qubit's
+        # Bloch vector moves by almost the full bound, so a smaller pruning
+        # bound loses witnesses the full scan finds
+        found = 0
+        for index, hit in enumerate(n3_hits[:9]):
+            psi = build_fiducial(hit.polynomial)
+            qubit = index % 3 + 1
+            axis = np.cross(bloch_vector(psi, qubit), [1.0, 0.3, 0.1])
+            axis /= np.linalg.norm(axis)
+            tilt = apply_on_qubit(sum(a * s for a, s in zip(axis, SIGMA)), psi, qubit)
+            tilt -= np.vdot(psi, tilt) * psi
+            tilt /= np.linalg.norm(tilt)
+            overlap = 1 - 0.99 * tol
+            near = overlap * psi + np.sqrt(1 - overlap**2) * tilt
+            found += assert_matches_exhaustive(near, orbit_of(hit.polynomial.negated()), tol)
+        assert found >= 9
+
+    def test_seeded_n4_pairs(self):
+        rng = np.random.default_rng(11)
+        monos = canonical_monomials(4)
+        regular = []
+        while len(regular) < 2:
+            coeffs = tuple(int(c) for c in rng.integers(0, 4, len(monos)))
+            hits = search_regular(SearchConfig(
+                4, 2, polynomials=(polynomial_from_coeffs(4, 2, monos, coeffs),)))
+            regular.extend(h.polynomial for h in hits)
+        # the negation's basis holds the conjugated fiducial, so that pair has
+        # a witness; the cross pair runs the plain pass only, as a full 24^4 scan
+        psi = build_fiducial(regular[0])
+        assert assert_matches_exhaustive(psi, orbit_of(regular[0].negated())) >= 1
+        cross = orbit_of(regular[1])
+        assert lc_equivalence_witness(psi, cross) == exhaustive_witness(psi, cross)
+
+    def test_groupless_ejm_reference_basis(self):
+        ejm = ejm_reference_basis()
+        f = parse_polynomial("z1 z2", 2, 2)
+        assert_matches_exhaustive(build_fiducial(f), ejm)
+        assert_matches_exhaustive(ejm.column(0), orbit_of(f))
+        assert lc_equivalence_witness(ejm.column(2), ejm) is not None
+
+    @pytest.mark.parametrize("text", ["z1 z3 + z2 z3", "z1 z3", "2 z1 z3", "z1 z2 z3"])
+    def test_non_regular_n3_bases(self, text):
+        # planar, collinear, zero and disphenoid Bloch vectors
+        f = parse_polynomial(text, 3, 2)
+        psi = build_fiducial(f)
+        for target in (f, f.negated(), parse_polynomial("z1 z2 + z2 z3", 3, 2)):
+            assert_matches_exhaustive(psi, orbit_of(target))
+
+    def test_zero_bloch_vectors_admit_every_clifford(self):
+        ghz = np.zeros(8, dtype=complex)
+        ghz[[0, 7]] = 1 / np.sqrt(2)
+        f = parse_polynomial("2 z1 z3", 3, 2)
+        assert_matches_exhaustive(ghz, orbit_of(f))
+        witness = lc_equivalence_witness(build_fiducial(f), orbit_of(f))
+        assert witness.clifford_indices == (0, 0, 0) and witness.column == 0
+
+    @pytest.mark.longrun
+    @pytest.mark.skipif(not os.environ.get("TETRABASIS_LONGRUN"),
+                        reason="opt-in long-running check (set TETRABASIS_LONGRUN=1)")
+    def test_all_n3_hit_pairs(self, n3_hits):
+        for hit, target in product(n3_hits, repeat=2):
+            assert_matches_exhaustive(build_fiducial(hit.polynomial), orbit_of(target.polynomial))
 
 
 class TestClassGrouping:
