@@ -8,14 +8,7 @@ from functools import lru_cache
 import numpy as np
 
 from .fiducial import PhasePolynomial
-from .qcore import (
-    EPS_NORM,
-    PauliString,
-    check_capacity,
-    identity_string,
-    num_qubits,
-    pauli_multiply,
-)
+from .qcore import EPS_NORM, check_capacity, num_qubits, parity_sign
 
 # Regular tetrahedron vertices on the Bloch sphere, canonical order.
 TETRAHEDRON_VERTICES = np.array(
@@ -37,16 +30,19 @@ class NonOrthonormalBasisError(RuntimeError):
 class TetraGroup:
     """Abelian order-2^n Pauli group generated by Z(i)Z(i+1) and X^(x n).
 
-    ``elements[g]`` is the group element for label g, whose bits (g1..gn,
-    g1 most significant) select the ordered generator product
-    (Z1Z2)^g1 ... (Z(n-1)Zn)^g(n-1) (X^n)^gn.
+    Label g, with bits g1..gn (g1 most significant), names the ordered
+    generator product (Z1Z2)^g1 ... (Z(n-1)Zn)^g(n-1) (X^n)^gn, which is
+    exactly Z^b X^a with ``x_masks[g]`` = a = (2^n - 1) * gn and
+    ``z_masks[g]`` = b = (g & ~1) xor (g >> 1), qubit 1 the most
+    significant mask bit.
     """
 
     n: int
-    elements: tuple[PauliString, ...]
+    x_masks: tuple[int, ...]
+    z_masks: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.elements) != 2**self.n:
+        if not len(self.x_masks) == len(self.z_masks) == 2**self.n:
             raise ValueError("group must have 2^n elements")
 
 
@@ -56,27 +52,9 @@ def build_tetra_group(n: int) -> TetraGroup:
     if n < 2:
         raise ValueError("tetrahedral group needs n >= 2")
     check_capacity(2**n)
-    generators = []
-    for i in range(1, n):
-        letters = ["I"] * n
-        letters[i - 1] = "Z"
-        letters[i] = "Z"
-        generators.append(PauliString("".join(letters)))
-    generators.append(PauliString("X" * n))
-
-    elements = []
-    for g in range(2**n):
-        elem = identity_string(n)
-        for k in range(n):
-            if (g >> (n - 1 - k)) & 1:
-                elem = pauli_multiply(elem, generators[k])
-        elements.append(elem)
-    return TetraGroup(n, tuple(elements))
-
-
-@lru_cache(maxsize=8)
-def _group_element_matrices(n: int) -> tuple[np.ndarray, ...]:
-    return tuple(elem.to_matrix() for elem in build_tetra_group(n).elements)
+    labels = range(2**n)
+    return TetraGroup(n, tuple((2**n - 1) * (g & 1) for g in labels),
+                      tuple((g & ~1) ^ (g >> 1) for g in labels))
 
 
 @dataclass(frozen=True)
@@ -99,17 +77,17 @@ class Basis:
 
 def orbit_basis(psi: np.ndarray, group: TetraGroup,
                 polynomial: PhasePolynomial | None = None) -> Basis:
-    """Orbit { U_g |psi> } as a basis; orthonormality is not assumed here."""
+    """Orbit { U_g |psi> } as a basis; orthonormality is not assumed here.
+
+    Entry x of column g is (-1)^popcount(b_g & x) psi[x xor a_g].
+    """
     psi = np.asarray(psi, dtype=complex)
     if num_qubits(psi.shape[0]) != group.n:
         raise ValueError("state dimension does not match group qubit count")
-    if group == build_tetra_group(group.n):
-        matrices = _group_element_matrices(group.n)
-    else:
-        matrices = tuple(elem.to_matrix() for elem in group.elements)
-    cols = np.empty((psi.shape[0], len(group.elements)), dtype=complex)
-    for g, mat in enumerate(matrices):
-        cols[:, g] = mat @ psi
+    x = np.arange(psi.shape[0])[:, None]
+    signs = parity_sign(x & np.array(group.z_masks))
+    # + 0.0 turns the -0.0 of a negated zero amplitude into 0.0
+    cols = psi[x ^ np.array(group.x_masks)] * signs + 0.0
     return Basis(group.n, cols, psi, group, polynomial)
 
 

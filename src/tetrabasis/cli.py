@@ -134,45 +134,50 @@ def _load_config(path: str) -> dict[str | None, dict[str, str]]:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # no abbreviations: the config check below matches flags by their full spelling
     parser = argparse.ArgumentParser(
         prog="tetrabasis",
         description="Construct, verify, and classify multiqubit tetrahedral measurement bases.",
+        allow_abbrev=False,
     )
     parser.add_argument("--config", help="key=value config file, [subcommand] sections; "
                         "explicit flags win")
-    sub = parser.add_subparsers(dest="command", required=True)
+    subparsers = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, poly=True, tolerance=None):
+    def sub(name, **kwargs):
+        return subparsers.add_parser(name, allow_abbrev=False, **kwargs)
+
+    def add_common(p, poly=True, tolerance=None, formats=("json", "text")):
         p.add_argument("--n", type=int, required=True, help="qubit count")
         p.add_argument("--m", type=int, default=2, help="phase precision (default 2)")
         if poly:
             p.add_argument("--poly", required=True, help="phase polynomial text, e.g. 'z1 z2'")
-        p.add_argument("--format", choices=["json", "csv", "text"], default="json")
+        p.add_argument("--format", choices=list(formats), default="json")
         if tolerance:
             p.add_argument("--tolerance", action="append", metavar=f"{tolerance}=VALUE",
                            help=f"override the {tolerance} tolerance; repeatable")
 
-    p_build = sub.add_parser("build", help="fiducial state and orbit basis of a polynomial")
+    p_build = sub("build", help="fiducial state and orbit basis of a polynomial")
     add_common(p_build)
 
-    p_verify = sub.add_parser("verify", help="orthonormality check of the orbit basis")
+    p_verify = sub("verify", help="orthonormality check of the orbit basis")
     add_common(p_verify, tolerance="norm")
 
-    p_gekm = sub.add_parser("geometry", help="Bloch geometry report of the orbit basis")
+    p_gekm = sub("geometry", help="Bloch geometry report of the orbit basis")
     add_common(p_gekm, tolerance="geo")
 
-    p_inv = sub.add_parser("invariants", help="invariant fingerprint of the orbit basis")
+    p_inv = sub("invariants", help="invariant fingerprint of the orbit basis")
     add_common(p_inv)
 
-    p_level = sub.add_parser("level", help="Clifford-hierarchy level of the diagonal gate")
+    p_level = sub("level", help="Clifford-hierarchy level of the diagonal gate")
     add_common(p_level)
     p_level.add_argument("--matrix", action="store_true",
                          help="also run the recursive membership test on M_psi")
     p_level.add_argument("--mode", choices=["generator", "full"], default="generator")
     p_level.add_argument("--cap", type=int, default=DEFAULT_CAP)
 
-    p_search = sub.add_parser("search", help="enumerate polynomials and filter bases")
-    add_common(p_search, poly=False)
+    p_search = sub("search", help="enumerate polynomials and filter bases")
+    add_common(p_search, poly=False, formats=("json", "csv", "text"))
     p_search.add_argument("--filter", action="append", choices=["regular", "nonzero"],
                           default=None, help="filters; default regular")
     p_search.add_argument("--jobs", type=int, default=1, help="parallel worker count")
@@ -180,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="sampled search size (needed for n >= 4 full spaces)")
     p_search.add_argument("--seed", type=int, default=0)
 
-    p_classify = sub.add_parser("classify", help="search and group hits into classes")
+    p_classify = sub("classify", help="search and group hits into classes")
     add_common(p_classify, poly=False)
     p_classify.add_argument("--filter", action="append", choices=["regular", "nonzero"],
                             default=None)
@@ -188,13 +193,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_classify.add_argument("--sample", type=int, default=None)
     p_classify.add_argument("--seed", type=int, default=0)
 
-    p_wit = sub.add_parser("witness", help="local-Clifford witness between two bases")
+    p_wit = sub("witness", help="local-Clifford witness between two bases")
     add_common(p_wit)
     p_wit.add_argument("--target", required=True, help="polynomial of the target basis")
     p_wit.add_argument("--conjugation", action="store_true",
                        help="also search conjugated candidates")
 
-    p_rep = sub.add_parser("reproduce", help="run a named reproduction suite")
+    p_rep = sub("reproduce", help="run a named reproduction suite")
     p_rep.add_argument("suite", choices=list(SUITE_NAMES))
     p_rep.add_argument("--format", choices=["json", "csv", "text"], default="text")
     return parser
@@ -219,7 +224,7 @@ def _apply_config_defaults(parser, argv):
     keys.  The key of a store_true flag takes true (pass the flag) or false
     (omit it).
     """
-    probe = argparse.ArgumentParser(add_help=False)
+    probe = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     probe.add_argument("--config")
     known, rest = probe.parse_known_args(argv)
     if not known.config:

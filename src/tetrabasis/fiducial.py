@@ -81,12 +81,6 @@ class PhasePolynomial:
         """Polynomial of the conjugated diagonal gate: all coefficients negated mod 2^m."""
         return PhasePolynomial(self.n, self.m, {s: -c for s, c in self.terms.items()})
 
-    def plus_term(self, mono: set[int] | frozenset[int], coeff: int) -> "PhasePolynomial":
-        terms = dict(self.terms)
-        key = frozenset(mono)
-        terms[key] = terms.get(key, 0) + coeff
-        return PhasePolynomial(self.n, self.m, terms)
-
 
 def parse_polynomial(text: str, n: int, m: int) -> PhasePolynomial:
     """Parse 'coeff z_i z_j + ...' text into a PhasePolynomial.

@@ -62,15 +62,17 @@ def basis_bloch_table(basis: Basis) -> np.ndarray:
 def orbit_bloch_table(basis: Basis) -> np.ndarray:
     """``basis_bloch_table`` of an orbit basis from the fiducial's n Bloch vectors.
 
-    Column g is U_g|psi> with U_g a phase times one Pauli letter per qubit,
-    so its qubit-l marginal is the fiducial's conjugated by that letter:
-    v_l with the letter's even sign flip.
+    Column g is U_g|psi> with U_g = Z^b X^a, so its qubit-l marginal is the
+    fiducial's conjugated by qubit l's factor, an even sign flip of v_l:
+    ((-1)^b, (-1)^(a xor b), (-1)^a) from that qubit's mask bits a, b.
     """
     if basis.group is None:
         raise ValueError("the orbit Bloch table needs the basis's group")
     vectors = np.array([bloch_vector(basis.fiducial, l) for l in range(1, basis.n + 1)])
-    letters = np.array([["IXYZ".index(c) for c in e.letters] for e in basis.group.elements])
-    return vectors[:, None, :] * _PAULI_FLIPS[letters.T]
+    shifts = np.arange(basis.n - 1, -1, -1)[:, None]
+    a = (np.array(basis.group.x_masks) >> shifts) & 1  # (n, 2^n)
+    b = (np.array(basis.group.z_masks) >> shifts) & 1
+    return vectors[:, None, :] * (1 - 2 * np.stack([b, a ^ b, a], axis=-1))
 
 
 @dataclass(frozen=True)
@@ -257,10 +259,3 @@ def tetra_product_decomposition(psi: np.ndarray, directions: list[np.ndarray]) -
         coeffs["".join(pattern)] = complex(np.vdot(vec, psi))
     return coeffs
 
-
-def product_state(directions: list[np.ndarray], pattern: str) -> np.ndarray:
-    """The product basis state for one sign pattern (helper for reconstruction)."""
-    vec = np.array([1.0], dtype=complex)
-    for d, s in zip(directions, pattern):
-        vec = np.kron(vec, bloch_state(d, +1 if s == "+" else -1))
-    return vec

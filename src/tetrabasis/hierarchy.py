@@ -14,18 +14,13 @@ and signs, with no Pauli expansion.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
 from .basisgen import build_tetra_group, check_orthonormal, measurement_unitary, orbit_basis
 from .fiducial import PhasePolynomial, build_fiducial
-from .qcore import (
-    PauliString,
-    all_pauli_letter_strings,
-    is_unitary,
-    num_qubits,
-    phase_canonical_key,
-)
+from .qcore import is_unitary, num_qubits, parity_sign, pauli_matrix, phase_canonical_key
 
 DEFAULT_CAP = 6
 MODES = ("generator", "full")
@@ -64,10 +59,9 @@ def is_pauli_like(u: np.ndarray, tol: float = 1e-9) -> bool:
         return False
     x = np.arange(u.shape[0])
     powers = 1 << np.arange(n)
-    b_bits = (u[a ^ powers, powers] / pivot).real < 0
-    parity = ((x[:, None] & powers[b_bits]) > 0).sum(axis=1) % 2
+    b = int(powers[(u[a ^ powers, powers] / pivot).real < 0].sum())
     residual = u.copy()
-    residual[x ^ a, x] -= pivot * (1 - 2 * parity)
+    residual[x ^ a, x] -= pivot * parity_sign(x & b)
     return bool(np.max(np.abs(residual)) <= tol)
 
 
@@ -89,14 +83,24 @@ class LevelResult:
         }
 
 
-def _generator_strings(n: int) -> list[str]:
-    gens = []
-    for l in range(n):
-        for letter in ("X", "Z"):
-            s = ["I"] * n
-            s[l] = letter
-            gens.append("".join(s))
-    return gens
+# (x bit, z bit) of the letters I, X, Y, Z
+_LETTER_BITS = ((0, 0), (1, 0), (1, 1), (0, 1))
+
+
+def _generator_masks(n: int) -> list[tuple[int, int]]:
+    """X then Z on each qubit, qubit 1 first."""
+    return [mask for l in range(n) for mask in ((1 << (n - 1 - l), 0), (0, 1 << (n - 1 - l)))]
+
+
+def _string_masks(n: int) -> list[tuple[int, int]]:
+    """Every non-identity Pauli string, letters in lexicographic I < X < Y < Z order."""
+    masks = []
+    for letters in product(_LETTER_BITS, repeat=n):
+        a = b = 0
+        for x, z in letters:
+            a, b = 2 * a + x, 2 * b + z
+        masks.append((a, b))
+    return masks[1:]
 
 
 class _LevelEngine:
@@ -107,9 +111,8 @@ class _LevelEngine:
         self.cap = cap
         self.tol = tol
         self.full_layers = full_layers if mode == "full" else 0
-        self.gen_mats = [PauliString(s).to_matrix() for s in _generator_strings(n)]
-        full = [s for s in all_pauli_letter_strings(n) if s != "I" * n]
-        self.full_mats = [PauliString(s).to_matrix() for s in full]
+        self.gen_mats = [pauli_matrix(n, a, b) for a, b in _generator_masks(n)]
+        self.full_mats = [pauli_matrix(n, a, b) for a, b in _string_masks(n)]
         # memo: (layer class, matrix key) -> exact level, or -budget meaning
         # "exceeds this budget".  The layer class is min(depth, full_layers):
         # nodes at or below the last full layer all recurse with generators,

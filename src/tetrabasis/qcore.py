@@ -1,17 +1,16 @@
-"""Dense complex linear algebra and Pauli-string algebra for small qubit systems.
+"""Dense complex linear algebra and Pauli operators for small qubit systems.
 
 Conventions used throughout the package:
 
 - qubit 1 is the most significant bit of a computational-basis index, so an
   n-qubit amplitude vector lists |00..0>, |00..1>, ..., |11..1> in order;
 - states are 1-D complex ndarrays of length 2**n, operators are square
-  complex ndarrays; dimensions are capped at 2**MAX_QUBITS.
+  complex ndarrays; dimensions are capped at 2**MAX_QUBITS;
+- a Pauli operator is a pair of bit masks (a, b) in the same bit order,
+  standing for Z^b X^a (the binary stabilizer-formalism form).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -25,14 +24,6 @@ PAULI_MATS = {
     "X": np.array([[0, 1], [1, 0]], dtype=complex),
     "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
-# single-qubit products: (a, b) -> (phase, letter) with a @ b = phase * letter
-_PAULI_TABLE = {
-    ("I", "I"): (1, "I"), ("I", "X"): (1, "X"), ("I", "Y"): (1, "Y"), ("I", "Z"): (1, "Z"),
-    ("X", "I"): (1, "X"), ("X", "X"): (1, "I"), ("X", "Y"): (1j, "Z"), ("X", "Z"): (-1j, "Y"),
-    ("Y", "I"): (1, "Y"), ("Y", "X"): (-1j, "Z"), ("Y", "Y"): (1, "I"), ("Y", "Z"): (1j, "X"),
-    ("Z", "I"): (1, "Z"), ("Z", "X"): (1j, "Y"), ("Z", "Y"): (-1j, "X"), ("Z", "Z"): (1, "I"),
 }
 
 
@@ -53,91 +44,25 @@ def check_capacity(dim: int) -> None:
         raise CapacityError(f"dimension {dim} exceeds cap 2**{MAX_QUBITS}")
 
 
-@dataclass(frozen=True)
-class PauliString:
-    """Tensor product of single-qubit Paulis with an overall phase in {1, i, -1, -i}."""
-
-    letters: str
-    phase: complex = 1
-
-    def __post_init__(self):
-        if not self.letters or any(c not in "IXYZ" for c in self.letters):
-            raise ValueError(f"invalid Pauli letters {self.letters!r}")
-        if self.phase not in (1, 1j, -1, -1j):
-            raise ValueError(f"phase must be a fourth root of unity, got {self.phase!r}")
-
-    @property
-    def n(self) -> int:
-        return len(self.letters)
-
-    def __mul__(self, other: "PauliString") -> "PauliString":
-        return pauli_multiply(self, other)
-
-    def to_matrix(self) -> np.ndarray:
-        check_capacity(2**self.n)
-        mat = np.array([[self.phase]], dtype=complex)
-        for c in self.letters:
-            mat = np.kron(mat, PAULI_MATS[c])
-        return mat
-
-    def commutes_with(self, other: "PauliString") -> bool:
-        anti = sum(
-            1
-            for a, b in zip(self.letters, other.letters)
-            if a != "I" and b != "I" and a != b
-        )
-        return anti % 2 == 0
-
-    def __str__(self):
-        pre = {1: "+", 1j: "+i", -1: "-", -1j: "-i"}[self.phase]
-        return pre + self.letters
+def parity_sign(v: np.ndarray) -> np.ndarray:
+    """(-1)^popcount(v), entrywise, for non-negative integer masks."""
+    return np.where(np.bitwise_count(v) & 1, -1, 1)
 
 
-def pauli_multiply(p: PauliString, q: PauliString) -> PauliString:
-    """Letter-wise product with tracked phase."""
-    if p.n != q.n:
-        raise ValueError(f"Pauli strings act on {p.n} vs {q.n} qubits")
-    phase = p.phase * q.phase
-    letters = []
-    for a, b in zip(p.letters, q.letters):
-        ph, c = _PAULI_TABLE[(a, b)]
-        phase *= ph
-        letters.append(c)
-    return PauliString("".join(letters), phase)
+def pauli_matrix(n: int, x_mask: int, z_mask: int) -> np.ndarray:
+    """Dense Z^z_mask X^x_mask on n qubits, mask bits in basis-index order.
 
-
-def identity_string(n: int) -> PauliString:
-    return PauliString("I" * n)
-
-
-def all_pauli_letter_strings(n: int) -> list[str]:
-    """All 4**n letter strings in lexicographic (I < X < Y < Z) order."""
-    return ["".join(p) for p in product("IXYZ", repeat=n)]
-
-
-def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product; the left factor occupies the more significant bits."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.ndim != b.ndim or a.ndim not in (1, 2):
-        raise ValueError("operands must both be states (1-D) or operators (2-D)")
-    num_qubits(a.shape[0])
-    num_qubits(b.shape[0])
-    check_capacity(a.shape[0] * b.shape[0])
-    return np.kron(a, b)
-
-
-def kron_all(mats: list[np.ndarray]) -> np.ndarray:
-    out = np.array([[1]], dtype=complex)
-    for m in mats:
-        out = np.kron(out, m)
-    return out
-
-
-def basis_state(n: int, index: int) -> np.ndarray:
-    vec = np.zeros(2**n, dtype=complex)
-    vec[index] = 1.0
-    return vec
+    A Pauli operator is the pair of masks (a, b) of the qubits carrying an X
+    and a Z factor; Z^b X^a |x> = (-1)^popcount(b & (x xor a)) |x xor a>.
+    """
+    dim = 2**n
+    check_capacity(dim)
+    if not (0 <= x_mask < dim and 0 <= z_mask < dim):
+        raise ValueError(f"Pauli masks must lie in 0..{dim - 1}, got ({x_mask}, {z_mask})")
+    x = np.arange(dim)
+    mat = np.zeros((dim, dim), dtype=complex)
+    mat[x ^ x_mask, x] = parity_sign(z_mask & (x ^ x_mask))
+    return mat
 
 
 def partial_trace(psi: np.ndarray, keep: set[int] | list[int] | tuple[int, ...]) -> np.ndarray:

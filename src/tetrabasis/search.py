@@ -95,9 +95,15 @@ class SearchHit:
         return self.polynomial.to_text()
 
     @cached_property
+    def basis(self) -> Basis:
+        """Orbit basis of the polynomial, rebuilt once on first use."""
+        f = self.polynomial
+        return orbit_basis(build_fiducial(f), build_tetra_group(f.n), f)
+
+    @cached_property
     def fingerprint(self) -> InvariantFingerprint:
-        """Invariant fingerprint, computed on first use from the rebuilt orbit basis."""
-        return invariant_fingerprint(_hit_basis(self), self.geometry)
+        """Invariant fingerprint, computed on first use from the orbit basis."""
+        return invariant_fingerprint(self.basis, self.geometry)
 
 
 def evaluate_polynomial_candidate(f: PhasePolynomial) -> SearchHit:
@@ -349,16 +355,11 @@ class ClassRecord:
         }
 
 
-def _hit_basis(hit: SearchHit) -> Basis:
-    f = hit.polynomial
-    return orbit_basis(build_fiducial(f), build_tetra_group(f.n), f)
-
-
 def conjugate_partner_key(hit: SearchHit, hits: list[SearchHit], tol: float = 1e-9) -> str | None:
-    """Key of the hit whose basis contains this hit's conjugated fiducial as a column."""
-    target = conjugate_state(build_fiducial(hit.polynomial))
+    """Key of the first hit whose basis contains this hit's conjugated fiducial as a column."""
+    target = conjugate_state(hit.basis.fiducial)
     for other in hits:
-        overlaps = np.abs(_hit_basis(other).columns.conj().T @ target)
+        overlaps = np.abs(other.basis.columns.conj().T @ target)
         if np.max(overlaps) >= 1 - tol:
             return other.key
     return None
@@ -369,8 +370,9 @@ def group_into_classes(hits: list[SearchHit], tol: float = 1e-9) -> list[ClassRe
 
     Within one fingerprint group, a hit joins the first class whose
     representative basis it maps onto under some pure local-Clifford tuple;
-    otherwise it opens a new class.  Conjugation partners are detected by
-    matching conjugated fiducials across classes.
+    otherwise it opens a new class.  A class's conjugation partner is the
+    class of the first member whose basis holds the representative's
+    conjugated fiducial (``conjugate_partner_key``).
     """
     groups: dict[tuple, list[SearchHit]] = {}
     for hit in hits:
@@ -379,14 +381,12 @@ def group_into_classes(hits: list[SearchHit], tol: float = 1e-9) -> list[ClassRe
     records: list[ClassRecord] = []
     for key in sorted(groups, key=repr):
         members = groups[key]
-        classes: list[tuple[ClassRecord, Basis]] = []
+        classes: list[tuple[ClassRecord, SearchHit]] = []
         member_class: dict[str, ClassRecord] = {}
-        member_bases: dict[str, Basis] = {}
         for hit in members:
-            fid = build_fiducial(hit.polynomial)
-            member_bases[hit.key] = _hit_basis(hit)
-            for record, rep_basis in classes:
-                witness = lc_equivalence_witness(fid, rep_basis, allow_conjugation=False, tol=tol)
+            for record, rep in classes:
+                witness = lc_equivalence_witness(hit.basis.fiducial, rep.basis,
+                                                 allow_conjugation=False, tol=tol)
                 if witness is not None:
                     record.representatives.append(hit.polynomial)
                     record.witness_links[hit.key] = witness
@@ -395,17 +395,12 @@ def group_into_classes(hits: list[SearchHit], tol: float = 1e-9) -> list[ClassRe
             else:
                 record = ClassRecord(fingerprint=hit.fingerprint,
                                      representatives=[hit.polynomial])
-                classes.append((record, member_bases[hit.key]))
+                classes.append((record, hit))
                 member_class[hit.key] = record
-        # conjugation pairing: the conjugated fiducial is a column of some
-        # member's basis; that member's class is the partner
-        for record, _ in classes:
-            conj_fid = conjugate_state(build_fiducial(record.representatives[0]))
-            for hit in members:
-                overlaps = np.abs(member_bases[hit.key].columns.conj().T @ conj_fid)
-                if np.max(overlaps) >= 1 - tol:
-                    record.conjugate_partner = member_class[hit.key].key
-                    break
+        for record, rep in classes:
+            partner = conjugate_partner_key(rep, members, tol)
+            if partner is not None:
+                record.conjugate_partner = member_class[partner].key
         ordered = sorted(classes, key=lambda pair: pair[0].key)
         keys_in_order = [record.key for record, _ in ordered]
         for record, _ in ordered:

@@ -1,3 +1,5 @@
+from functools import lru_cache, reduce
+
 import numpy as np
 import pytest
 
@@ -14,45 +16,84 @@ from tetrabasis.basisgen import (
 )
 from tetrabasis.fiducial import parse_polynomial, build_fiducial
 from tetrabasis.geometry import bloch_vector
-from tetrabasis.qcore import basis_state
+from tetrabasis.qcore import PAULI_MATS, CapacityError, pauli_matrix
 from tetrabasis.reproduce import EJM_MATRIX
+from tetrabasis.search import canonical_monomials, enumerate_polynomials, polynomial_from_coeffs
+
+KET00 = np.eye(4, dtype=complex)[0]
+
+
+def letter_matrix(letters):
+    """Reference: Kronecker product of the letters' 2x2 Pauli matrices, qubit 1 leftmost."""
+    return reduce(np.kron, [PAULI_MATS[c] for c in letters])
+
+
+@lru_cache(maxsize=None)
+def group_oracle(n):
+    """U_g for every label g: the ordered product (Z1Z2)^g1 ... (X^n)^gn of dense generators."""
+    gens = [letter_matrix("I" * i + "ZZ" + "I" * (n - i - 2)) for i in range(n - 1)]
+    gens.append(letter_matrix("X" * n))
+    elements = []
+    for g in range(2**n):
+        u = np.eye(2**n, dtype=complex)
+        for k, gen in enumerate(gens):
+            if (g >> (n - 1 - k)) & 1:
+                u = u @ gen
+        elements.append(u)
+    return tuple(elements)
+
+
+def mask_elements(n):
+    group = build_tetra_group(n)
+    return [pauli_matrix(n, a, b) for a, b in zip(group.x_masks, group.z_masks)]
 
 
 class TestTetraGroup:
     def test_two_qubit_elements(self):
         group = build_tetra_group(2)
-        listing = {(e.letters, e.phase) for e in group.elements}
-        assert listing == {("II", 1), ("ZZ", 1), ("XX", 1), ("YY", -1)}
+        assert group.x_masks == (0, 0b11, 0, 0b11)
+        assert group.z_masks == (0, 0, 0b11, 0b11)
+        expected = [letter_matrix("II"), letter_matrix("XX"), letter_matrix("ZZ"),
+                    -letter_matrix("YY")]
+        for elem, ref in zip(mask_elements(2), expected):
+            np.testing.assert_array_equal(elem, ref)
 
     def test_label_bit_convention(self):
         group = build_tetra_group(2)
-        elem = group.elements[0b10]  # label (g1, g2) = (1, 0)
-        assert elem.letters == "ZZ" and elem.phase == 1
+        # label (g1, g2) = (1, 0) is Z1Z2
+        assert (group.x_masks[0b10], group.z_masks[0b10]) == (0, 0b11)
+        np.testing.assert_array_equal(mask_elements(2)[0b10], letter_matrix("ZZ"))
 
     def test_identity_at_label_zero(self):
-        for n in (2, 3, 4):
-            elem = build_tetra_group(n).elements[0]
-            assert elem.letters == "I" * n and elem.phase == 1
+        for n in (2, 3, 4, 5):
+            group = build_tetra_group(n)
+            assert (group.x_masks[0], group.z_masks[0]) == (0, 0)
+
+    def test_masks_equal_ordered_generator_products(self):
+        for n in (2, 3, 4, 5):
+            for g, (elem, ref) in enumerate(zip(mask_elements(n), group_oracle(n))):
+                np.testing.assert_array_equal(elem, ref, err_msg=f"n={n} label {g}")
 
     def test_three_qubit_commuting(self):
-        # oracle: explicit matrix commutators for all pairs
-        group = build_tetra_group(3)
-        mats = [e.to_matrix() for e in group.elements]
+        mats = mask_elements(3)
         assert len(mats) == 8
         for a in mats:
             for b in mats:
-                np.testing.assert_allclose(a @ b, b @ a, atol=1e-13)
+                np.testing.assert_array_equal(a @ b, b @ a)
 
     def test_elements_square_to_plus_minus_identity(self):
-        for n in (2, 3):
-            for elem in build_tetra_group(n).elements:
-                square = (elem * elem)
-                assert square.letters == "I" * n
-                assert square.phase in (1, -1)
+        # the group's elements are all +1-squaring: Z^b X^a with even a.b
+        for n in (2, 3, 4, 5):
+            for elem in mask_elements(n):
+                np.testing.assert_array_equal(elem @ elem, np.eye(2**n))
 
     def test_small_n_rejected(self):
         with pytest.raises(ValueError):
             build_tetra_group(1)
+
+    def test_capacity_rejected(self):
+        with pytest.raises(CapacityError):
+            build_tetra_group(7)
 
 
 class TestOrbitBasis:
@@ -63,7 +104,7 @@ class TestOrbitBasis:
         assert orbit_basis(psi, build_tetra_group(3)).size == 8
 
     def test_degenerate_orbit_of_00(self):
-        basis = orbit_basis(basis_state(2, 0), build_tetra_group(2))
+        basis = orbit_basis(KET00, build_tetra_group(2))
         report = check_orthonormal(basis)
         assert not report.ok
         assert abs(report.max_violation - 1) < 1e-12
@@ -85,7 +126,28 @@ class TestOrbitBasis:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            orbit_basis(basis_state(2, 0), build_tetra_group(3))
+            orbit_basis(KET00, build_tetra_group(3))
+
+    def test_columns_equal_dense_oracle_bytes(self):
+        # the index-and-sign columns equal the dense products U_g psi byte for
+        # byte, signed zeros included: a negated zero amplitude must print 0.0
+        rng = np.random.default_rng(61)
+        polys = list(enumerate_polynomials(3, 2))
+        for n, m in ((4, 2), (3, 3)):
+            monos = canonical_monomials(n)
+            polys += [polynomial_from_coeffs(
+                n, m, monos, tuple(int(c) for c in rng.integers(0, 2**m, len(monos))))
+                for _ in range(50)]
+        zero_seen = 0
+        for f in polys:
+            psi = build_fiducial(f)
+            cols = orbit_basis(psi, build_tetra_group(f.n), f).columns
+            dense = np.stack([u @ psi for u in group_oracle(f.n)], axis=1)
+            assert cols.tobytes() == dense.tobytes(), f.to_text()
+            parts = cols.view(float)
+            assert not np.any(np.signbit(parts[parts == 0])), f.to_text()
+            zero_seen += int(np.any(psi == 0))
+        assert zero_seen > 0
 
 
 class TestMeasurementUnitary:
@@ -93,7 +155,7 @@ class TestMeasurementUnitary:
         f = parse_polynomial("z1 z2", 2, 2)
         basis = orbit_basis(build_fiducial(f), build_tetra_group(2), f)
         m = measurement_unitary(basis)
-        np.testing.assert_allclose(m @ basis_state(2, 0), basis.fiducial, atol=1e-14)
+        np.testing.assert_allclose(m @ KET00, basis.fiducial, atol=1e-14)
 
     def test_unitary_for_table_row(self):
         f = parse_polynomial("z1 z3 + 3 z2 z3 + z1 z2 z3", 3, 2)
@@ -103,7 +165,7 @@ class TestMeasurementUnitary:
 
     def test_rejects_non_orthonormal(self):
         with pytest.raises(NonOrthonormalBasisError):
-            measurement_unitary(orbit_basis(basis_state(2, 0), build_tetra_group(2)))
+            measurement_unitary(orbit_basis(KET00, build_tetra_group(2)))
 
 
 class TestBlochState:

@@ -277,6 +277,30 @@ class TestUsageErrors:
             main(argv)
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("command", ["build", "verify", "geometry", "invariants", "level",
+                                         "witness", "classify"])
+    def test_csv_only_where_written(self, command, capsys):
+        argv = [command, "--n", "2", "--format", "csv"]
+        if command != "classify":
+            argv += ["--poly", "z1 z2"]
+        if command == "witness":
+            argv += ["--target", "3 z1 z2"]
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert "invalid choice: 'csv'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["build", "--n", "2", "--poly", "z1 z2", "--form", "text"],
+        ["build", "--n", "2", "--po", "z1 z2"],
+        ["reproduce", "appA", "--form", "json"],
+    ])
+    def test_abbreviated_flag_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert capsys.readouterr().out == ""
+
     def test_malformed_polynomial(self, capsys):
         code = main(["build", "--n", "2", "--m", "2", "--poly", "z1 +"])
         assert code == 2
@@ -348,6 +372,23 @@ class TestConfigFile:
         assert json.loads(out)["polynomial"] == "2 z1 z2"
         code, out = run_cli(capsys, "--config", str(config), "build")
         assert code == 0 and out.startswith("polynomial: z1 z2\n")
+
+    def test_abbreviated_config_flag_rejected(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("n = 2\npoly = z1 z2\n")
+        with pytest.raises(SystemExit) as err:
+            main(["--conf", str(config), "build"])
+        assert err.value.code == 2
+
+    def test_abbreviated_flag_is_not_overridden(self, tmp_path, capsys):
+        # the config must not fill --format behind an abbreviation of it
+        config = tmp_path / "run.cfg"
+        config.write_text("format = json\n")
+        with pytest.raises(SystemExit) as err:
+            main(["--config", str(config), "build", "--n", "2", "--poly", "z1 z2",
+                  "--form", "text"])
+        assert err.value.code == 2
+        assert capsys.readouterr().out == ""
 
     def test_unknown_section_rejected(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"

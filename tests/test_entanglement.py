@@ -13,7 +13,12 @@ from tetrabasis.entanglement import (
 )
 from tetrabasis.fiducial import parse_polynomial, build_fiducial
 from tetrabasis.geometry import apply_local_unitaries
-from tetrabasis.qcore import PAULI_MATS, basis_state, partial_trace
+from tetrabasis.qcore import PAULI_MATS, partial_trace
+
+
+def basis_state(n, index):
+    return np.eye(2**n, dtype=complex)[index]
+
 from tetrabasis.search import enumerate_polynomials
 
 GHZ = (basis_state(3, 0b000) + basis_state(3, 0b111)) / np.sqrt(2)

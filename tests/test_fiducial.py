@@ -1,3 +1,5 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -164,11 +166,10 @@ class TestBuildFiducial:
 
     def test_matches_explicit_circuit(self):
         # fiducial equals the dense circuit S(n) H_n D_f H^(xn) |0>
-        from tetrabasis.qcore import kron_all
         h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
         for text, n in [("z1 z2", 2), ("3 z1 z3 + z2 z3 + 3 z1 z2 z3", 3)]:
             f = parse_polynomial(text, n, 2)
-            hn = kron_all([np.eye(2)] * (n - 1) + [h])
-            circuit = staircase_circuit(n) @ hn @ diagonal_gate(f) @ kron_all([h] * n)
+            hn = np.kron(np.eye(2 ** (n - 1)), h)
+            circuit = staircase_circuit(n) @ hn @ diagonal_gate(f) @ reduce(np.kron, [h] * n)
             psi = circuit @ np.eye(2**n)[:, 0]
             np.testing.assert_allclose(build_fiducial(f), psi, atol=1e-13)

@@ -1,8 +1,11 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 
 from tetrabasis.basisgen import (
     TETRAHEDRON_VERTICES,
+    bloch_state,
     build_tetra_group,
     ejm_reference_basis,
     orbit_basis,
@@ -18,13 +21,22 @@ from tetrabasis.geometry import (
     classify_geometry,
     conjugate_state,
     orbit_bloch_table,
-    product_state,
     relational_chirality,
     tetra_product_decomposition,
 )
-from tetrabasis.qcore import basis_state, partial_trace
+from tetrabasis.qcore import partial_trace
 from tetrabasis.reproduce import APPD_EXAMPLE1, APPD_EXAMPLE2
 from tetrabasis.search import canonical_monomials, enumerate_polynomials, polynomial_from_coeffs
+
+
+def basis_state(n, index):
+    return np.eye(2**n, dtype=complex)[index]
+
+
+def product_state(directions, pattern):
+    """Reference: the product of +/- Bloch eigenstates for one sign pattern."""
+    return reduce(np.kron, [bloch_state(d, +1 if s == "+" else -1)
+                            for d, s in zip(directions, pattern)])
 
 
 def table1_basis(text="z1 z3 + 3 z2 z3 + z1 z2 z3"):

@@ -1,4 +1,4 @@
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import product
 
 import numpy as np
@@ -7,13 +7,15 @@ import pytest
 from tetrabasis.basisgen import build_tetra_group, measurement_unitary, orbit_basis
 from tetrabasis.fiducial import PhasePolynomial, parse_polynomial, build_fiducial, diagonal_gate
 from tetrabasis.hierarchy import (
+    _generator_masks,
+    _string_masks,
     clifford_level_test,
     diagonal_clifford_level,
     is_pauli_like,
     two_adic_valuation,
     verify_level_bound,
 )
-from tetrabasis.qcore import PAULI_MATS, PauliString, all_pauli_letter_strings, num_qubits
+from tetrabasis.qcore import PAULI_MATS, num_qubits, pauli_matrix
 
 X, Y, Z = PAULI_MATS["X"], PAULI_MATS["Y"], PAULI_MATS["Z"]
 H = (X + Z) / np.sqrt(2)
@@ -21,9 +23,19 @@ T = np.diag([1, np.exp(1j * np.pi / 4)])
 S = np.diag([1, 1j])
 
 
+def letter_matrix(letters):
+    """Reference: Kronecker product of the letters' 2x2 Pauli matrices, qubit 1 leftmost."""
+    return reduce(np.kron, [PAULI_MATS[c] for c in letters])
+
+
+def letter_strings(n):
+    """All 4**n letter strings in lexicographic (I < X < Y < Z) order."""
+    return ["".join(p) for p in product("IXYZ", repeat=n)]
+
+
 @lru_cache(maxsize=None)
 def pauli_matrices(n):
-    return {s: PauliString(s).to_matrix() for s in all_pauli_letter_strings(n)}
+    return {s: letter_matrix(s) for s in letter_strings(n)}
 
 
 def pauli_expansion(u):
@@ -35,7 +47,7 @@ def pauli_expansion(u):
 
 def pauli_reconstruction(coeffs):
     """Sum c_P * P; inverse of pauli_expansion."""
-    return sum(c * PauliString(s).to_matrix() for s, c in coeffs.items())
+    return sum(c * letter_matrix(s) for s, c in coeffs.items())
 
 
 def is_pauli_like_reference(u, tol=1e-9):
@@ -66,7 +78,7 @@ def random_clifford(n, rng, depth=12):
 
 def random_pauli(n, rng):
     letters = "".join(rng.choice(list("IXYZ"), n))
-    return np.exp(2j * np.pi * rng.random()) * PauliString(letters).to_matrix()
+    return np.exp(2j * np.pi * rng.random()) * letter_matrix(letters)
 
 
 def haar_unitary(n, rng):
@@ -175,9 +187,9 @@ class TestIsPauliLike:
 
     def test_every_pauli_string_accepted(self):
         for n in (1, 2, 3):
-            for letters in all_pauli_letter_strings(n):
+            for letters in letter_strings(n):
                 for phase in (1, 1j, -1, -1j):
-                    assert is_pauli_like(PauliString(letters, phase).to_matrix())
+                    assert is_pauli_like(phase * letter_matrix(letters))
 
 
 class TestRecursiveLevelTest:
@@ -266,3 +278,23 @@ class TestLevelBound:
         assert report.ok
         assert report.diagonal_level == 4
         assert report.measurement_level.level <= 4
+
+
+class TestLevelPaulis:
+    def test_generators_are_x_then_z_per_qubit(self):
+        for n in (1, 2, 3):
+            gens = ["I" * l + c + "I" * (n - l - 1) for l in range(n) for c in "XZ"]
+            mats = [pauli_matrix(n, a, b) for a, b in _generator_masks(n)]
+            assert len(mats) == len(gens)
+            for letters, mat in zip(gens, mats):
+                np.testing.assert_array_equal(mat, letter_matrix(letters))
+
+    def test_strings_in_letter_order(self):
+        # Z^b X^a is the letter string times i^(number of Y), since Z X = i Y
+        for n in (1, 2, 3):
+            mats = [pauli_matrix(n, a, b) for a, b in _string_masks(n)]
+            strings = letter_strings(n)[1:]
+            assert len(mats) == len(strings)
+            for letters, mat in zip(strings, mats):
+                phase = 1j ** letters.count("Y")
+                np.testing.assert_array_equal(mat, phase * letter_matrix(letters))

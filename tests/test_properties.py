@@ -1,5 +1,6 @@
 """Structural property tests: algebraic identities, invariances, canonicalization."""
 
+from functools import reduce
 from itertools import combinations
 
 import numpy as np
@@ -15,12 +16,24 @@ from tetrabasis.geometry import (
     classify_geometry,
     relational_chirality,
 )
-from tetrabasis.qcore import PAULI_MATS, PauliString
+from tetrabasis.qcore import PAULI_MATS, pauli_matrix
 from tetrabasis.search import SearchConfig, search_regular
 
 
 def pauli_letters(n):
     return st.text(alphabet="IXYZ", min_size=n, max_size=n)
+
+
+def letter_matrix(letters):
+    """Reference: Kronecker product of the letters' 2x2 Pauli matrices, qubit 1 leftmost."""
+    return reduce(np.kron, [PAULI_MATS[c] for c in letters])
+
+
+def letter_masks(letters):
+    """(x mask, z mask) of a letter string and the phase with letters = phase * Z^b X^a."""
+    a = int("".join("1" if c in "XY" else "0" for c in letters), 2)
+    b = int("".join("1" if c in "YZ" else "0" for c in letters), 2)
+    return a, b, (-1j) ** letters.count("Y")
 
 
 def polynomials(n, m):
@@ -35,16 +48,21 @@ class TestPauliAlgebra:
     @settings(max_examples=200, deadline=None)
     @given(pauli_letters(3), pauli_letters(3))
     def test_product_letters_order_independent(self, a_str, b_str):
-        a, b = PauliString(a_str), PauliString(b_str)
-        ab, ba = a * b, b * a
-        assert ab.letters == ba.letters
-        assert ab.phase / ba.phase == (1 if a.commutes_with(b) else -1)
+        # both orders give the xor of the masks; they differ by the symplectic sign
+        (a, b, _), (c, d, _) = letter_masks(a_str), letter_masks(b_str)
+        p, q = pauli_matrix(3, a, b), pauli_matrix(3, c, d)
+        sign = (-1) ** (a & d).bit_count()
+        np.testing.assert_array_equal(p @ q, sign * pauli_matrix(3, a ^ c, b ^ d))
+        anticommuting = sum(x != "I" and y != "I" and x != y for x, y in zip(a_str, b_str))
+        assert ((a & d).bit_count() + (b & c).bit_count()) % 2 == anticommuting % 2
+        np.testing.assert_array_equal(p @ q, (-1) ** anticommuting * (q @ p))
 
     @settings(max_examples=100, deadline=None)
     @given(pauli_letters(2), pauli_letters(2))
     def test_product_matches_matrices(self, a_str, b_str):
-        a, b = PauliString(a_str), PauliString(b_str)
-        np.testing.assert_allclose((a * b).to_matrix(), a.to_matrix() @ b.to_matrix(),
+        (a, b, s), (c, d, t) = letter_masks(a_str), letter_masks(b_str)
+        product_of_masks = s * t * (-1) ** (a & d).bit_count() * pauli_matrix(2, a ^ c, b ^ d)
+        np.testing.assert_allclose(product_of_masks, letter_matrix(a_str) @ letter_matrix(b_str),
                                    atol=1e-13)
 
 
@@ -79,12 +97,13 @@ class TestOrbitProperties:
             assert report.ok, f"violation {report.max_violation} for {f.to_text()}"
 
     def test_group_covariance_of_columns(self):
+        # each generator, as a Kronecker product of letters, permutes the
+        # columns up to phase, so the whole group does
         for n, text in ((2, "z1 z2"), (3, "z1 z2 + 2 z1 z3 + z1 z2 z3")):
             f = parse_polynomial(text, n, 2)
-            group = build_tetra_group(n)
-            basis = orbit_basis(build_fiducial(f), group, f)
-            for elem in group.elements:
-                mat = elem.to_matrix()
+            basis = orbit_basis(build_fiducial(f), build_tetra_group(n), f)
+            gens = ["I" * i + "ZZ" + "I" * (n - i - 2) for i in range(n - 1)] + ["X" * n]
+            for mat in map(letter_matrix, gens):
                 for g in range(basis.size):
                     moved = mat @ basis.column(g)
                     overlaps = np.abs(basis.columns.conj().T @ moved)
@@ -152,7 +171,9 @@ class TestDegreeOneCanonicalization:
             for _ in range(4):
                 qubit = int(rng.integers(1, 4))
                 coeff = int(rng.integers(1, 4))
-                extended = hit.polynomial.plus_term({qubit}, coeff)
+                terms = dict(hit.polynomial.terms)
+                terms[frozenset({qubit})] = coeff  # the canonical space has no degree-1 terms
+                extended = PhasePolynomial(3, 2, terms)
                 basis = orbit_basis(build_fiducial(extended), group, extended)
                 assert check_orthonormal(basis).ok
                 geometry = classify_geometry(basis_bloch_table(basis))

@@ -1,16 +1,15 @@
+from functools import reduce
+from itertools import product
+
 import numpy as np
 import pytest
 
 from tetrabasis.qcore import (
     CapacityError,
     PAULI_MATS,
-    PauliString,
-    all_pauli_letter_strings,
-    basis_state,
     hermitian_eig,
     partial_trace,
-    pauli_multiply,
-    tensor_product,
+    pauli_matrix,
 )
 
 I2 = np.eye(2, dtype=complex)
@@ -18,26 +17,20 @@ BELL = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
 APPA_FIDUCIAL = np.array([1, (1 - 1j) / 2, (1 + 1j) / 2, 0], dtype=complex) / np.sqrt(2)
 
 
-class TestTensorProduct:
-    def test_identity_kron(self):
-        np.testing.assert_allclose(tensor_product(I2, I2), np.eye(4), atol=1e-15)
+def letter_matrix(letters):
+    """Reference: Kronecker product of the letters' 2x2 Pauli matrices, qubit 1 leftmost."""
+    return reduce(np.kron, [PAULI_MATS[c] for c in letters])
 
-    def test_basis_index_arithmetic(self):
-        ket0, ket1 = basis_state(1, 0), basis_state(1, 1)
-        np.testing.assert_allclose(tensor_product(ket0, ket1), basis_state(2, 1), atol=1e-15)
 
-    def test_zz_on_11(self):
-        zz = tensor_product(PAULI_MATS["Z"], PAULI_MATS["Z"])
-        np.testing.assert_allclose(zz @ basis_state(2, 3), basis_state(2, 3), atol=1e-15)
+def letter_masks(letters):
+    """(x mask, z mask) of a letter string; Y = i X Z = -i Z X carries both bits."""
+    a = int("".join("1" if c in "XY" else "0" for c in letters), 2)
+    b = int("".join("1" if c in "YZ" else "0" for c in letters), 2)
+    return a, b
 
-    def test_capacity_error(self):
-        big = np.eye(2**4, dtype=complex)
-        with pytest.raises(CapacityError):
-            tensor_product(big, np.eye(2**3, dtype=complex))
 
-    def test_kind_mismatch(self):
-        with pytest.raises(ValueError):
-            tensor_product(I2, basis_state(1, 0))
+def mask_pairs(n):
+    return list(product(range(2**n), repeat=2))
 
 
 class TestPartialTrace:
@@ -45,7 +38,7 @@ class TestPartialTrace:
         np.testing.assert_allclose(partial_trace(BELL, {1}), np.eye(2) / 2, atol=1e-14)
 
     def test_product_state_marginal(self):
-        rho = partial_trace(basis_state(2, 1), {2})
+        rho = partial_trace(np.eye(4)[1], {2})
         np.testing.assert_allclose(rho, np.outer([0, 1], [0, 1]), atol=1e-15)
 
     def test_appA_fiducial_marginal(self):
@@ -102,41 +95,45 @@ class TestHermitianEig:
 
 
 class TestPauliStrings:
+    """Pauli operators as (x mask, z mask) pairs: Z^b X^a against letter Kronecker products."""
+
     def test_zz_times_xx(self):
-        out = pauli_multiply(PauliString("ZZ"), PauliString("XX"))
-        assert out.letters == "YY" and out.phase == -1
+        # Z^11 X^11 is the product (ZZ)(XX) = -YY
+        np.testing.assert_array_equal(pauli_matrix(2, 0b11, 0b11), -letter_matrix("YY"))
 
     def test_self_inverse(self):
-        out = pauli_multiply(PauliString("X"), PauliString("X"))
-        assert out.letters == "I" and out.phase == 1
+        for n in (1, 2, 3):
+            for a, b in mask_pairs(n):
+                p = pauli_matrix(n, a, b)
+                sign = (-1) ** (a & b).bit_count()
+                np.testing.assert_array_equal(p @ p, sign * np.eye(2**n))
 
     def test_z_times_x(self):
-        out = pauli_multiply(PauliString("Z"), PauliString("X"))
-        assert out.letters == "Y" and out.phase == 1j
+        np.testing.assert_array_equal(pauli_matrix(1, 1, 1), 1j * letter_matrix("Y"))
 
     def test_matrix_consistency(self):
-        rng = np.random.default_rng(1)
-        letters = all_pauli_letter_strings(2)
-        for _ in range(30):
-            a = PauliString(letters[rng.integers(16)])
-            b = PauliString(letters[rng.integers(16)])
-            np.testing.assert_allclose((a * b).to_matrix(), a.to_matrix() @ b.to_matrix(),
-                                       atol=1e-14)
+        # every letter string is its masks' Z^b X^a times (-i)^(number of Y)
+        for n in (1, 2, 3):
+            for letters in product("IXYZ", repeat=n):
+                phase = (-1j) ** letters.count("Y")
+                np.testing.assert_array_equal(phase * pauli_matrix(n, *letter_masks(letters)),
+                                              letter_matrix(letters))
 
     def test_commute_anticommute_phase(self):
-        letters = all_pauli_letter_strings(3)
-        for a_str in letters[:10]:
-            for b_str in letters[:10]:
-                a, b = PauliString(a_str), PauliString(b_str)
-                ab, ba = a * b, b * a
-                assert ab.letters == ba.letters
-                ratio = ab.phase / ba.phase
-                assert ratio == (1 if a.commutes_with(b) else -1)
+        # Z^b X^a Z^b' X^a' = (-1)^(a.b') Z^(b^b') X^(a^a'); the pair commutes
+        # exactly when a.b' + a'.b is even
+        n = 2
+        for (a, b), (c, d) in product(mask_pairs(n), repeat=2):
+            p, q = pauli_matrix(n, a, b), pauli_matrix(n, c, d)
+            np.testing.assert_array_equal(
+                p @ q, (-1) ** (a & d).bit_count() * pauli_matrix(n, a ^ c, b ^ d))
+            commute = ((a & d).bit_count() + (c & b).bit_count()) % 2 == 0
+            np.testing.assert_array_equal(p @ q, (1 if commute else -1) * (q @ p))
 
     def test_bad_inputs(self):
         with pytest.raises(ValueError):
-            PauliString("XQ")
+            pauli_matrix(2, 4, 0)
         with pytest.raises(ValueError):
-            PauliString("X", phase=0.5)
-        with pytest.raises(ValueError):
-            pauli_multiply(PauliString("X"), PauliString("XX"))
+            pauli_matrix(2, 0, -1)
+        with pytest.raises(CapacityError):
+            pauli_matrix(7, 0, 0)

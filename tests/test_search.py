@@ -365,6 +365,33 @@ class TestClassGrouping:
         assert partner == sample.polynomial.negated().to_text()
         assert partner in by_key
 
+    def test_output_builds_each_hit_basis_once(self, monkeypatch):
+        from tetrabasis import search
+        from tetrabasis.cli import hits_csv
+        calls = []
+
+        def counting_orbit_basis(*args):
+            calls.append(args[2])
+            return orbit_basis(*args)
+
+        monkeypatch.setattr(search, "orbit_basis", counting_orbit_basis)
+        hits = search_regular(SearchConfig(4, 2, sample=300, seed=1))
+        assert len(hits) >= 4
+        calls.clear()
+        hits_csv(hits)
+        assert len(calls) <= len(hits)
+        assert len(set(calls)) == len(calls)
+        n3_hits = search_regular(SearchConfig(3, 2))
+        calls.clear()
+        group_into_classes(n3_hits)
+        assert sorted(f.to_text() for f in calls) == sorted(h.key for h in n3_hits)
+
+    def test_hit_basis_is_the_orbit_basis(self):
+        hit = search_regular(SearchConfig(3, 2))[0]
+        expected = orbit_of(hit.polynomial)
+        assert hit.basis is hit.basis
+        assert hit.basis.columns.tobytes() == expected.columns.tobytes()
+
     def test_n4_explicit_examples_classify(self):
         from tetrabasis.reproduce import APPD_EXAMPLE1, APPD_EXAMPLE2
         polys = tuple(parse_polynomial(t, 4, 2) for t in (APPD_EXAMPLE1, APPD_EXAMPLE2))
