@@ -95,8 +95,7 @@ def hits_csv(hits: list[SearchHit]) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    for hit in hits:
-        partner = conjugate_partner_key(hit, hits)
+    for hit, partner in zip(hits, conjugate_partner_key(hits, hits)):
         writer.writerow(["" if v is None else v for v in hit_csv_row(hit, partner)])
     return out.getvalue()
 
@@ -345,8 +344,8 @@ def cmd_search(args) -> int:
             print(f"{hit.key}  level={hit.level}  r={hit.fingerprint.r}")
         print(f"{len(hits)} hits")
     else:
-        rows = [dict(zip(CSV_COLUMNS, hit_csv_row(h, conjugate_partner_key(h, hits))))
-                for h in hits]
+        rows = [dict(zip(CSV_COLUMNS, hit_csv_row(h, p)))
+                for h, p in zip(hits, conjugate_partner_key(hits, hits))]
         print(render_json({"n": args.n, "m": args.m, "hits": rows}))
     return 0
 

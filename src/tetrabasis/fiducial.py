@@ -14,6 +14,8 @@ import numpy as np
 
 from .qcore import apply_on_qubit, check_capacity
 
+MAX_PRECISION = 62  # polynomial values are int64 mod 2^m
+
 _TOKEN_RE = re.compile(r"\s*(?:(?P<int>\d+)|(?P<z>z)|(?P<plus>\+)|(?P<star>\*))")
 
 
@@ -41,8 +43,8 @@ class PhasePolynomial:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("need at least one variable")
-        if self.m < 1:
-            raise ValueError("precision m must be positive")
+        if not 1 <= self.m <= MAX_PRECISION:
+            raise ValueError(f"precision m must lie in 1..{MAX_PRECISION}, got {self.m}")
         mod = 2**self.m
         cleaned = {}
         for mono, coeff in self.terms.items():

@@ -19,7 +19,7 @@ import numpy as np
 
 from .basisgen import Basis, build_tetra_group, check_orthonormal, orbit_basis
 from .entanglement import InvariantFingerprint, invariant_fingerprint
-from .fiducial import PhasePolynomial, build_fiducial
+from .fiducial import MAX_PRECISION, PhasePolynomial, build_fiducial
 from .geometry import (
     GeometryReport,
     basis_bloch_table,
@@ -66,7 +66,6 @@ class SearchConfig:
     m: int
     require_regular: bool = True
     require_nonzero: bool = False
-    min_degree: int = 2
     jobs: int = 1
     chunk_size: int = 64
     sample: int | None = None      # sampled search for spaces over the full-run limit
@@ -76,8 +75,8 @@ class SearchConfig:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("search needs n >= 2")
-        if self.m < 1:
-            raise ValueError("precision m must be positive")
+        if not 1 <= self.m <= MAX_PRECISION:
+            raise ValueError(f"precision m must lie in 1..{MAX_PRECISION}, got {self.m}")
         if self.sample is not None and self.sample < 1:
             raise ValueError("sample size must be positive")
         if self.jobs < 1:
@@ -166,16 +165,10 @@ def search_regular(cfg: SearchConfig) -> list[SearchHit]:
     if cfg.polynomials is not None:
         hits = [evaluate_polynomial_candidate(f) for f in cfg.polynomials]
         return [h for h in hits if _passes_filters(h, cfg)]
-    monos = canonical_monomials(cfg.n, cfg.min_degree)
+    monos = canonical_monomials(cfg.n)
     coeff_iter = _candidate_coeffs(cfg, monos)
     if cfg.jobs <= 1:
-        hits = []
-        for coeffs in coeff_iter:
-            hit = evaluate_polynomial_candidate(
-                polynomial_from_coeffs(cfg.n, cfg.m, monos, coeffs))
-            if _passes_filters(hit, cfg):
-                hits.append(hit)
-        return hits
+        return _evaluate_chunk((cfg.n, cfg.m, monos, coeff_iter, cfg))
 
     chunks = []
     current = []
@@ -355,14 +348,24 @@ class ClassRecord:
         }
 
 
-def conjugate_partner_key(hit: SearchHit, hits: list[SearchHit], tol: float = 1e-9) -> str | None:
-    """Key of the first hit whose basis contains this hit's conjugated fiducial as a column."""
-    target = conjugate_state(hit.basis.fiducial)
-    for other in hits:
-        overlaps = np.abs(other.basis.columns.conj().T @ target)
-        if np.max(overlaps) >= 1 - tol:
-            return other.key
-    return None
+def conjugate_partner_key(hits: list[SearchHit], among: list[SearchHit]) -> list[str | None]:
+    """Per hit, the key of the first hit in ``among`` whose basis holds its conjugated fiducial.
+
+    The group's Paulis Z^b X^a are real, so conjugation commutes with them:
+    hit j's basis holds conj(psi_i) exactly when psi_j is, up to phase, a
+    column of conj(basis_i).  The fiducials of ``among`` are indexed by
+    ``phase_canonical_key`` (the first of equal keys wins) and each hit's
+    conjugated columns are looked up; the partner is the smallest index found.
+    """
+    index: dict[bytes, int] = {}
+    for i, other in enumerate(among):
+        index.setdefault(phase_canonical_key(other.basis.fiducial), i)
+    partners = []
+    for hit in hits:
+        keys = map(phase_canonical_key, hit.basis.columns.conj().T)
+        found = [index[k] for k in keys if k in index]
+        partners.append(among[min(found)].key if found else None)
+    return partners
 
 
 def group_into_classes(hits: list[SearchHit], tol: float = 1e-9) -> list[ClassRecord]:
@@ -397,18 +400,13 @@ def group_into_classes(hits: list[SearchHit], tol: float = 1e-9) -> list[ClassRe
                                      representatives=[hit.polynomial])
                 classes.append((record, hit))
                 member_class[hit.key] = record
-        for record, rep in classes:
-            partner = conjugate_partner_key(rep, members, tol)
+        reps = [rep for _, rep in classes]
+        for (record, _), partner in zip(classes, conjugate_partner_key(reps, members)):
             if partner is not None:
                 record.conjugate_partner = member_class[partner].key
-        ordered = sorted(classes, key=lambda pair: pair[0].key)
-        keys_in_order = [record.key for record, _ in ordered]
-        for record, _ in ordered:
-            flag = None
-            if record.conjugate_partner is not None:
-                flag = (record.conjugate_partner != record.key
-                        and keys_in_order.index(record.conjugate_partner)
-                        < keys_in_order.index(record.key))
+        for record, _ in sorted(classes, key=lambda pair: pair[0].key):
+            partner = record.conjugate_partner
+            flag = None if partner is None else partner < record.key
             record.fingerprint = replace(record.fingerprint, conjugate_flag=flag)
             records.append(record)
     return records

@@ -301,6 +301,24 @@ class TestUsageErrors:
         assert err.value.code == 2
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("argv", [
+        ["build", "--poly", "z1 z2"], ["verify", "--poly", "z1 z2"],
+        ["geometry", "--poly", "z1 z2"], ["invariants", "--poly", "z1 z2"],
+        ["level", "--poly", "z1 z2"], ["search", "--sample", "3"],
+        ["classify", "--sample", "3"],
+    ])
+    @pytest.mark.parametrize("m", ["63", "64", "100"])
+    def test_precision_above_62_rejected(self, argv, m, capsys):
+        code = main(argv[:1] + ["--n", "2", "--m", m] + argv[1:])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+
+    def test_precision_62_accepted(self, capsys):
+        code, out = run_cli(capsys, "build", "--n", "2", "--m", "62", "--poly", "z1 z2")
+        assert code == 0 and json.loads(out)["polynomial"] == "z1 z2"
+
     def test_malformed_polynomial(self, capsys):
         code = main(["build", "--n", "2", "--m", "2", "--poly", "z1 +"])
         assert code == 2

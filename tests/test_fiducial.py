@@ -1,3 +1,4 @@
+import itertools
 from functools import reduce
 
 import numpy as np
@@ -11,6 +12,7 @@ from tetrabasis.fiducial import (
     diagonal_gate,
     evaluate_polynomial,
     parse_polynomial,
+    polynomial_values,
     staircase_circuit,
 )
 
@@ -85,6 +87,19 @@ class TestEvaluate:
     def test_wrong_length(self):
         with pytest.raises(ValueError):
             evaluate_polynomial(parse_polynomial("z1 z2", 2, 2), (1,))
+
+
+    def test_values_at_precision_62(self):
+        # four coefficients of 2^62 - 1 sum past int64 at z = 111; the wrap is exact mod 2^62
+        top = 2**62 - 1
+        f = PhasePolynomial(3, 62, {frozenset(s): top for s in ({1, 2}, {1, 3}, {2, 3}, {1, 2, 3})})
+        assert polynomial_values(f).tolist() == [
+            evaluate_polynomial(f, z) for z in itertools.product((0, 1), repeat=3)]
+
+    @pytest.mark.parametrize("m", [0, 63, 64])
+    def test_precision_outside_1_to_62_rejected(self, m):
+        with pytest.raises(ValueError, match="1..62"):
+            PhasePolynomial(2, m, {frozenset({1, 2}): 1})
 
 
 class TestDiagonalGate:

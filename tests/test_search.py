@@ -1,6 +1,7 @@
 import os
 from dataclasses import replace
 from itertools import product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -237,6 +238,11 @@ def n3_hits():
     return search_regular(SearchConfig(3, 2))
 
 
+@pytest.fixture(scope="module")
+def n3_m3_hits():
+    return search_regular(SearchConfig(3, 3))
+
+
 class TestPrunedWitness:
     def test_rotation_table_is_the_cube_group(self):
         rotations = clifford_bloch_rotations()
@@ -344,6 +350,66 @@ class TestPrunedWitness:
             assert_matches_exhaustive(build_fiducial(hit.polynomial), orbit_of(target.polynomial))
 
 
+def scan_partner_keys(hits, among, tol=1e-9):
+    """Reference: per hit, scan ``among`` for the first basis holding its conjugated fiducial."""
+    keys = []
+    for hit in hits:
+        target = conjugate_state(hit.basis.fiducial)
+        keys.append(next((other.key for other in among
+                          if np.max(np.abs(other.basis.columns.conj().T @ target)) >= 1 - tol),
+                         None))
+    return keys
+
+
+class TestConjugatePartnerIndex:
+    def test_empty_lists(self, n3_hits):
+        assert conjugate_partner_key([], []) == []
+        assert conjugate_partner_key([], n3_hits) == []
+        assert conjugate_partner_key(n3_hits[:3], []) == [None] * 3
+
+    def test_n2_hits(self):
+        hits = search_regular(SearchConfig(2, 2))
+        assert conjugate_partner_key(hits, hits) == scan_partner_keys(hits, hits)
+
+    def test_full_n3_hits(self, n3_hits, n3_m3_hits):
+        for hits in (n3_hits, n3_m3_hits):
+            assert len(hits) == 40
+            assert conjugate_partner_key(hits, hits) == scan_partner_keys(hits, hits)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_seeded_n4_hits_with_negations_in_both_orders(self, seed):
+        hits = search_regular(SearchConfig(4, 2, sample=300, seed=seed))
+        negated = search_regular(SearchConfig(4, 2, polynomials=tuple(
+            h.polynomial.negated() for h in hits)))
+        assert len(negated) == len(hits) > 0
+        for both in (hits + negated, negated[::-1] + hits[::-1]):
+            partners = conjugate_partner_key(both, both)
+            assert partners == scan_partner_keys(both, both)
+            assert None not in partners
+
+    def test_hits_and_among_differ(self, n3_hits):
+        for hits, among in ((n3_hits[::3], n3_hits[1::2]), (n3_hits[:10], n3_hits[::-1]),
+                            (n3_hits[5:], n3_hits[:5])):
+            assert conjugate_partner_key(hits, among) == scan_partner_keys(hits, among)
+
+    def test_first_of_equal_fiducials_wins(self, n3_hits, n3_m3_hits):
+        # the m = 3 hits are the doubled m = 2 polynomials: same fiducials, other keys
+        doubled = {h.polynomial.to_text() for h in n3_m3_hits}
+        for among, keys in ((n3_m3_hits + n3_hits, doubled),
+                            (n3_hits + n3_m3_hits, {h.key for h in n3_hits})):
+            partners = conjugate_partner_key(n3_hits, among)
+            assert partners == scan_partner_keys(n3_hits, among)
+            assert set(partners) <= keys
+
+    def test_smallest_index_among_several_matches(self, n3_hits):
+        # each conjugated column opens the same orbit, so every basis below holds conj(psi)
+        hit = n3_hits[0]
+        among = [SimpleNamespace(key=f"column {g}", basis=orbit_basis(col, build_tetra_group(3)))
+                 for g, col in reversed(list(enumerate(hit.basis.columns.conj().T)))]
+        assert conjugate_partner_key([hit], among) == scan_partner_keys([hit], among)
+        assert conjugate_partner_key([hit], among) == ["column 7"]
+
+
 class TestClassGrouping:
     def test_n2_single_class(self):
         hits = search_regular(SearchConfig(2, 2, require_regular=True, require_nonzero=True))
@@ -352,18 +418,26 @@ class TestClassGrouping:
         record = records[0]
         assert [f.to_text() for f in record.representatives] == ["z1 z2", "3 z1 z2"]
         assert record.conjugate_partner == record.key  # self-conjugate after pairing
+        assert record.fingerprint.conjugate_flag is False
         assert "3 z1 z2" in record.witness_links
 
     def test_empty_hits(self):
         assert group_into_classes([]) == []
 
-    def test_conjugate_partner_key_is_negated_polynomial(self):
-        hits = search_regular(SearchConfig(3, 2))
-        by_key = {h.key: h for h in hits}
-        sample = hits[0]
-        partner = conjugate_partner_key(sample, hits)
-        assert partner == sample.polynomial.negated().to_text()
-        assert partner in by_key
+    def test_conjugate_partner_key_is_negated_polynomial(self, n3_hits):
+        partners = conjugate_partner_key(n3_hits, n3_hits)
+        assert len(partners) == 40
+        assert partners == [h.polynomial.negated().to_text() for h in n3_hits]
+
+    def test_conjugate_flag_marks_the_later_key_of_each_pair(self, n3_hits):
+        records = group_into_classes(n3_hits)
+        by_key = {r.key: r for r in records}
+        assert len(records) == 8
+        for record in records:
+            partner = by_key[record.conjugate_partner]
+            assert partner is not record and partner.conjugate_partner == record.key
+            assert record.fingerprint.conjugate_flag is (partner.key < record.key)
+        assert sum(r.fingerprint.conjugate_flag for r in records) == 4
 
     def test_output_builds_each_hit_basis_once(self, monkeypatch):
         from tetrabasis import search
@@ -411,3 +485,5 @@ class TestConfig:
     def test_invalid_m(self):
         with pytest.raises(ValueError):
             SearchConfig(2, 0)
+        with pytest.raises(ValueError, match="1..62"):
+            SearchConfig(2, 63)
