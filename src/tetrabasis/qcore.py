@@ -110,8 +110,29 @@ def apply_on_qubit(op: np.ndarray, psi: np.ndarray, qubit: int) -> np.ndarray:
     return np.moveaxis(out, 0, axis).reshape(-1)
 
 
+def _round8(a: np.ndarray) -> np.ndarray:
+    """np.round(a, 8) of a C-contiguous complex array, on its float view.
+
+    Complex rounding is componentwise, so the bits are the same; the float
+    path skips numpy's slower complex one, which the level test's memo keys
+    would pay on every node.
+    """
+    return np.round(a.view(np.float64), 8).view(np.complex128)
+
+
+def phase_canonical_keys(rows: np.ndarray) -> list[bytes]:
+    """Per row of a 2-D complex array, a key invariant under that row's global phase.
+
+    Each row is divided by the phase of its pivot, the first entry of largest
+    modulus after rounding to 8 decimals, and rounded to 8 decimals.
+    """
+    rows = np.ascontiguousarray(rows, dtype=complex)
+    pivots = rows[np.arange(len(rows)), np.argmax(np.abs(_round8(rows)), axis=1)]
+    # + 0.0 turns a rounded -0.0 into 0.0
+    keys = _round8(rows * (np.abs(pivots) / pivots)[:, None]) + 0.0
+    return [row.tobytes() for row in keys]
+
+
 def phase_canonical_key(u: np.ndarray) -> bytes:
     """Matrix key invariant under global phase, rounded to 8 decimals."""
-    flat = u.ravel()
-    pivot = flat[np.argmax(np.abs(np.round(flat, 8)))]
-    return (np.round(u * (abs(pivot) / pivot), 8) + 0.0).tobytes()
+    return phase_canonical_keys(u.reshape(1, -1))[0]

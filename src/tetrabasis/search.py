@@ -1,10 +1,11 @@
 """Exhaustive search over phase polynomials and classification of the hits.
 
-Enumerates canonical polynomials (degree >= 2), keeps those whose orbit basis
-has regular tetrahedral marginals, fingerprints the survivors, and groups the
-hits into equivalence classes with explicit local-Clifford witnesses.  The
-witness scan visits only the Clifford tuples whose cube rotations carry each
-qubit's Bloch vector onto the target column's.
+Enumerates canonical polynomials (degree >= 2), screens blocks of them in
+array passes, builds the survivors' orbit bases one by one, keeps those with
+regular tetrahedral marginals, fingerprints the hits, and groups them into
+equivalence classes with explicit local-Clifford witnesses.  The witness scan
+visits only the Clifford tuples whose cube rotations carry each qubit's Bloch
+vector onto the target column's.
 """
 
 from __future__ import annotations
@@ -13,14 +14,15 @@ import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
-from itertools import combinations, product
+from itertools import combinations, islice, product
 
 import numpy as np
 
 from .basisgen import Basis, build_tetra_group, check_orthonormal, orbit_basis
 from .entanglement import InvariantFingerprint, invariant_fingerprint
-from .fiducial import MAX_PRECISION, PhasePolynomial, build_fiducial
+from .fiducial import MAX_PRECISION, PhasePolynomial, apply_cnot, build_fiducial
 from .geometry import (
+    EPS_GEO,
     GeometryReport,
     basis_bloch_table,
     bloch_vector,
@@ -29,9 +31,20 @@ from .geometry import (
     orbit_bloch_table,
 )
 from .hierarchy import diagonal_clifford_level
-from .qcore import PAULI_MATS, CapacityError, apply_on_qubit, num_qubits, phase_canonical_key
+from .qcore import (
+    EPS_NORM,
+    PAULI_MATS,
+    CapacityError,
+    apply_on_qubit,
+    num_qubits,
+    parity_sign,
+    phase_canonical_key,
+    phase_canonical_keys,
+)
 
 FULL_ENUMERATION_LIMIT = 2**23
+SCREEN_BATCH = 4096  # candidates per array pass of the pre-screen
+SCREEN_SLACK = 1e-9  # margin around EPS_GEO for the float error of the screen's Bloch vectors
 
 
 def canonical_monomials(n: int, min_degree: int = 2) -> list[tuple[int, ...]]:
@@ -88,16 +101,11 @@ class SearchHit:
     polynomial: PhasePolynomial
     geometry: GeometryReport
     level: int
+    basis: Basis = field(compare=False, repr=False)  # built once, by evaluate_polynomial_candidate
 
     @property
     def key(self) -> str:
         return self.polynomial.to_text()
-
-    @cached_property
-    def basis(self) -> Basis:
-        """Orbit basis of the polynomial, rebuilt once on first use."""
-        f = self.polynomial
-        return orbit_basis(build_fiducial(f), build_tetra_group(f.n), f)
 
     @cached_property
     def fingerprint(self) -> InvariantFingerprint:
@@ -116,12 +124,14 @@ def evaluate_polynomial_candidate(f: PhasePolynomial) -> SearchHit:
     basis = orbit_basis(psi, group, f)
     report = check_orthonormal(basis)
     if not report.ok:
-        raise AssertionError(
-            f"orbit of {f.to_text()!r} unexpectedly non-orthonormal "
-            f"(violation {report.max_violation:.3e})"
-        )
+        raise _non_orthonormal(f, report.max_violation)
     geometry = classify_geometry(orbit_bloch_table(basis))
-    return SearchHit(f, geometry, diagonal_clifford_level(f))
+    return SearchHit(f, geometry, diagonal_clifford_level(f), basis)
+
+
+def _non_orthonormal(f: PhasePolynomial, violation: float) -> AssertionError:
+    return AssertionError(
+        f"orbit of {f.to_text()!r} unexpectedly non-orthonormal (violation {violation:.3e})")
 
 
 def _passes_filters(hit: SearchHit, cfg: SearchConfig) -> bool:
@@ -132,13 +142,105 @@ def _passes_filters(hit: SearchHit, cfg: SearchConfig) -> bool:
     return True
 
 
+@lru_cache(maxsize=None)
+def _screen_tables(n: int, monos: tuple[tuple[int, ...], ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Monomial indicators (K, 2^n) over the inputs, and the staircase as a gather index.
+
+    The staircase of CNOTs permutes amplitudes: after it, entry x holds the
+    entry ``perm[x]`` held before.
+    """
+    idx = np.arange(2**n)
+    masks = [sum(1 << (n - i) for i in mono) for mono in monos]
+    indicator = np.array([(idx & mask) == mask for mask in masks], dtype=np.int64)
+    perm = idx
+    for control in range(n, 1, -1):
+        perm = apply_cnot(perm, n, control, control - 1)
+    return indicator, perm
+
+
+def _screen_fiducials(coeffs: np.ndarray, n: int, m: int,
+                      monos: list[tuple[int, ...]]) -> np.ndarray:
+    """``build_fiducial`` of each row of a (B, K) coefficient block, as (B, 2^n) rows."""
+    indicator, perm = _screen_tables(n, tuple(monos))
+    values = (coeffs @ indicator) % 2**m
+    psi = 2 ** (-n / 2) * np.exp(2j * np.pi * values / 2**m)
+    psi = (psi.reshape(-1, 2) @ _HADAMARD.T).reshape(len(coeffs), -1)  # H on qubit n
+    return psi[:, perm]
+
+
+def _orbit_violations(psi: np.ndarray, n: int) -> np.ndarray:
+    """Per row, ``check_orthonormal``'s violation for the row's orbit basis.
+
+    That is the largest of |norm - 1| and |<psi|U_g|psi>| over the labels
+    g >= 1, taken one label at a time so no temporary outgrows the block.
+    """
+    group = build_tetra_group(n)
+    x = np.arange(2**n)
+    conj = psi.conj()
+    violation = np.abs(np.linalg.norm(psi, axis=1) - 1)
+    for a, b in zip(group.x_masks[1:], group.z_masks[1:]):
+        overlap = np.einsum("bx,bx->b", conj, psi[:, x ^ a] * parity_sign(x & b))
+        violation = np.maximum(violation, np.abs(overlap))
+    return violation
+
+
+def _bloch_vectors(psi: np.ndarray, n: int) -> np.ndarray:
+    """(B, n, 3) Bloch vectors of each row's qubits: (2 Re r01, -2 Im r01, r00 - r11)."""
+    vectors = np.empty((len(psi), n, 3))
+    for l in range(n):
+        split = psi.reshape(len(psi), 2**l, 2, -1)
+        upper, lower = split[:, :, 0], split[:, :, 1]
+        rho01 = np.einsum("bij,bij->b", upper, lower.conj())
+        vectors[:, l, 0] = 2 * rho01.real
+        vectors[:, l, 1] = -2 * rho01.imag
+        vectors[:, l, 2] = np.sum(np.abs(upper) ** 2 - np.abs(lower) ** 2, axis=(1, 2))
+    return vectors
+
+
+def screen_block(coeffs: np.ndarray, n: int, m: int, monos: list[tuple[int, ...]],
+                 cfg: SearchConfig) -> np.ndarray:
+    """Boolean mask over a (B, K) coefficient block: the candidates that may pass cfg.
+
+    Every candidate's orbit must be orthonormal, as in
+    ``evaluate_polynomial_candidate``.  ``classify_geometry`` calls qubit l
+    regular when each component of its Bloch vector exceeds EPS_GEO in
+    modulus and the moduli spread by at most EPS_GEO; nonzero components need
+    that lower bound on every qubit.  Both tests are widened by SCREEN_SLACK,
+    so only candidates that provably fail are dropped.  Lengths are never
+    compared across qubits.
+    """
+    psi = _screen_fiducials(coeffs, n, m, monos)
+    violation = _orbit_violations(psi, n)
+    bad = np.flatnonzero(violation > EPS_NORM)
+    if bad.size:
+        f = polynomial_from_coeffs(n, m, monos, coeffs[bad[0]].tolist())
+        raise _non_orthonormal(f, violation[bad[0]])
+    mags = np.abs(_bloch_vectors(psi, n))
+    keep = np.ones(len(mags), dtype=bool)
+    if cfg.require_regular:
+        regular = ((mags.min(axis=2) > EPS_GEO - SCREEN_SLACK)
+                   & (np.ptp(mags, axis=2) <= EPS_GEO + SCREEN_SLACK))
+        keep &= regular.all(axis=1)
+    if cfg.require_nonzero:
+        keep &= mags.min(axis=(1, 2)) > EPS_GEO - SCREEN_SLACK
+    return keep
+
+
 def _evaluate_chunk(args) -> list[SearchHit]:
+    """Hits among the candidates, in order, screened SCREEN_BATCH at a time.
+
+    Only the candidates ``screen_block`` keeps are built one by one through
+    ``evaluate_polynomial_candidate`` and the filters.
+    """
     n, m, monos, coeff_chunk, cfg = args
     hits = []
-    for coeffs in coeff_chunk:
-        hit = evaluate_polynomial_candidate(polynomial_from_coeffs(n, m, monos, coeffs))
-        if _passes_filters(hit, cfg):
-            hits.append(hit)
+    coeff_iter = iter(coeff_chunk)
+    while block := list(islice(coeff_iter, SCREEN_BATCH)):
+        keep = screen_block(np.array(block, dtype=np.int64), n, m, monos, cfg)
+        for i in np.flatnonzero(keep):
+            hit = evaluate_polynomial_candidate(polynomial_from_coeffs(n, m, monos, block[i]))
+            if _passes_filters(hit, cfg):
+                hits.append(hit)
     return hits
 
 
@@ -358,11 +460,13 @@ def conjugate_partner_key(hits: list[SearchHit], among: list[SearchHit]) -> list
     conjugated columns are looked up; the partner is the smallest index found.
     """
     index: dict[bytes, int] = {}
-    for i, other in enumerate(among):
-        index.setdefault(phase_canonical_key(other.basis.fiducial), i)
+    if among:
+        fiducials = np.array([other.basis.fiducial for other in among])
+        for i, key in enumerate(phase_canonical_keys(fiducials)):
+            index.setdefault(key, i)
     partners = []
     for hit in hits:
-        keys = map(phase_canonical_key, hit.basis.columns.conj().T)
+        keys = phase_canonical_keys(hit.basis.columns.conj().T)
         found = [index[k] for k in keys if k in index]
         partners.append(among[min(found)].key if found else None)
     return partners

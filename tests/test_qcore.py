@@ -10,6 +10,8 @@ from tetrabasis.qcore import (
     hermitian_eig,
     partial_trace,
     pauli_matrix,
+    phase_canonical_key,
+    phase_canonical_keys,
 )
 
 I2 = np.eye(2, dtype=complex)
@@ -137,3 +139,34 @@ class TestPauliStrings:
             pauli_matrix(2, 0, -1)
         with pytest.raises(CapacityError):
             pauli_matrix(7, 0, 0)
+
+
+def scalar_phase_key(u):
+    """Reference: one matrix's key, pivot = first entry of largest rounded modulus."""
+    flat = u.ravel()
+    pivot = flat[np.argmax(np.abs(np.round(flat, 8)))]
+    return (np.round(u * (abs(pivot) / pivot), 8) + 0.0).tobytes()
+
+
+class TestPhaseCanonicalKeys:
+    def rows_and_matrices(self):
+        from tetrabasis.search import SearchConfig, search_regular, single_qubit_cliffords
+        hits = search_regular(SearchConfig(3, 2))[:6] + search_regular(
+            SearchConfig(4, 2, sample=300, seed=1))
+        columns = [h.basis.columns.conj().T for h in hits]
+        # ties: the equal-modulus rows of the n = 2 orbit and of Hadamard-like matrices
+        tied = np.array([[1, 1j, -1, -1j], [0.5, -0.5, 0.5j, 0.5], [0, 1, -1, 0]]) / 2
+        return columns + [tied], list(single_qubit_cliffords())
+
+    def test_rows_match_the_per_row_key(self):
+        row_blocks, matrices = self.rows_and_matrices()
+        row_blocks.append(np.array([m.ravel() for m in matrices]))
+        for rows in row_blocks:
+            keys = phase_canonical_keys(rows)
+            assert keys == [phase_canonical_key(row) for row in rows]
+            assert keys == [scalar_phase_key(row) for row in rows]
+
+    def test_matrix_key_is_its_flattened_row(self):
+        row_blocks, matrices = self.rows_and_matrices()
+        for u in matrices + row_blocks:
+            assert phase_canonical_key(u) == scalar_phase_key(u)

@@ -17,10 +17,12 @@ from tetrabasis.search import (
     clifford_bloch_rotations,
     conjugate_partner_key,
     enumerate_polynomials,
+    evaluate_polynomial_candidate,
     group_into_classes,
     lc_equivalence_witness,
     polynomial_from_coeffs,
     polynomial_space_size,
+    screen_block,
     search_regular,
     single_qubit_cliffords,
 )
@@ -100,6 +102,109 @@ class TestSearchRegular:
         serial = hits_csv(search_regular(SearchConfig(3, 2)))
         parallel = hits_csv(search_regular(SearchConfig(3, 2, jobs=2, chunk_size=17)))
         assert serial == parallel
+
+
+def candidate_coeffs(cfg):
+    """Reference candidates: the full space in order, or the distinct seeded draws."""
+    monos = canonical_monomials(cfg.n)
+    if cfg.sample is None:
+        return list(product(range(2**cfg.m), repeat=len(monos)))
+    rng = np.random.default_rng(cfg.seed)
+    drawn = {}
+    while len(drawn) < cfg.sample:
+        drawn.setdefault(tuple(int(c) for c in rng.integers(0, 2**cfg.m, len(monos))), None)
+    return list(drawn)
+
+
+def passes(hit, cfg):
+    return ((not cfg.require_regular or hit.geometry.all_regular)
+            and (not cfg.require_nonzero or hit.geometry.nonzero_components))
+
+
+def scalar_search(cfg):
+    """Reference: the unscreened loop, every candidate through evaluate_polynomial_candidate."""
+    monos = canonical_monomials(cfg.n)
+    hits = []
+    for coeffs in candidate_coeffs(cfg):
+        hit = evaluate_polynomial_candidate(polynomial_from_coeffs(cfg.n, cfg.m, monos, coeffs))
+        if passes(hit, cfg):
+            hits.append(hit)
+    return hits
+
+
+FILTERS = [(True, False), (False, True), (True, True), (False, False)]
+UNEQUAL_LENGTHS = "z1 z3 + z1 z3 z4 + 3 z2 z3 z4 + 3 z2 z4 + z3 z4"
+
+
+class TestBatchedScreen:
+    def assert_matches_scalar(self, cfg):
+        screened = search_regular(cfg)
+        reference = scalar_search(cfg)
+        assert [h.key for h in screened] == [h.key for h in reference]
+        assert [h.level for h in screened] == [h.level for h in reference]
+        if cfg.require_regular:
+            assert [h.fingerprint for h in screened] == [h.fingerprint for h in reference]
+        return screened
+
+    @pytest.mark.parametrize("regular,nonzero", FILTERS)
+    def test_full_n2_every_filter(self, regular, nonzero):
+        hits = self.assert_matches_scalar(
+            SearchConfig(2, 2, require_regular=regular, require_nonzero=nonzero))
+        assert len(hits) == (4 if not (regular or nonzero) else 2)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_full_n3(self, m):
+        hits = self.assert_matches_scalar(SearchConfig(3, m))
+        assert len(hits) == (0 if m == 1 else 40)
+
+    def test_full_n3_nonzero_only(self):
+        assert len(self.assert_matches_scalar(
+            SearchConfig(3, 2, require_regular=False, require_nonzero=True))) == 128
+
+    @pytest.mark.parametrize("m,seed", [(2, 0), (2, 1), (3, 1)])
+    def test_seeded_n4_samples(self, m, seed):
+        self.assert_matches_scalar(SearchConfig(4, m, sample=400, seed=seed))
+
+    @pytest.mark.parametrize("cfg", [SearchConfig(3, 2), SearchConfig(4, 2, sample=600, seed=4)])
+    def test_keep_mask_covers_every_scalar_pass(self, cfg):
+        monos = canonical_monomials(cfg.n)
+        coeffs = candidate_coeffs(cfg)
+        hits = [evaluate_polynomial_candidate(polynomial_from_coeffs(cfg.n, cfg.m, monos, c))
+                for c in coeffs]
+        for regular, nonzero in FILTERS:
+            flt = replace(cfg, require_regular=regular, require_nonzero=nonzero)
+            keep = screen_block(np.array(coeffs), cfg.n, cfg.m, monos, flt)
+            passed = np.array([passes(h, flt) for h in hits])
+            assert keep.shape == passed.shape and not np.any(passed & ~keep)
+            if regular:
+                assert keep.sum() <= len(coeffs) // 5  # the screen rejects nearly everything
+
+    def test_unequal_lengths_hit_is_kept(self):
+        f = parse_polynomial(UNEQUAL_LENGTHS, 4, 2)
+        hit = evaluate_polynomial_candidate(f)
+        assert hit.geometry.all_regular and hit.geometry.nonzero_components
+        assert hit.geometry.r is None  # its qubits' Bloch lengths differ
+        monos = canonical_monomials(4)
+        coeffs = np.array([[f.terms.get(frozenset(mono), 0) for mono in monos]])
+        assert screen_block(coeffs, 4, 2, monos, SearchConfig(4, 2, require_nonzero=True))[0]
+        assert [h.key for h in search_regular(SearchConfig(4, 2, polynomials=(f,)))] == [
+            UNEQUAL_LENGTHS]
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_orthonormality_guard_sees_screened_out_candidates(self, monkeypatch, n):
+        # label 1 repeats label 0's identity, so <psi|U_1|psi> = 1 for every
+        # candidate; the zero polynomial comes first and is never regular
+        from tetrabasis import search
+        from tetrabasis.basisgen import TetraGroup
+
+        def repeated_identity(k):
+            group = build_tetra_group(k)
+            return TetraGroup(k, (0, 0) + group.x_masks[2:], (0, 0) + group.z_masks[2:])
+
+        monkeypatch.setattr(search, "build_tetra_group", repeated_identity)
+        message = r"orbit of '0' unexpectedly non-orthonormal \(violation 1\.000e\+00\)"
+        with pytest.raises(AssertionError, match=message):
+            search_regular(SearchConfig(n, 2))
 
 
 class TestCliffordGroup:
@@ -440,6 +545,7 @@ class TestClassGrouping:
         assert sum(r.fingerprint.conjugate_flag for r in records) == 4
 
     def test_output_builds_each_hit_basis_once(self, monkeypatch):
+        # search, CSV output and grouping together build each hit's basis exactly once
         from tetrabasis import search
         from tetrabasis.cli import hits_csv
         calls = []
@@ -449,16 +555,13 @@ class TestClassGrouping:
             return orbit_basis(*args)
 
         monkeypatch.setattr(search, "orbit_basis", counting_orbit_basis)
-        hits = search_regular(SearchConfig(4, 2, sample=300, seed=1))
-        assert len(hits) >= 4
-        calls.clear()
-        hits_csv(hits)
-        assert len(calls) <= len(hits)
-        assert len(set(calls)) == len(calls)
-        n3_hits = search_regular(SearchConfig(3, 2))
-        calls.clear()
-        group_into_classes(n3_hits)
-        assert sorted(f.to_text() for f in calls) == sorted(h.key for h in n3_hits)
+        for cfg in (SearchConfig(4, 2, sample=300, seed=1), SearchConfig(3, 2)):
+            calls.clear()
+            hits = search_regular(cfg)
+            assert len(hits) >= 4
+            hits_csv(hits)
+            group_into_classes(hits)
+            assert sorted(f.to_text() for f in calls) == sorted(h.key for h in hits)
 
     def test_hit_basis_is_the_orbit_basis(self):
         hit = search_regular(SearchConfig(3, 2))[0]
