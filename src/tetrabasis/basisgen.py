@@ -77,18 +77,22 @@ class Basis:
 
 def orbit_basis(psi: np.ndarray, group: TetraGroup,
                 polynomial: PhasePolynomial | None = None) -> Basis:
-    """Orbit { U_g |psi> } as a basis; orthonormality is not assumed here.
-
-    Entry x of column g is (-1)^popcount(b_g & x) psi[x xor a_g].
-    """
+    """Orbit { U_g |psi> } as a basis; orthonormality is not assumed here."""
     psi = np.asarray(psi, dtype=complex)
     if num_qubits(psi.shape[0]) != group.n:
         raise ValueError("state dimension does not match group qubit count")
-    x = np.arange(psi.shape[0])[:, None]
+    return Basis(group.n, orbit_columns(psi[None], group)[0], psi, group, polynomial)
+
+
+def orbit_columns(states: np.ndarray, group: TetraGroup) -> np.ndarray:
+    """(B, 2^n, 2^n): the orbit basis columns of each fiducial row of (B, 2^n) states.
+
+    Entry x of column g is (-1)^popcount(b_g & x) psi[x xor a_g].
+    """
+    x = np.arange(2**group.n)[:, None]
     signs = parity_sign(x & np.array(group.z_masks))
     # + 0.0 turns the -0.0 of a negated zero amplitude into 0.0
-    cols = psi[x ^ np.array(group.x_masks)] * signs + 0.0
-    return Basis(group.n, cols, psi, group, polynomial)
+    return states[:, x ^ np.array(group.x_masks)] * signs + 0.0
 
 
 @dataclass(frozen=True)

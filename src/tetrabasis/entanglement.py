@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, permutations
 
 import numpy as np
@@ -42,9 +43,28 @@ def pairwise_concurrence(psi: np.ndarray, pair: tuple[int, int]) -> float:
     k, l = pair
     if k == l or not (1 <= k <= n and 1 <= l <= n):
         raise ValueError(f"pair must be two distinct qubits in 1..{n}, got {pair}")
-    a = np.moveaxis(psi.reshape([2] * n), (k - 1, l - 1), (0, 1)).reshape(4, -1)
-    s = np.linalg.svd(a.T @ _YY @ a, compute_uv=False)
-    return float(max(0.0, s[0] - s[1:].sum()))
+    return float(pairwise_concurrences(psi[None], pair)[0])
+
+
+def pairwise_concurrences(states: np.ndarray, pair: tuple[int, int]) -> np.ndarray:
+    """``pairwise_concurrence`` of each row of (B, 2^n) states; rows do not interact."""
+    return _concurrences(states, (tuple(pair),))[:, 0]
+
+
+def _concurrences(states: np.ndarray, pairs: tuple[tuple[int, int], ...]) -> np.ndarray:
+    """(B, len(pairs)) concurrences: per row and pair, the formula of ``pairwise_concurrence``."""
+    if not pairs:
+        return np.zeros((len(states), 0))
+    a = states[:, _pair_split(num_qubits(states.shape[1]), pairs)]  # (B, P, 4, 2^(n-2))
+    s = np.linalg.svd(a.swapaxes(-1, -2) @ _YY @ a, compute_uv=False)
+    return np.maximum(0.0, s[..., 0] - s[..., 1:].sum(axis=-1))
+
+
+@lru_cache(maxsize=None)
+def _pair_split(n: int, pairs: tuple[tuple[int, int], ...]) -> np.ndarray:
+    """(P, 4, 2^(n-2)) indices: a state as the matrix whose 4 rows index each pair."""
+    idx = np.arange(2**n).reshape((2,) * n)
+    return np.stack([np.moveaxis(idx, (k - 1, l - 1), (0, 1)).reshape(4, -1) for k, l in pairs])
 
 
 def permutation_operator_apply(psi: np.ndarray, perm: tuple[int, ...]) -> np.ndarray:
@@ -55,13 +75,21 @@ def permutation_operator_apply(psi: np.ndarray, perm: tuple[int, ...]) -> np.nda
 
 def permutation_stabilizer_order(psi: np.ndarray, tol: float = 1e-9) -> int:
     """Number of qubit-wire permutations fixing the state up to global phase."""
-    psi = np.asarray(psi, dtype=complex)
-    n = num_qubits(psi.shape[0])
-    count = 0
-    for perm in permutations(range(n)):
-        if abs(np.vdot(psi, permutation_operator_apply(psi, perm))) >= 1 - tol:
-            count += 1
-    return count
+    return int(permutation_stabilizer_orders(np.asarray(psi, dtype=complex)[None], tol)[0])
+
+
+def permutation_stabilizer_orders(states: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+    """``permutation_stabilizer_order`` of each row of (B, 2^n) states."""
+    moved = states[:, _wire_permutations(num_qubits(states.shape[1]))]  # (B, n!, 2^n)
+    overlaps = np.einsum("bx,bpx->bp", states.conj(), moved)
+    return np.count_nonzero(np.abs(overlaps) >= 1 - tol, axis=1)
+
+
+@lru_cache(maxsize=None)
+def _wire_permutations(n: int) -> np.ndarray:
+    """(n!, 2^n) indices: ``permutation_operator_apply`` for every wire permutation."""
+    idx = np.arange(2**n)
+    return np.stack([permutation_operator_apply(idx, perm) for perm in permutations(range(n))])
 
 
 @dataclass(frozen=True)
@@ -105,21 +133,28 @@ class InvariantFingerprint:
 
 def invariant_fingerprint(basis: Basis, geometry: GeometryReport | None = None) -> InvariantFingerprint:
     """Fingerprint of an orthonormal basis from its fiducial state."""
-    psi = basis.fiducial
-    n = basis.n
     if geometry is None:
         table = orbit_bloch_table(basis) if basis.group is not None else basis_bloch_table(basis)
         geometry = classify_geometry(table)
-    tangle = three_tangle(psi) if n == 3 else None
-    conc = sorted(
-        round(pairwise_concurrence(psi, (k, l)) ** 2, 10)
-        for k, l in combinations(range(1, n + 1), 2)
-    )
-    return InvariantFingerprint(
-        n=n,
-        tangle=round(tangle, 10) if tangle is not None else None,
-        concurrence_sq=tuple(conc),
-        r=round(geometry.r, 10) if geometry.r is not None else None,
-        chirality_signature=geometry.chirality_signature(),
-        stabilizer_order=permutation_stabilizer_order(psi),
-    )
+    return invariant_fingerprints(basis.fiducial[None], [geometry])[0]
+
+
+def invariant_fingerprints(states: np.ndarray,
+                           geometries: list[GeometryReport]) -> list[InvariantFingerprint]:
+    """``invariant_fingerprint`` of each fiducial row of (B, 2^n) states with its geometry."""
+    states = np.asarray(states, dtype=complex)
+    n = num_qubits(states.shape[1])
+    tangles = [round(three_tangle(psi), 10) for psi in states] if n == 3 else [None] * len(states)
+    concurrences = _concurrences(states, tuple(combinations(range(1, n + 1), 2))).tolist()
+    orders = permutation_stabilizer_orders(states).tolist()
+    return [
+        InvariantFingerprint(
+            n=n,
+            tangle=tangle,
+            concurrence_sq=tuple(sorted(round(c**2, 10) for c in conc)),
+            r=round(geometry.r, 10) if geometry.r is not None else None,
+            chirality_signature=geometry.chirality_signature(),
+            stabilizer_order=order,
+        )
+        for tangle, conc, order, geometry in zip(tangles, concurrences, orders, geometries)
+    ]

@@ -9,12 +9,13 @@ compares handedness between qubits.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, product
 
 import numpy as np
 
-from .basisgen import Basis, bloch_state
-from .qcore import EPS_UNITARY, PAULI_MATS, apply_on_qubit, is_unitary, num_qubits, partial_trace
+from .basisgen import Basis, TetraGroup, bloch_state
+from .qcore import EPS_UNITARY, PAULI_MATS, apply_on_qubit, is_unitary, num_qubits
 
 EPS_GEO = 1e-8
 
@@ -35,12 +36,32 @@ class ChiralityInconsistencyError(RuntimeError):
     """No single orthogonal map aligns the two qubits' Bloch tables."""
 
 
+_BLOCH_PAULIS = np.array([PAULI_MATS[p] for p in ("X", "Y", "Z")])
+
+
+def bloch_vectors(states: np.ndarray) -> np.ndarray:
+    """(B, n, 3) Bloch vectors (<X>, <Y>, <Z>) of every qubit of each row of (B, 2^n) states.
+
+    Row by row and qubit by qubit this is ``partial_trace`` and tr(rho P)
+    with the same numpy operations, so a row's vectors do not depend on the
+    other rows.
+    """
+    states = np.asarray(states, dtype=complex)
+    mats = states[:, _qubit_split(num_qubits(states.shape[1]))]  # (B, n, 2, 2^(n-1))
+    rho = mats @ mats.conj().swapaxes(-1, -2)
+    return np.trace(rho[:, :, None] @ _BLOCH_PAULIS, axis1=-2, axis2=-1).real
+
+
+@lru_cache(maxsize=None)
+def _qubit_split(n: int) -> np.ndarray:
+    """(n, 2, 2^(n-1)) indices: row l of a state as ``partial_trace`` lays it out for qubit l+1."""
+    idx = np.arange(2**n).reshape((2,) * n)
+    return np.stack([np.moveaxis(idx, l, 0).reshape(2, -1) for l in range(n)])
+
+
 def bloch_vector(psi: np.ndarray, qubit: int) -> np.ndarray:
     """(<X>, <Y>, <Z>) of one qubit of a pure state."""
-    rho = partial_trace(psi, {qubit})
-    return np.array(
-        [np.trace(rho @ PAULI_MATS[p]).real for p in ("X", "Y", "Z")]
-    )
+    return bloch_vectors(np.asarray(psi)[None])[0, qubit - 1]
 
 
 # Bloch-space action of conjugating by I, X, Y, Z: even sign changes.
@@ -51,28 +72,33 @@ _PAULI_FLIPS = np.array(
 
 def basis_bloch_table(basis: Basis) -> np.ndarray:
     """Array of shape (n, 2^n, 3): Bloch vector of qubit l in basis column g."""
-    table = np.empty((basis.n, basis.size, 3))
-    for g in range(basis.size):
-        col = basis.column(g)
-        for l in range(basis.n):
-            table[l, g] = bloch_vector(col, l + 1)
-    return table
+    return bloch_vectors(basis.columns.T).transpose(1, 0, 2)
 
 
-def orbit_bloch_table(basis: Basis) -> np.ndarray:
-    """``basis_bloch_table`` of an orbit basis from the fiducial's n Bloch vectors.
+def orbit_bloch_tables(states: np.ndarray, group: TetraGroup) -> np.ndarray:
+    """(B, n, 2^n, 3): ``orbit_bloch_table`` of the orbit basis of each fiducial row.
 
     Column g is U_g|psi> with U_g = Z^b X^a, so its qubit-l marginal is the
     fiducial's conjugated by qubit l's factor, an even sign flip of v_l:
     ((-1)^b, (-1)^(a xor b), (-1)^a) from that qubit's mask bits a, b.
     """
+    return bloch_vectors(states)[:, :, None, :] * _orbit_flips(group)
+
+
+@lru_cache(maxsize=None)
+def _orbit_flips(group: TetraGroup) -> np.ndarray:
+    """(n, 2^n, 3) signs that carry each qubit's fiducial Bloch vector to column g's."""
+    shifts = np.arange(group.n - 1, -1, -1)[:, None]
+    a = (np.array(group.x_masks) >> shifts) & 1  # (n, 2^n)
+    b = (np.array(group.z_masks) >> shifts) & 1
+    return 1 - 2 * np.stack([b, a ^ b, a], axis=-1)
+
+
+def orbit_bloch_table(basis: Basis) -> np.ndarray:
+    """``basis_bloch_table`` of an orbit basis from the fiducial's n Bloch vectors."""
     if basis.group is None:
         raise ValueError("the orbit Bloch table needs the basis's group")
-    vectors = np.array([bloch_vector(basis.fiducial, l) for l in range(1, basis.n + 1)])
-    shifts = np.arange(basis.n - 1, -1, -1)[:, None]
-    a = (np.array(basis.group.x_masks) >> shifts) & 1  # (n, 2^n)
-    b = (np.array(basis.group.z_masks) >> shifts) & 1
-    return vectors[:, None, :] * (1 - 2 * np.stack([b, a ^ b, a], axis=-1))
+    return orbit_bloch_tables(basis.fiducial[None], basis.group)[0]
 
 
 @dataclass(frozen=True)
@@ -105,13 +131,6 @@ class GeometryReport:
         }
 
 
-def _canonical_sign(v: np.ndarray) -> np.ndarray:
-    for comp in v:
-        if abs(comp) > 1e-12:
-            return v if comp > 0 else -v
-    return v
-
-
 def classify_geometry(table: np.ndarray, tol: float = EPS_GEO) -> GeometryReport:
     """Per-qubit geometry class, common length, direction lines, and pair chirality.
 
@@ -121,48 +140,100 @@ def classify_geometry(table: np.ndarray, tol: float = EPS_GEO) -> GeometryReport
     v/|v| in order of first appearance over the columns.  Components of v
     within tol of zero are taken as exact zeros.
     """
-    n = table.shape[0]
-    anchors = np.where(np.abs(table[:, 0]) <= tol, 0.0, table[:, 0])
-    lengths = np.linalg.norm(anchors, axis=1)
-    classes = []
-    all_lines = []
-    for l in range(n):
-        v = anchors[l]
-        labels = _flip_labels(table[l], tol)
-        zeros = int(np.count_nonzero(v == 0.0))
-        if labels is None or zeros == 3:
-            classes.append("degenerate")
-            all_lines.append(())
-            continue
-        if zeros == 0:
-            regular = np.ptp(np.abs(v)) <= tol
-            classes.append("regular_tetrahedron" if regular else "disphenoid")
-        else:
-            classes.append("planar_rectangle" if zeros == 1 else "collinear")
-        # + 0.0 turns the -0.0 of a flipped zero component into 0.0
-        flips = [tuple((_canonical_sign(v / lengths[l] * f) + 0.0).tolist())
-                 for f in _PAULI_FLIPS]
-        all_lines.append(tuple(dict.fromkeys(flips[g] for g in labels.tolist())))
+    return classify_geometries(np.asarray(table)[None], tol)[0]
 
-    lengths = lengths.tolist()
-    spread = max(lengths) - min(lengths)
-    r = float(np.mean(lengths)) if spread <= max(tol, 1e-9) else None
 
-    chirality: dict[tuple[int, int], int | None] = {}
-    for k, l in combinations(range(1, n + 1), 2):
-        if classes[k - 1] == classes[l - 1] == "regular_tetrahedron":
-            chirality[(k, l)] = relational_chirality(table, k, l, tol)[0]
-        else:
-            chirality[(k, l)] = None
+def classify_geometries(tables: np.ndarray, tol: float = EPS_GEO) -> list[GeometryReport]:
+    """``classify_geometry`` of each (n, 2^n, 3) table of a (B, n, 2^n, 3) stack.
 
-    return GeometryReport(
-        classes=tuple(classes),
-        lengths=tuple(lengths),
-        r=r,
-        lines=tuple(all_lines),
-        chirality=chirality,
-        nonzero_components=bool(np.min(np.abs(table)) > tol),
-    )
+    The arithmetic runs in array passes over the whole stack; each report
+    depends only on its own table.
+    """
+    tables = np.asarray(tables, dtype=float)
+    count, n = tables.shape[:2]
+    anchors = np.where(np.abs(tables[:, :, 0]) <= tol, 0.0, tables[:, :, 0])  # (B, n, 3)
+    lengths = np.linalg.norm(anchors, axis=2)
+    zeros = np.count_nonzero(anchors == 0.0, axis=2)
+    # distance of every column to each sign flip of its row's column 0
+    dist = np.linalg.norm(tables[:, :, :, None, :]
+                          - tables[:, :, :1, None, :] * _PAULI_FLIPS, axis=4)
+    on_orbit = np.max(np.min(dist, axis=3), axis=2) <= tol
+    # each qubit's flip labels in order of first appearance over the columns
+    seen = np.argmin(dist, axis=3)[..., None] == np.arange(len(_PAULI_FLIPS))  # (B, n, 2^n, 4)
+    present = seen.any(axis=2)
+    first = np.where(present, np.argmax(seen, axis=2), seen.shape[2])
+    labels = np.argsort(first, axis=2, kind="stable")
+    counts = present.sum(axis=2)
+    regular = np.ptp(np.abs(anchors), axis=2) <= tol
+    with np.errstate(divide="ignore", invalid="ignore"):
+        flips = (anchors / lengths[:, :, None])[:, :, None, :] * _PAULI_FLIPS  # (B, n, 4, 3)
+    # sign of the first component above 1e-12 in modulus; + 0.0 turns -0.0 into 0.0
+    big = np.abs(flips) > 1e-12
+    lead = np.take_along_axis(flips, np.argmax(big, axis=3)[..., None], axis=3)[..., 0]
+    flips = np.where((big.any(axis=3) & (lead < 0))[..., None], -flips, flips) + 0.0
+    spread = lengths.max(axis=1) - lengths.min(axis=1)
+    means = np.mean(lengths, axis=1)
+    nonzero = np.min(np.abs(tables), axis=(1, 2, 3)) > tol
+    signs = _chirality_signs(tables, regular & (zeros == 0) & on_orbit, tol)
+
+    pairs = list(combinations(range(1, n + 1), 2))
+    flips, labels, counts = flips.tolist(), labels.tolist(), counts.tolist()
+    lengths, on_orbit, zeros, regular = (
+        lengths.tolist(), on_orbit.tolist(), zeros.tolist(), regular.tolist())
+    reports = []
+    for t in range(count):
+        classes = []
+        all_lines = []
+        for l in range(n):
+            if not on_orbit[t][l] or zeros[t][l] == 3:
+                classes.append("degenerate")
+                all_lines.append(())
+                continue
+            if zeros[t][l] == 0:
+                classes.append("regular_tetrahedron" if regular[t][l] else "disphenoid")
+            else:
+                classes.append("planar_rectangle" if zeros[t][l] == 1 else "collinear")
+            lines = flips[t][l]
+            all_lines.append(tuple(dict.fromkeys(
+                tuple(lines[j]) for j in labels[t][l][:counts[t][l]])))
+        chirality = {
+            (k, l): signs[t][k - 1][l - 1]
+            if classes[k - 1] == classes[l - 1] == "regular_tetrahedron" else None
+            for k, l in pairs
+        }
+        reports.append(GeometryReport(
+            classes=tuple(classes),
+            lengths=tuple(lengths[t]),
+            r=float(means[t]) if spread[t] <= max(tol, 1e-9) else None,
+            lines=tuple(all_lines),
+            chirality=chirality,
+            nonzero_components=bool(nonzero[t]),
+        ))
+    return reports
+
+
+def _chirality_signs(tables: np.ndarray, regular: np.ndarray, tol: float) -> list:
+    """signs[t][k][l]: ``relational_chirality`` sign of qubits k+1, l+1 of table t.
+
+    Only pairs of regular qubits are read.  The label-I vertices are the
+    column-0 vectors, so the sign is that of prod(u_l / u_k) over the
+    normalized vectors.  A pair of regular qubits that fails one of
+    ``relational_chirality``'s checks is handed to that function, so it
+    raises (or answers) exactly as for a single table.
+    """
+    u = tables[:, :, 0]
+    norms = np.linalg.norm(u, axis=2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = u / norms[:, :, None]
+        ratio = u[:, None, :, :] / u[:, :, None, :]  # (B, k, l, 3): u_l / u_k
+        suspect = ((norms < max(tol, 1e-9))[:, :, None] | (norms < max(tol, 1e-9))[:, None, :]
+                   | (np.abs(4 * np.prod(u, axis=2)) < 1e-9)[:, :, None]
+                   | ~(np.max(np.abs(ratio * ratio - 1), axis=3) <= 1e-6))
+        signs = np.where(np.prod(ratio, axis=3) > 0, 1, -1).tolist()
+    for t, k, l in zip(*np.nonzero(suspect & regular[:, :, None] & regular[:, None, :])):
+        if k < l:
+            signs[t][k][l] = relational_chirality(tables[t], k + 1, l + 1, tol)[0]
+    return signs
 
 
 def _flip_labels(vectors: np.ndarray, tol: float) -> np.ndarray | None:

@@ -1,11 +1,11 @@
 """Exhaustive search over phase polynomials and classification of the hits.
 
 Enumerates canonical polynomials (degree >= 2), screens blocks of them in
-array passes, builds the survivors' orbit bases one by one, keeps those with
-regular tetrahedral marginals, fingerprints the hits, and groups them into
-equivalence classes with explicit local-Clifford witnesses.  The witness scan
-visits only the Clifford tuples whose cube rotations carry each qubit's Bloch
-vector onto the target column's.
+array passes, builds the survivors' orbit bases and geometry in further array
+passes, keeps those with regular tetrahedral marginals, fingerprints the hits
+together, and groups them into equivalence classes with explicit
+local-Clifford witnesses.  The witness scan visits only the Clifford tuples
+whose cube rotations carry each qubit's Bloch vector onto the target column's.
 """
 
 from __future__ import annotations
@@ -18,17 +18,18 @@ from itertools import combinations, islice, product
 
 import numpy as np
 
-from .basisgen import Basis, build_tetra_group, check_orthonormal, orbit_basis
-from .entanglement import InvariantFingerprint, invariant_fingerprint
+from .basisgen import Basis, TetraGroup, build_tetra_group, orbit_columns
+from .entanglement import InvariantFingerprint, invariant_fingerprint, invariant_fingerprints
 from .fiducial import MAX_PRECISION, PhasePolynomial, apply_cnot, build_fiducial
 from .geometry import (
     EPS_GEO,
     GeometryReport,
     basis_bloch_table,
-    bloch_vector,
-    classify_geometry,
+    bloch_vectors,
+    classify_geometries,
     conjugate_state,
     orbit_bloch_table,
+    orbit_bloch_tables,
 )
 from .hierarchy import diagonal_clifford_level
 from .qcore import (
@@ -101,7 +102,7 @@ class SearchHit:
     polynomial: PhasePolynomial
     geometry: GeometryReport
     level: int
-    basis: Basis = field(compare=False, repr=False)  # built once, by evaluate_polynomial_candidate
+    basis: Basis = field(compare=False, repr=False)  # built once, with the geometry
 
     @property
     def key(self) -> str:
@@ -119,14 +120,37 @@ def evaluate_polynomial_candidate(f: PhasePolynomial) -> SearchHit:
     The fingerprint is left to the first read of ``SearchHit.fingerprint``,
     so candidates that fail the filters never pay for it.
     """
-    psi = build_fiducial(f)
-    group = build_tetra_group(f.n)
-    basis = orbit_basis(psi, group, f)
-    report = check_orthonormal(basis)
-    if not report.ok:
-        raise _non_orthonormal(f, report.max_violation)
-    geometry = classify_geometry(orbit_bloch_table(basis))
-    return SearchHit(f, geometry, diagonal_clifford_level(f), basis)
+    states = build_fiducial(f)[None]
+    _require_orthonormal(states, build_tetra_group(f.n), lambda i: f)
+    return _evaluate_rows([f], states)[0]
+
+
+def _evaluate_rows(polys: list[PhasePolynomial], states: np.ndarray) -> list[SearchHit]:
+    """``evaluate_polynomial_candidate`` of each polynomial, given its fiducial row.
+
+    The rows' orbits must already have passed ``_require_orthonormal``.
+    Bases and geometry are computed in array passes over all rows; what a
+    row adds on its own is mostly the construction of its dataclasses.
+    """
+    if not polys:
+        return []
+    group = build_tetra_group(polys[0].n)
+    columns = orbit_columns(states, group)
+    geometries = classify_geometries(orbit_bloch_tables(states, group))
+    return [SearchHit(f, geometry, diagonal_clifford_level(f), Basis(f.n, cols, psi, group, f))
+            for f, geometry, cols, psi in zip(polys, geometries, columns, states)]
+
+
+def _filtered_hits(polys: list[PhasePolynomial], states: np.ndarray,
+                   cfg: SearchConfig) -> list[SearchHit]:
+    """The rows' hits that pass the filters, their fingerprints computed in one pass."""
+    hits = [hit for hit in _evaluate_rows(polys, states) if _passes_filters(hit, cfg)]
+    if hits:
+        fingerprints = invariant_fingerprints(np.array([hit.basis.fiducial for hit in hits]),
+                                              [hit.geometry for hit in hits])
+        for hit, fingerprint in zip(hits, fingerprints):
+            hit.__dict__["fingerprint"] = fingerprint  # where cached_property keeps it
+    return hits
 
 
 def _non_orthonormal(f: PhasePolynomial, violation: float) -> AssertionError:
@@ -168,20 +192,27 @@ def _screen_fiducials(coeffs: np.ndarray, n: int, m: int,
     return psi[:, perm]
 
 
-def _orbit_violations(psi: np.ndarray, n: int) -> np.ndarray:
+def _orbit_violations(psi: np.ndarray, group: TetraGroup) -> np.ndarray:
     """Per row, ``check_orthonormal``'s violation for the row's orbit basis.
 
     That is the largest of |norm - 1| and |<psi|U_g|psi>| over the labels
     g >= 1, taken one label at a time so no temporary outgrows the block.
     """
-    group = build_tetra_group(n)
-    x = np.arange(2**n)
+    x = np.arange(2**group.n)
     conj = psi.conj()
     violation = np.abs(np.linalg.norm(psi, axis=1) - 1)
     for a, b in zip(group.x_masks[1:], group.z_masks[1:]):
         overlap = np.einsum("bx,bx->b", conj, psi[:, x ^ a] * parity_sign(x & b))
         violation = np.maximum(violation, np.abs(overlap))
     return violation
+
+
+def _require_orthonormal(states: np.ndarray, group: TetraGroup, poly_of) -> None:
+    """Raise for the first row whose orbit is not orthonormal; poly_of(i) names row i."""
+    violation = _orbit_violations(states, group)
+    bad = np.flatnonzero(violation > EPS_NORM)
+    if bad.size:
+        raise _non_orthonormal(poly_of(bad[0]), violation[bad[0]])
 
 
 def _bloch_vectors(psi: np.ndarray, n: int) -> np.ndarray:
@@ -209,12 +240,15 @@ def screen_block(coeffs: np.ndarray, n: int, m: int, monos: list[tuple[int, ...]
     so only candidates that provably fail are dropped.  Lengths are never
     compared across qubits.
     """
+    return _screen(coeffs, n, m, monos, cfg)[0]
+
+
+def _screen(coeffs: np.ndarray, n: int, m: int, monos: list[tuple[int, ...]],
+            cfg: SearchConfig) -> tuple[np.ndarray, np.ndarray]:
+    """``screen_block``'s mask, and the block's fiducials as (B, 2^n) rows."""
     psi = _screen_fiducials(coeffs, n, m, monos)
-    violation = _orbit_violations(psi, n)
-    bad = np.flatnonzero(violation > EPS_NORM)
-    if bad.size:
-        f = polynomial_from_coeffs(n, m, monos, coeffs[bad[0]].tolist())
-        raise _non_orthonormal(f, violation[bad[0]])
+    _require_orthonormal(psi, build_tetra_group(n),
+                         lambda i: polynomial_from_coeffs(n, m, monos, coeffs[i].tolist()))
     mags = np.abs(_bloch_vectors(psi, n))
     keep = np.ones(len(mags), dtype=bool)
     if cfg.require_regular:
@@ -223,24 +257,23 @@ def screen_block(coeffs: np.ndarray, n: int, m: int, monos: list[tuple[int, ...]
         keep &= regular.all(axis=1)
     if cfg.require_nonzero:
         keep &= mags.min(axis=(1, 2)) > EPS_GEO - SCREEN_SLACK
-    return keep
+    return keep, psi
 
 
 def _evaluate_chunk(args) -> list[SearchHit]:
     """Hits among the candidates, in order, screened SCREEN_BATCH at a time.
 
-    Only the candidates ``screen_block`` keeps are built one by one through
-    ``evaluate_polynomial_candidate`` and the filters.
+    Only the candidates ``screen_block`` keeps have their orbit bases,
+    geometry and fingerprints built, all of a block's survivors together.
     """
     n, m, monos, coeff_chunk, cfg = args
     hits = []
     coeff_iter = iter(coeff_chunk)
     while block := list(islice(coeff_iter, SCREEN_BATCH)):
-        keep = screen_block(np.array(block, dtype=np.int64), n, m, monos, cfg)
-        for i in np.flatnonzero(keep):
-            hit = evaluate_polynomial_candidate(polynomial_from_coeffs(n, m, monos, block[i]))
-            if _passes_filters(hit, cfg):
-                hits.append(hit)
+        keep, states = _screen(np.array(block, dtype=np.int64), n, m, monos, cfg)
+        kept = np.flatnonzero(keep)
+        polys = [polynomial_from_coeffs(n, m, monos, block[i]) for i in kept]
+        hits += _filtered_hits(polys, states[kept], cfg)
     return hits
 
 
@@ -265,8 +298,10 @@ def _candidate_coeffs(cfg: SearchConfig, monos: list[tuple[int, ...]]):
 def search_regular(cfg: SearchConfig) -> list[SearchHit]:
     """Filtered hits over the polynomial space, in deterministic enumeration order."""
     if cfg.polynomials is not None:
-        hits = [evaluate_polynomial_candidate(f) for f in cfg.polynomials]
-        return [h for h in hits if _passes_filters(h, cfg)]
+        polys = list(cfg.polynomials)
+        states = np.array([build_fiducial(f) for f in polys]).reshape(len(polys), 2**cfg.n)
+        _require_orthonormal(states, build_tetra_group(cfg.n), polys.__getitem__)
+        return _filtered_hits(polys, states, cfg)
     monos = canonical_monomials(cfg.n)
     coeff_iter = _candidate_coeffs(cfg, monos)
     if cfg.jobs <= 1:
@@ -396,7 +431,7 @@ def lc_equivalence_witness(psi1: np.ndarray, basis2: Basis, allow_conjugation: b
 
     for conjugated in ((False, True) if allow_conjugation else (False,)):
         base = conjugate_state(psi1) if conjugated else psi1
-        vectors = np.array([bloch_vector(base, l) for l in range(1, n + 1)])
+        vectors = bloch_vectors(base[None])[0]
         rotated = np.einsum("kij,lj->lki", rotations, vectors)  # (n, 24, 3)
         allowed = np.linalg.norm(
             rotated[:, :, None, :] - targets[:, None, :, :], axis=-1) <= bound  # (n, 24, cols)
@@ -459,15 +494,19 @@ def conjugate_partner_key(hits: list[SearchHit], among: list[SearchHit]) -> list
     ``phase_canonical_key`` (the first of equal keys wins) and each hit's
     conjugated columns are looked up; the partner is the smallest index found.
     """
+    if not hits:
+        return []
+    size = hits[0].basis.size
+    # one key pass: the fiducials of among, then every hit's conjugated columns
+    rows = [other.basis.fiducial[None] for other in among]
+    rows += [hit.basis.columns.conj().T for hit in hits]
+    keys = phase_canonical_keys(np.concatenate(rows))
     index: dict[bytes, int] = {}
-    if among:
-        fiducials = np.array([other.basis.fiducial for other in among])
-        for i, key in enumerate(phase_canonical_keys(fiducials)):
-            index.setdefault(key, i)
+    for i, key in enumerate(keys[:len(among)]):
+        index.setdefault(key, i)
     partners = []
-    for hit in hits:
-        keys = phase_canonical_keys(hit.basis.columns.conj().T)
-        found = [index[k] for k in keys if k in index]
+    for start in range(len(among), len(keys), size):
+        found = [index[k] for k in keys[start:start + size] if k in index]
         partners.append(among[min(found)].key if found else None)
     return partners
 

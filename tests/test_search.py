@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from tetrabasis.basisgen import build_tetra_group, ejm_reference_basis, orbit_basis
+from tetrabasis.basisgen import build_tetra_group, ejm_reference_basis, orbit_basis, orbit_columns
 from tetrabasis.fiducial import parse_polynomial, build_fiducial
 from tetrabasis.geometry import bloch_vector, conjugate_state
 from tetrabasis.qcore import PAULI_MATS, CapacityError, apply_on_qubit, num_qubits
@@ -550,18 +550,18 @@ class TestClassGrouping:
         from tetrabasis.cli import hits_csv
         calls = []
 
-        def counting_orbit_basis(*args):
-            calls.append(args[2])
-            return orbit_basis(*args)
+        def counting_orbit_columns(states, group):
+            calls.extend(row.tobytes() for row in states)
+            return orbit_columns(states, group)
 
-        monkeypatch.setattr(search, "orbit_basis", counting_orbit_basis)
+        monkeypatch.setattr(search, "orbit_columns", counting_orbit_columns)
         for cfg in (SearchConfig(4, 2, sample=300, seed=1), SearchConfig(3, 2)):
             calls.clear()
             hits = search_regular(cfg)
             assert len(hits) >= 4
             hits_csv(hits)
             group_into_classes(hits)
-            assert sorted(f.to_text() for f in calls) == sorted(h.key for h in hits)
+            assert sorted(calls) == sorted(h.basis.fiducial.tobytes() for h in hits)
 
     def test_hit_basis_is_the_orbit_basis(self):
         hit = search_regular(SearchConfig(3, 2))[0]
