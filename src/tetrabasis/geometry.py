@@ -151,33 +151,35 @@ def classify_geometries(tables: np.ndarray, tol: float = EPS_GEO) -> list[Geomet
     """
     tables = np.asarray(tables, dtype=float)
     count, n = tables.shape[:2]
-    anchors = np.where(np.abs(tables[:, :, 0]) <= tol, 0.0, tables[:, :, 0])  # (B, n, 3)
-    lengths = np.linalg.norm(anchors, axis=2)
+    firsts = tables[:, :, 0]
+    anchors = np.where(np.abs(firsts) <= tol, 0.0, firsts)  # (B, n, 3)
+    lengths = _norms(anchors)
     zeros = np.count_nonzero(anchors == 0.0, axis=2)
     # distance of every column to each sign flip of its row's column 0
-    dist = np.linalg.norm(tables[:, :, :, None, :]
-                          - tables[:, :, :1, None, :] * _PAULI_FLIPS, axis=4)
-    on_orbit = np.max(np.min(dist, axis=3), axis=2) <= tol
+    dist = _norms(tables[:, :, :, None, :] - firsts[:, :, None, None, :] * _PAULI_FLIPS)
+    on_orbit = dist.min(axis=3).max(axis=2) <= tol
     # each qubit's flip labels in order of first appearance over the columns
-    seen = np.argmin(dist, axis=3)[..., None] == np.arange(len(_PAULI_FLIPS))  # (B, n, 2^n, 4)
+    seen = dist.argmin(axis=3)[..., None] == np.arange(len(_PAULI_FLIPS))  # (B, n, 2^n, 4)
     present = seen.any(axis=2)
-    first = np.where(present, np.argmax(seen, axis=2), seen.shape[2])
-    labels = np.argsort(first, axis=2, kind="stable")
-    counts = present.sum(axis=2)
-    regular = np.ptp(np.abs(anchors), axis=2) <= tol
+    labels = np.where(present, seen.argmax(axis=2), seen.shape[2]).argsort(axis=2, kind="stable")
+    magnitudes = np.abs(anchors)
+    regular = magnitudes.max(axis=2) - magnitudes.min(axis=2) <= tol
     with np.errstate(divide="ignore", invalid="ignore"):
-        flips = (anchors / lengths[:, :, None])[:, :, None, :] * _PAULI_FLIPS  # (B, n, 4, 3)
-    # sign of the first component above 1e-12 in modulus; + 0.0 turns -0.0 into 0.0
-    big = np.abs(flips) > 1e-12
-    lead = np.take_along_axis(flips, np.argmax(big, axis=3)[..., None], axis=3)[..., 0]
+        units = anchors / lengths[:, :, None]
+    flips = units[:, :, None, :] * _PAULI_FLIPS  # (B, n, 4, 3)
+    # each line keeps the sign of its first component above 1e-12 in modulus;
+    # + 0.0 turns the -0.0 of a flipped zero component into 0.0
+    big = np.abs(units[:, :, None, :]) > 1e-12
+    lead = np.where(big[..., 0], flips[..., 0], np.where(big[..., 1], flips[..., 1], flips[..., 2]))
     flips = np.where((big.any(axis=3) & (lead < 0))[..., None], -flips, flips) + 0.0
     spread = lengths.max(axis=1) - lengths.min(axis=1)
-    means = np.mean(lengths, axis=1)
-    nonzero = np.min(np.abs(tables), axis=(1, 2, 3)) > tol
-    signs = _chirality_signs(tables, regular & (zeros == 0) & on_orbit, tol)
+    means = np.add.reduce(lengths, axis=1) / n  # np.mean, bit for bit
+    nonzero = np.abs(tables).min(axis=(1, 2, 3)) > tol
+    tetra = on_orbit & (zeros == 0) & regular
+    signs = _chirality_signs(tables, units, lengths, tetra, tol)
 
     pairs = list(combinations(range(1, n + 1), 2))
-    flips, labels, counts = flips.tolist(), labels.tolist(), counts.tolist()
+    flips, labels, counts = flips.tolist(), labels.tolist(), present.sum(axis=2).tolist()
     lengths, on_orbit, zeros, regular = (
         lengths.tolist(), on_orbit.tolist(), zeros.tolist(), regular.tolist())
     reports = []
@@ -212,25 +214,30 @@ def classify_geometries(tables: np.ndarray, tol: float = EPS_GEO) -> list[Geomet
     return reports
 
 
-def _chirality_signs(tables: np.ndarray, regular: np.ndarray, tol: float) -> list:
+def _norms(x: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(x, axis=-1)`` of a real array, bit for bit, without its wrapper."""
+    return np.sqrt(np.add.reduce(x * x, axis=-1))
+
+
+def _chirality_signs(tables: np.ndarray, units: np.ndarray, lengths: np.ndarray,
+                     tetra: np.ndarray, tol: float) -> list:
     """signs[t][k][l]: ``relational_chirality`` sign of qubits k+1, l+1 of table t.
 
-    Only pairs of regular qubits are read.  The label-I vertices are the
-    column-0 vectors, so the sign is that of prod(u_l / u_k) over the
-    normalized vectors.  A pair of regular qubits that fails one of
-    ``relational_chirality``'s checks is handed to that function, so it
-    raises (or answers) exactly as for a single table.
+    Only pairs of regular-tetrahedron qubits (``tetra``) are read.  Their
+    column-0 vectors have no component zeroed, so ``units`` and ``lengths``
+    are their normalized label-I vertices and lengths, and the sign is that
+    of prod(u_l / u_k).  A pair that fails one of ``relational_chirality``'s
+    checks is handed to that function, so it raises (or answers) exactly as
+    for a single table.
     """
-    u = tables[:, :, 0]
-    norms = np.linalg.norm(u, axis=2)
+    vanishing = lengths < max(tol, 1e-9)
     with np.errstate(divide="ignore", invalid="ignore"):
-        u = u / norms[:, :, None]
-        ratio = u[:, None, :, :] / u[:, :, None, :]  # (B, k, l, 3): u_l / u_k
-        suspect = ((norms < max(tol, 1e-9))[:, :, None] | (norms < max(tol, 1e-9))[:, None, :]
-                   | (np.abs(4 * np.prod(u, axis=2)) < 1e-9)[:, :, None]
-                   | ~(np.max(np.abs(ratio * ratio - 1), axis=3) <= 1e-6))
+        ratio = units[:, None, :, :] / units[:, :, None, :]  # (B, k, l, 3): u_l / u_k
+        suspect = (vanishing[:, :, None] | vanishing[:, None, :]
+                   | (np.abs(4 * np.prod(units, axis=2)) < 1e-9)[:, :, None]
+                   | ~(np.abs(ratio * ratio - 1).max(axis=3) <= 1e-6))
         signs = np.where(np.prod(ratio, axis=3) > 0, 1, -1).tolist()
-    for t, k, l in zip(*np.nonzero(suspect & regular[:, :, None] & regular[:, None, :])):
+    for t, k, l in zip(*np.nonzero(suspect & tetra[:, :, None] & tetra[:, None, :])):
         if k < l:
             signs[t][k][l] = relational_chirality(tables[t], k + 1, l + 1, tol)[0]
     return signs
