@@ -43,16 +43,14 @@ def pairwise_concurrence(psi: np.ndarray, pair: tuple[int, int]) -> float:
     k, l = pair
     if k == l or not (1 <= k <= n and 1 <= l <= n):
         raise ValueError(f"pair must be two distinct qubits in 1..{n}, got {pair}")
-    return float(pairwise_concurrences(psi[None], pair)[0])
-
-
-def pairwise_concurrences(states: np.ndarray, pair: tuple[int, int]) -> np.ndarray:
-    """``pairwise_concurrence`` of each row of (B, 2^n) states; rows do not interact."""
-    return _concurrences(states, (tuple(pair),))[:, 0]
+    return float(_concurrences(psi[None], ((k, l),))[0, 0])
 
 
 def _concurrences(states: np.ndarray, pairs: tuple[tuple[int, int], ...]) -> np.ndarray:
-    """(B, len(pairs)) concurrences: per row and pair, the formula of ``pairwise_concurrence``."""
+    """(B, len(pairs)) concurrences of (B, 2^n) states by ``pairwise_concurrence``'s formula.
+
+    Rows do not interact: each (row, pair) matrix goes through its own SVD.
+    """
     if not pairs:
         return np.zeros((len(states), 0))
     a = states[:, _pair_split(num_qubits(states.shape[1]), pairs)]  # (B, P, 4, 2^(n-2))
@@ -75,10 +73,10 @@ def permutation_operator_apply(psi: np.ndarray, perm: tuple[int, ...]) -> np.nda
 
 def permutation_stabilizer_order(psi: np.ndarray, tol: float = 1e-9) -> int:
     """Number of qubit-wire permutations fixing the state up to global phase."""
-    return int(permutation_stabilizer_orders(np.asarray(psi, dtype=complex)[None], tol)[0])
+    return int(_stabilizer_orders(np.asarray(psi, dtype=complex)[None], tol)[0])
 
 
-def permutation_stabilizer_orders(states: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def _stabilizer_orders(states: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     """``permutation_stabilizer_order`` of each row of (B, 2^n) states."""
     moved = states[:, _wire_permutations(num_qubits(states.shape[1]))]  # (B, n!, 2^n)
     overlaps = np.einsum("bx,bpx->bp", states.conj(), moved)
@@ -146,7 +144,7 @@ def invariant_fingerprints(states: np.ndarray,
     n = num_qubits(states.shape[1])
     tangles = [round(three_tangle(psi), 10) for psi in states] if n == 3 else [None] * len(states)
     concurrences = _concurrences(states, tuple(combinations(range(1, n + 1), 2))).tolist()
-    orders = permutation_stabilizer_orders(states).tolist()
+    orders = _stabilizer_orders(states).tolist()
     return [
         InvariantFingerprint(
             n=n,

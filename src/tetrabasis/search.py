@@ -46,6 +46,7 @@ from .qcore import (
 FULL_ENUMERATION_LIMIT = 2**23
 SCREEN_BATCH = 4096  # candidates per array pass of the pre-screen
 SCREEN_SLACK = 1e-9  # margin around EPS_GEO for the float error of the screen's Bloch vectors
+PARTNER_BATCH = 256  # hits per phase_canonical_keys call when pairing; bounds its temporaries
 
 
 def canonical_monomials(n: int, min_degree: int = 2) -> list[tuple[int, ...]]:
@@ -494,20 +495,19 @@ def conjugate_partner_key(hits: list[SearchHit], among: list[SearchHit]) -> list
     ``phase_canonical_key`` (the first of equal keys wins) and each hit's
     conjugated columns are looked up; the partner is the smallest index found.
     """
-    if not hits:
-        return []
-    size = hits[0].basis.size
-    # one key pass: the fiducials of among, then every hit's conjugated columns
-    rows = [other.basis.fiducial[None] for other in among]
-    rows += [hit.basis.columns.conj().T for hit in hits]
-    keys = phase_canonical_keys(np.concatenate(rows))
     index: dict[bytes, int] = {}
-    for i, key in enumerate(keys[:len(among)]):
-        index.setdefault(key, i)
+    if among:
+        fiducials = np.array([other.basis.fiducial for other in among])
+        for i, key in enumerate(phase_canonical_keys(fiducials)):
+            index.setdefault(key, i)
     partners = []
-    for start in range(len(among), len(keys), size):
-        found = [index[k] for k in keys[start:start + size] if k in index]
-        partners.append(among[min(found)].key if found else None)
+    for start in range(0, len(hits), PARTNER_BATCH):
+        batch = hits[start:start + PARTNER_BATCH]
+        keys = phase_canonical_keys(np.concatenate([hit.basis.columns.conj().T for hit in batch]))
+        for j, hit in enumerate(batch):
+            size = hit.basis.size
+            found = [index[k] for k in keys[j * size:(j + 1) * size] if k in index]
+            partners.append(among[min(found)].key if found else None)
     return partners
 
 

@@ -5,14 +5,17 @@ import pytest
 
 from tetrabasis.basisgen import build_tetra_group, ejm_reference_basis, orbit_basis
 from tetrabasis.entanglement import (
+    _YY,
+    InvariantFingerprint,
     invariant_fingerprint,
+    invariant_fingerprints,
     pairwise_concurrence,
     permutation_operator_apply,
     permutation_stabilizer_order,
     three_tangle,
 )
 from tetrabasis.fiducial import parse_polynomial, build_fiducial
-from tetrabasis.geometry import apply_local_unitaries
+from tetrabasis.geometry import apply_local_unitaries, classify_geometry, orbit_bloch_table
 from tetrabasis.qcore import PAULI_MATS, partial_trace
 
 
@@ -216,6 +219,41 @@ class TestInvariantFingerprint:
             assert 0 <= fp.tangle <= 1
             for c2 in fp.concurrence_sq:
                 assert 0 <= c2 <= 1
+
+
+def reference_fingerprint(psi, geometry):
+    """Reference: the one-state fingerprint (one SVD per pair, one vdot per permutation)."""
+    n = int(np.log2(len(psi)))
+    conc = []
+    for k, l in combinations(range(1, n + 1), 2):
+        a = np.moveaxis(psi.reshape([2] * n), (k - 1, l - 1), (0, 1)).reshape(4, -1)
+        s = np.linalg.svd(a.T @ _YY @ a, compute_uv=False)
+        conc.append(round(float(max(0.0, s[0] - s[1:].sum())) ** 2, 10))
+    stab = sum(abs(np.vdot(psi, permutation_operator_apply(psi, perm))) >= 1 - 1e-9
+               for perm in permutations(range(n)))
+    return InvariantFingerprint(
+        n=n, tangle=round(three_tangle(psi), 10) if n == 3 else None,
+        concurrence_sq=tuple(sorted(conc)),
+        r=round(geometry.r, 10) if geometry.r is not None else None,
+        chirality_signature=geometry.chirality_signature(), stabilizer_order=stab)
+
+
+class TestStackedFingerprints:
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_stack_matches_reference_per_state(self, n):
+        rng = np.random.default_rng(n)
+        group = build_tetra_group(n)
+        polys = list(enumerate_polynomials(3, 2)) if n == 3 else [
+            parse_polynomial(t, 4, 2) for t in (
+                "z1 z3 + z1 z3 z4 + 3 z2 z3 z4 + 3 z2 z4 + z3 z4", "z1 z2 + z3 z4",
+                "2 z1 z2 z3 z4", "z1 z2 z3 + 3 z2 z4 + z1 z4")]
+        states = [build_fiducial(f) for f in polys]
+        states += [psi / np.linalg.norm(psi) for psi in
+                   rng.standard_normal((5, 2**n)) + 1j * rng.standard_normal((5, 2**n))]
+        geometries = [classify_geometry(orbit_bloch_table(orbit_basis(psi, group)))
+                      for psi in states]
+        assert invariant_fingerprints(np.array(states), geometries) == [
+            reference_fingerprint(psi, g) for psi, g in zip(states, geometries)]
 
 
 class TestLocalUnitaryInvariance:

@@ -5,6 +5,7 @@ import pytest
 
 from tetrabasis.basisgen import (
     TETRAHEDRON_VERTICES,
+    Basis,
     bloch_state,
     build_tetra_group,
     ejm_reference_basis,
@@ -15,16 +16,20 @@ from tetrabasis.geometry import (
     ChiralityInconsistencyError,
     DegenerateGeometryError,
     GEOMETRY_CLASSES,
+    GeometryReport,
+    _flip_labels,
     apply_local_unitaries,
     basis_bloch_table,
     bloch_vector,
+    bloch_vectors,
+    classify_geometries,
     classify_geometry,
     conjugate_state,
     orbit_bloch_table,
     relational_chirality,
     tetra_product_decomposition,
 )
-from tetrabasis.qcore import partial_trace
+from tetrabasis.qcore import PAULI_MATS, partial_trace
 from tetrabasis.reproduce import APPD_EXAMPLE1, APPD_EXAMPLE2
 from tetrabasis.search import canonical_monomials, enumerate_polynomials, polynomial_from_coeffs
 
@@ -154,6 +159,85 @@ class TestClassifyGeometry:
         assert lengths == [round(np.sqrt(3) / 8, 10), round(3 * np.sqrt(3) / 8, 10)]
         assert report.to_json_dict()["r"] is None
         assert all(sign is not None for sign in report.chirality.values())
+
+
+def reference_classify(table, tol=1e-8):
+    """Reference: the one-table classification loop the stacked kernel replaced."""
+    def canonical_sign(v):
+        for comp in v:
+            if abs(comp) > 1e-12:
+                return v if comp > 0 else -v
+        return v
+
+    flips_i = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]], dtype=float)
+    n = table.shape[0]
+    anchors = np.where(np.abs(table[:, 0]) <= tol, 0.0, table[:, 0])
+    lengths = np.linalg.norm(anchors, axis=1)
+    classes, all_lines = [], []
+    for l in range(n):
+        v = anchors[l]
+        labels = _flip_labels(table[l], tol)
+        zeros = int(np.count_nonzero(v == 0.0))
+        if labels is None or zeros == 3:
+            classes.append("degenerate")
+            all_lines.append(())
+            continue
+        if zeros == 0:
+            classes.append("regular_tetrahedron" if np.ptp(np.abs(v)) <= tol else "disphenoid")
+        else:
+            classes.append("planar_rectangle" if zeros == 1 else "collinear")
+        flips = [tuple((canonical_sign(v / lengths[l] * f) + 0.0).tolist()) for f in flips_i]
+        all_lines.append(tuple(dict.fromkeys(flips[g] for g in labels.tolist())))
+    lengths = lengths.tolist()
+    spread = max(lengths) - min(lengths)
+    chirality = {}
+    for k in range(1, n + 1):
+        for l in range(k + 1, n + 1):
+            both = classes[k - 1] == classes[l - 1] == "regular_tetrahedron"
+            chirality[(k, l)] = relational_chirality(table, k, l, tol)[0] if both else None
+    return GeometryReport(
+        classes=tuple(classes), lengths=tuple(lengths),
+        r=float(np.mean(lengths)) if spread <= max(tol, 1e-9) else None,
+        lines=tuple(all_lines), chirality=chirality,
+        nonzero_components=bool(np.min(np.abs(table)) > tol))
+
+
+def mixed_n3_tables():
+    """n=3 tables of every class: all 256 orbits at m=2, random bases, synthetic rows."""
+    group = build_tetra_group(3)
+    tables = [orbit_bloch_table(orbit_basis(build_fiducial(f), group, f))
+              for f in enumerate_polynomials(3, 2)]
+    rng = np.random.default_rng(11)
+    for _ in range(6):
+        q, _ = np.linalg.qr(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
+        tables.append(basis_bloch_table(Basis(3, q, q[:, 0].copy())))
+    signs = (np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]] * 2, dtype=float))
+    rows = [np.array(v) * signs for v in
+            ([0.6, 0.3, 0.0], [0.5, 0.3, 0.1], [0.0, 0.0, 0.4], [0.2, -0.2, 0.2], [0, 0, 0])]
+    tables += [np.stack([rows[i], rows[j], rows[k]]) for i, j, k in
+               [(0, 1, 2), (3, 3, 3), (3, 1, 4), (2, 0, 3)]]
+    return np.stack(tables)
+
+
+class TestStackedKernels:
+    def test_stack_matches_reference_per_table(self):
+        tables = mixed_n3_tables()
+        reports = classify_geometries(tables)
+        assert reports == [reference_classify(t) for t in tables]
+        assert {c for r in reports for c in r.classes} == {
+            "regular_tetrahedron", "disphenoid", "planar_rectangle", "collinear", "degenerate"}
+        assert reports == [classify_geometry(t) for t in tables]
+
+    def test_bloch_vectors_are_the_partial_trace_formula(self):
+        rng = np.random.default_rng(5)
+        states = rng.standard_normal((9, 16)) + 1j * rng.standard_normal((9, 16))
+        states /= np.linalg.norm(states, axis=1)[:, None]
+        vectors = bloch_vectors(states)
+        for psi, rows in zip(states, vectors):
+            for q in range(1, 5):
+                rho = partial_trace(psi, {q})
+                expected = [np.trace(rho @ PAULI_MATS[p]).real for p in ("X", "Y", "Z")]
+                assert rows[q - 1].tolist() == expected
 
 
 class TestRelationalChirality:
