@@ -140,6 +140,7 @@ class TestBatchedScreen:
     def assert_matches_scalar(self, cfg):
         screened = search_regular(cfg)
         reference = scalar_search(cfg)
+        assert screened == reference  # polynomial, geometry report and level
         assert [h.key for h in screened] == [h.key for h in reference]
         assert [h.level for h in screened] == [h.level for h in reference]
         if cfg.require_regular:
