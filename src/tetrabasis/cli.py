@@ -12,6 +12,7 @@ import io
 import json
 import math
 import sys
+from functools import lru_cache
 
 import numpy as np
 
@@ -19,7 +20,7 @@ from .basisgen import build_tetra_group, check_orthonormal, orbit_basis
 from .entanglement import invariant_fingerprint
 from .fiducial import PolynomialParseError, build_fiducial, parse_polynomial
 from .geometry import classify_geometry, orbit_bloch_table
-from .hierarchy import DEFAULT_CAP, clifford_level_test, diagonal_clifford_level
+from .hierarchy import DEFAULT_CAP, check_cap, clifford_level_test, diagonal_clifford_level
 from .qcore import CapacityError
 from .reproduce import SUITE_NAMES, reproduce_suite
 from .search import (
@@ -132,7 +133,9 @@ def _load_config(path: str) -> dict[str | None, dict[str, str]]:
     return sections
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser every call shares; parsing and the config step only read it."""
     # no abbreviations: the config check below matches flags by their full spelling
     parser = argparse.ArgumentParser(
         prog="tetrabasis",
@@ -307,6 +310,7 @@ def cmd_invariants(args) -> int:
 
 def cmd_level(args) -> int:
     f = _poly(args)
+    check_cap(args.cap)
     payload = {"polynomial": f.to_text(), "formula_level": diagonal_clifford_level(f)}
     if args.matrix:
         from .basisgen import measurement_unitary

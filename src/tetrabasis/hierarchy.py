@@ -9,21 +9,31 @@ k >= 4 soundly needs the full Pauli set at the outer layer, which is what
 mode='full' adds.  The recursion bottoms out in a direct O(4^n) test of
 whether a matrix is a phased Pauli string, read off its permutation support
 and signs, with no Pauli expansion.
+
+Each expanded node handles its children as array blocks of up to
+CHILD_BLOCK Paulis.  U P is a column gather times a sign vector, so a
+block's children U P U^dag come from one stacked matmul; one stacked Pauli
+test picks out the children at level 1, and one key pass gives the rest
+their memo keys.  Those are then recursed into depth-first in Pauli order,
+so a child that passes the budget still stops its node; only the rest of
+its block was computed in vain.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
 
 from .basisgen import build_tetra_group, check_orthonormal, measurement_unitary, orbit_basis
 from .fiducial import PhasePolynomial, build_fiducial
-from .qcore import is_unitary, num_qubits, parity_sign, pauli_matrix, phase_canonical_key
+from .qcore import is_unitary, num_qubits, parity_sign, phase_canonical_key, phase_canonical_keys
 
 DEFAULT_CAP = 6
 MODES = ("generator", "full")
+CHILD_BLOCK = 16  # children conjugated, Pauli-tested and keyed per array pass
 
 
 def two_adic_valuation(c: int, m: int) -> int:
@@ -43,26 +53,51 @@ def diagonal_clifford_level(f: PhasePolynomial) -> int:
     return level
 
 
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays, locked against writes; cached tables are shared by every caller."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@lru_cache(maxsize=None)
+def _pauli_indices(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Basis indices x, the powers 2^j < d, and the signs (-1)^popcount(b & x), row b."""
+    x = np.arange(d)
+    return _read_only(x, 1 << np.arange(num_qubits(d)), parity_sign(x[:, None] & x))
+
+
+def pauli_like(stack: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+    """Per matrix of a (k, d, d) stack, whether it is a unit phase times a Pauli string.
+
+    X^a Z^b |x> = (-1)^(b.x) |x xor a>, so a matrix u must be supported on
+    the permutation x -> x xor a, with a read off column 0, a unit-modulus
+    entry u[a, 0], and ratios u[x xor a, x] / u[a, 0] = (-1)^(b.x), with b
+    read off at x = 2^j.  Every entry must match within tol; the check is
+    O(4^n) per matrix.
+    """
+    stack = np.asarray(stack, dtype=complex)
+    x, powers, characters = _pauli_indices(stack.shape[1])
+    rows = np.arange(len(stack))[:, None]
+    support = np.argmax(np.abs(stack[:, :, 0]), axis=1)[:, None] ^ x
+    on = stack[rows, support, x]  # u[x xor a, x]; column 0 holds the pivot u[a, 0]
+    unit = np.abs(np.abs(on[:, 0]) - 1.0) <= tol
+    if not unit.any():
+        return unit
+    # a non-unit pivot already fails; dividing by 1 instead keeps a zero pivot finite
+    pivot = np.where(unit, on[:, 0], 1.0)[:, None]
+    b = ((on[:, powers] / pivot).real < 0) @ powers
+    residual = np.abs(stack)
+    residual[rows, support, x] = np.abs(on - pivot * characters[b])
+    return unit & (residual.max(axis=(1, 2)) <= tol)
+
+
 def is_pauli_like(u: np.ndarray, tol: float = 1e-9) -> bool:
     """True when u is a unit phase times a Pauli string X^a Z^b, entrywise within tol.
 
-    X^a Z^b |x> = (-1)^(b.x) |x xor a>, so u must be supported on the
-    permutation x -> x xor a, with a read off column 0, a unit-modulus entry
-    u[a, 0], and ratios u[x xor a, x] / u[a, 0] = (-1)^(b.x), with b read
-    off at x = 2^k.  The check is O(4^n).
+    The one-matrix case of ``pauli_like``.
     """
-    u = np.asarray(u, dtype=complex)
-    n = num_qubits(u.shape[0])
-    a = int(np.argmax(np.abs(u[:, 0])))
-    pivot = u[a, 0]
-    if abs(abs(pivot) - 1.0) > tol:
-        return False
-    x = np.arange(u.shape[0])
-    powers = 1 << np.arange(n)
-    b = int(powers[(u[a ^ powers, powers] / pivot).real < 0].sum())
-    residual = u.copy()
-    residual[x ^ a, x] -= pivot * parity_sign(x & b)
-    return bool(np.max(np.abs(residual)) <= tol)
+    return bool(pauli_like(np.asarray(u, dtype=complex)[None], tol)[0])
 
 
 @dataclass(frozen=True)
@@ -103,46 +138,87 @@ def _string_masks(n: int) -> list[tuple[int, int]]:
     return masks[1:]
 
 
-class _LevelEngine:
-    """Recursive level computation with memoization on phase-canonical matrices."""
+@lru_cache(maxsize=None)
+def _child_blocks(n: int, full: bool) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Column gathers and signs that turn U into U P, CHILD_BLOCK Paulis at a time.
 
-    def __init__(self, n: int, mode: str, cap: int, tol: float, full_layers: int):
-        self.mode = mode
-        self.cap = cap
+    For P = Z^b X^a, (U P)[:, x] = s_P(x) U[:, x xor a] with
+    s_P(x) = (-1)^popcount(b & (x xor a)).  The Paulis are those of one
+    layer: every non-identity string when full, else the generators.
+    """
+    masks = np.array(_string_masks(n) if full else _generator_masks(n))
+    x = np.arange(2**n)
+    cols = masks[:, :1] ^ x
+    signs = parity_sign(masks[:, 1:] & cols).astype(float)
+    _read_only(cols, signs)
+    return tuple((cols[i:i + CHILD_BLOCK], signs[i:i + CHILD_BLOCK])
+                 for i in range(0, len(masks), CHILD_BLOCK))
+
+
+class _LevelEngine:
+    """Recursive level computation with memoization on phase-canonical matrices.
+
+    A node's children U P U^dag are built, Pauli-tested and keyed one block
+    at a time; the non-Pauli ones are then recursed into in Pauli order, so
+    the first child that passes the budget still ends the node.
+    """
+
+    def __init__(self, n: int, tol: float, full_layers: int):
+        self.n = n
         self.tol = tol
-        self.full_layers = full_layers if mode == "full" else 0
-        self.gen_mats = [pauli_matrix(n, a, b) for a, b in _generator_masks(n)]
-        self.full_mats = [pauli_matrix(n, a, b) for a, b in _string_masks(n)]
+        # flat index of row r of U: U.take(rows + cols) gathers columns cols
+        self.rows = (np.arange(2**n) << n)[:, None]
+        self.full_layers = full_layers
         # memo: (layer class, matrix key) -> exact level, or -budget meaning
         # "exceeds this budget".  The layer class is min(depth, full_layers):
         # nodes at or below the last full layer all recurse with generators,
         # while each full layer has its own subtree shape
         self.memo: dict[tuple[int, bytes], int] = {}
 
-    def level(self, u: np.ndarray, budget: int, depth: int) -> int | None:
+    def level(self, u: np.ndarray, budget: int) -> int | None:
+        """Level of the root u, or None when it exceeds budget."""
         if is_pauli_like(u, self.tol):
             return 1
         if budget <= 1:
             return None
-        layer = min(depth, self.full_layers)
-        key = (layer, phase_canonical_key(u))
+        return self._expand(u, budget, 0, (0, phase_canonical_key(u)))
+
+    def _expand(self, u: np.ndarray, budget: int, depth: int,
+                key: tuple[int, bytes]) -> int | None:
+        """Level of a non-Pauli u with budget >= 2, memoized under key."""
         cached = self.memo.get(key)
         if cached is not None:
             if cached > 0:
                 return cached if cached <= budget else None
             if -cached >= budget:
                 return None
-        paulis = self.full_mats if depth < self.full_layers else self.gen_mats
-        worst = 1
+        layer = min(depth + 1, self.full_layers)
         udag = u.conj().T
-        for p in paulis:
-            sub = self.level(u @ p @ udag, budget - 1, depth + 1)
-            if sub is None:
+        worst = 1
+        for cols, signs in _child_blocks(self.n, depth < self.full_layers):
+            children = (u.take(self.rows + cols[:, None, :]) * signs[:, None, :]) @ udag
+            inner = np.flatnonzero(~pauli_like(children, self.tol))
+            if not inner.size:
+                continue
+            if budget <= 2:
+                # a non-Pauli child would need level 1 to fit the budget
                 self.memo[key] = min(self.memo.get(key, 0), -budget)
                 return None
-            worst = max(worst, sub)
+            keys = phase_canonical_keys(children[inner].reshape(inner.size, -1))
+            for i, child_key in zip(inner, keys):
+                sub = self._expand(children[i], budget - 1, depth + 1, (layer, child_key))
+                if sub is None:
+                    self.memo[key] = min(self.memo.get(key, 0), -budget)
+                    return None
+                worst = max(worst, sub)
         self.memo[key] = 1 + worst
         return 1 + worst
+
+
+def check_cap(cap: int) -> None:
+    """Reject a level cap outside 1..DEFAULT_CAP."""
+    if not 1 <= cap <= DEFAULT_CAP:
+        raise ValueError(f"cap must lie in 1..{DEFAULT_CAP}, got {cap}")
 
 
 def clifford_level_test(u: np.ndarray, cap: int = DEFAULT_CAP, mode: str = "generator",
@@ -159,10 +235,9 @@ def clifford_level_test(u: np.ndarray, cap: int = DEFAULT_CAP, mode: str = "gene
         raise ValueError("input is not unitary")
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
-    if not 1 <= cap <= DEFAULT_CAP:
-        raise ValueError(f"cap must lie in 1..{DEFAULT_CAP}, got {cap}")
-    engine = _LevelEngine(n, mode, cap, tol, full_layers)
-    return LevelResult(engine.level(u, cap, 0), cap, mode)
+    check_cap(cap)
+    engine = _LevelEngine(n, tol, full_layers if mode == "full" else 0)
+    return LevelResult(engine.level(u, cap), cap, mode)
 
 
 @dataclass(frozen=True)

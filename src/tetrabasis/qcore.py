@@ -18,6 +18,7 @@ MAX_QUBITS = 6
 
 EPS_NORM = 1e-10
 EPS_UNITARY = 1e-10
+PIVOT_TIE = 1e-9  # moduli this close count as tied when picking a key's pivot
 
 PAULI_MATS = {
     "I": np.array([[1, 0], [0, 1]], dtype=complex),
@@ -123,11 +124,15 @@ def _round8(a: np.ndarray) -> np.ndarray:
 def phase_canonical_keys(rows: np.ndarray) -> list[bytes]:
     """Per row of a 2-D complex array, a key invariant under that row's global phase.
 
-    Each row is divided by the phase of its pivot, the first entry of largest
-    modulus after rounding to 8 decimals, and rounded to 8 decimals.
+    Each row is divided by the phase of its pivot and rounded to 8 decimals.
+    The pivot is the first entry whose modulus is within PIVOT_TIE of the
+    row's largest.  The moduli are compared before any rounding, so among
+    entries of equal modulus the pivot does not depend on the row's phase.
     """
     rows = np.ascontiguousarray(rows, dtype=complex)
-    pivots = rows[np.arange(len(rows)), np.argmax(np.abs(_round8(rows)), axis=1)]
+    mags = np.abs(rows)
+    tied = mags >= mags.max(axis=1, keepdims=True) - PIVOT_TIE
+    pivots = rows[np.arange(len(rows)), np.argmax(tied, axis=1)]
     # + 0.0 turns a rounded -0.0 into 0.0
     keys = _round8(rows * (np.abs(pivots) / pivots)[:, None]) + 0.0
     return [row.tobytes() for row in keys]

@@ -9,7 +9,6 @@ stabilizer is trivial.  The test derives order 1 from those invariants;
 `reproduce appD` still reports the published value as its one failing check.
 """
 
-import os
 from itertools import combinations, permutations, product
 
 import numpy as np
@@ -294,11 +293,8 @@ def test_criterion_10_conjecture_partial_check():
                  "(consistent, not verified)")
 
 
-@pytest.mark.longrun
-@pytest.mark.skipif(not os.environ.get("TETRABASIS_LONGRUN"),
-                    reason="opt-in long-running check (set TETRABASIS_LONGRUN=1)")
 def test_criterion_5_appD_recursive_level5_confirmation():
-    """Opt-in: recursive matrix-level confirmation of level 5 at n=4.
+    """Recursive matrix-level confirmation of level 5 at n=4.
 
     Runs full mode (all Pauli strings at the outermost layer, generators
     below); results carry the mode so the soundness boundary is explicit.
@@ -312,11 +308,11 @@ def test_criterion_5_appD_recursive_level5_confirmation():
         result = clifford_level_test(m, cap=6, mode="full")
         assert result.level == 5
         assert result.level <= diagonal_clifford_level(f)
-        print(f"longrun: recursive level of M for {name} = {result.level} (mode full)")
+        print(f"appD: recursive level of M for {name} = {result.level} (mode full)")
     # sound level-5 decision: full Pauli sets at both the C5 and C4 layers
     f1 = parse_polynomial(APPD_EXAMPLE1, 4, 2)
     basis1 = orbit_basis(build_fiducial(f1), build_tetra_group(4), f1)
     deep = clifford_level_test(measurement_unitary(basis1), cap=6, mode="full",
                                full_layers=2)
     assert deep.level == 5
-    print("longrun: two-full-layer (sound) decision confirms level 5 for example 1")
+    print("appD: two-full-layer (sound) decision confirms level 5 for example 1")

@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from tetrabasis import cli
 from tetrabasis.cli import CSV_COLUMNS, fmt_number, main
 from tetrabasis.reproduce import SUITE_NAMES
 
@@ -143,6 +144,14 @@ class TestLevel:
                             "--matrix", "--cap", cap)
         assert code == 2
         assert out == ""
+
+    @pytest.mark.parametrize("cap", ["0", "7", "99"])
+    def test_cap_out_of_range_rejected_without_matrix(self, capsys, cap):
+        code = main(["level", "--n", "2", "--m", "2", "--poly", "z1 z2", "--cap", cap])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "cap must lie in 1..6" in captured.err
 
 
 class TestSearch:
@@ -415,6 +424,48 @@ class TestConfigFile:
             main(["--config", str(config), "build", "--poly", "z1 z2"])
         assert err.value.code == 2
         assert "[levle]" in capsys.readouterr().err
+
+
+class TestSharedParser:
+    """main() builds its parser once; later calls must behave as with a fresh one."""
+
+    def outcomes(self, capsys, calls, fresh):
+        results = []
+        for argv in calls:
+            if fresh:
+                cli.build_parser.cache_clear()
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            results.append((code, captured.out, captured.err))
+        return results
+
+    def test_calls_match_fresh_parsers(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("n = 2\npoly = z1 z2\n[level]\nmatrix = true\nmode = full\n")
+        level = ("level", "--n", "2", "--m", "2", "--poly", "z1 z2")
+        calls = [
+            level,
+            ("--config", str(config), "level"),
+            ("build", "--n", "2", "--poly", "3 z1 z2", "--format", "text"),
+            level + ("--bogus",),  # usage error, exit 2
+            level + ("--format", "text"),
+            ("--config", str(config), "build"),
+            ("search", "--n", "3", "--format", "text", "--filter", "nonzero"),
+            ("search", "--n", "3", "--format", "text"),
+            level,
+        ]
+        cli.build_parser.cache_clear()
+        shared = self.outcomes(capsys, calls, fresh=False)
+        assert cli.build_parser.cache_info().misses == 1
+        fresh = self.outcomes(capsys, calls, fresh=True)
+        assert shared == fresh
+        assert [code for code, _, _ in shared] == [0, 0, 0, 2, 0, 0, 0, 0, 0]
+        # the config file's switch and mode applied to its call alone
+        assert "matrix" in json.loads(shared[1][1]) and "matrix" not in json.loads(shared[0][1])
+        assert shared[0] == shared[-1]
 
 
 class TestNumberFormatting:

@@ -1,21 +1,37 @@
+import warnings
 from functools import lru_cache, reduce
 from itertools import product
 
 import numpy as np
 import pytest
 
-from tetrabasis.basisgen import build_tetra_group, measurement_unitary, orbit_basis
+from tetrabasis.basisgen import (
+    build_tetra_group,
+    check_orthonormal,
+    measurement_unitary,
+    orbit_basis,
+)
 from tetrabasis.fiducial import PhasePolynomial, parse_polynomial, build_fiducial, diagonal_gate
 from tetrabasis.hierarchy import (
+    DEFAULT_CAP,
+    MODES,
     _generator_masks,
     _string_masks,
     clifford_level_test,
     diagonal_clifford_level,
     is_pauli_like,
+    pauli_like,
     two_adic_valuation,
     verify_level_bound,
 )
-from tetrabasis.qcore import PAULI_MATS, num_qubits, pauli_matrix
+from tetrabasis.qcore import (
+    PAULI_MATS,
+    num_qubits,
+    parity_sign,
+    pauli_matrix,
+    phase_canonical_key,
+)
+from tetrabasis.search import canonical_monomials, enumerate_polynomials, polynomial_from_coeffs
 
 X, Y, Z = PAULI_MATS["X"], PAULI_MATS["Y"], PAULI_MATS["Z"]
 H = (X + Z) / np.sqrt(2)
@@ -298,3 +314,170 @@ class TestLevelPaulis:
             for letters, mat in zip(strings, mats):
                 phase = 1j ** letters.count("Y")
                 np.testing.assert_array_equal(mat, phase * letter_matrix(letters))
+
+
+def scalar_is_pauli_like(u, tol=1e-9):
+    """Reference: the one-matrix Pauli test the recursion used to call on every child."""
+    n = num_qubits(u.shape[0])
+    a = int(np.argmax(np.abs(u[:, 0])))
+    pivot = u[a, 0]
+    if abs(abs(pivot) - 1.0) > tol:
+        return False
+    x = np.arange(u.shape[0])
+    powers = 1 << np.arange(n)
+    b = int(powers[(u[a ^ powers, powers] / pivot).real < 0].sum())
+    residual = u.copy()
+    residual[x ^ a, x] -= pivot * parity_sign(x & b)
+    return bool(np.max(np.abs(residual)) <= tol)
+
+
+class ScalarLevelEngine:
+    """Reference: the recursion with one dense conjugation, Pauli test and key per child."""
+
+    def __init__(self, n, mode, tol, full_layers):
+        self.tol = tol
+        self.full_layers = full_layers if mode == "full" else 0
+        self.gen_mats = [pauli_matrix(n, a, b) for a, b in _generator_masks(n)]
+        self.full_mats = [pauli_matrix(n, a, b) for a, b in _string_masks(n)]
+        self.memo = {}
+
+    def level(self, u, budget, depth):
+        if scalar_is_pauli_like(u, self.tol):
+            return 1
+        if budget <= 1:
+            return None
+        layer = min(depth, self.full_layers)
+        key = (layer, phase_canonical_key(u))
+        cached = self.memo.get(key)
+        if cached is not None:
+            if cached > 0:
+                return cached if cached <= budget else None
+            if -cached >= budget:
+                return None
+        paulis = self.full_mats if depth < self.full_layers else self.gen_mats
+        worst = 1
+        udag = u.conj().T
+        for p in paulis:
+            sub = self.level(u @ p @ udag, budget - 1, depth + 1)
+            if sub is None:
+                self.memo[key] = min(self.memo.get(key, 0), -budget)
+                return None
+            worst = max(worst, sub)
+        self.memo[key] = 1 + worst
+        return 1 + worst
+
+
+def orbit_unitary(f):
+    """M_psi of f's orbit basis, or None when that basis is not orthonormal."""
+    basis = orbit_basis(build_fiducial(f), build_tetra_group(f.n), f)
+    return measurement_unitary(basis) if check_orthonormal(basis).ok else None
+
+
+def sampled_unitaries(n, m, count, seed, regular=None):
+    """count measurement unitaries of seeded random polynomials; regular=None takes any."""
+    from tetrabasis.search import evaluate_polynomial_candidate
+    rng = np.random.default_rng([seed, n, m])
+    monos = canonical_monomials(n)
+    found = []
+    while len(found) < count:
+        coeffs = tuple(int(c) for c in rng.integers(0, 2**m, len(monos)))
+        f = polynomial_from_coeffs(n, m, monos, coeffs)
+        u = orbit_unitary(f)
+        if u is None:
+            continue
+        if regular is None or evaluate_polynomial_candidate(f).geometry.all_regular == regular:
+            found.append(u)
+    return found
+
+
+class ScalarReference:
+    """Scalar engines per (mode, full_layers), each shared by every call of one test.
+
+    A memo entry states a matrix's exact level, or that it exceeds a budget,
+    for a layer class; that holds whatever root or cap reached the matrix,
+    so sharing the memo across calls changes no answer, only the time taken.
+    """
+
+    def __init__(self):
+        self.engines = {}
+
+    def level(self, u, cap, mode, full_layers):
+        u = np.asarray(u, dtype=complex)
+        key = (num_qubits(u.shape[0]), mode, full_layers)
+        if key not in self.engines:
+            self.engines[key] = ScalarLevelEngine(key[0], mode, 1e-9, full_layers)
+        return self.engines[key].level(u, cap, 0)
+
+    def assert_matches(self, u, layers=(1,)):
+        """clifford_level_test equals the scalar level in both modes at caps 1..6."""
+        for mode in MODES:
+            for full_layers in layers if mode == "full" else (1,):
+                for cap in range(1, DEFAULT_CAP + 1):
+                    expected = self.level(u, cap, mode, full_layers)
+                    result = clifford_level_test(u, cap=cap, mode=mode, full_layers=full_layers)
+                    assert result.level == expected, (mode, full_layers, cap)
+
+
+class TestStackedLevelEngine:
+    """The block-wise recursion returns the scalar recursion's level, None included."""
+
+    def test_full_n3_m2_space(self):
+        reference = ScalarReference()
+        unitaries = [orbit_unitary(f) for f in enumerate_polynomials(3, 2)]
+        assert all(u is not None for u in unitaries)
+        for i, u in enumerate(unitaries):
+            # two full layers cost about 20 times one; every sixteenth basis takes them
+            reference.assert_matches(u, layers=(1, 2) if i % 16 == 0 else (1,))
+
+    @pytest.mark.parametrize("m, regular, count", [(2, True, 2), (2, False, 1), (3, None, 1)])
+    def test_seeded_n4_samples(self, m, regular, count):
+        reference = ScalarReference()
+        for u in sampled_unitaries(4, m, count, seed=41, regular=regular):
+            reference.assert_matches(u)
+
+    def test_diagonal_gates(self):
+        reference = ScalarReference()
+        rng = np.random.default_rng(42)
+        for n, m, count in ((2, 3, 3), (3, 2, 3), (3, 3, 3), (4, 2, 1)):
+            monos = canonical_monomials(n, 1)
+            for i in range(count):
+                coeffs = tuple(int(c) for c in rng.integers(0, 2**m, len(monos)))
+                f = polynomial_from_coeffs(n, m, monos, coeffs)
+                # two full layers: every gate at n = 2, the first of each set at n = 3
+                two = n == 2 or (n == 3 and i == 0)
+                reference.assert_matches(diagonal_gate(f), layers=(1, 2) if two else (1,))
+
+    def test_cliffords_and_t_products(self):
+        reference = ScalarReference()
+        rng = np.random.default_rng(43)
+        for n in (1, 2, 3):
+            for _ in range(3):
+                clifford = random_clifford(n, rng)
+                t = embed(T, int(rng.integers(1, n + 1)), n)
+                for u in (clifford, clifford @ t, t @ clifford @ t, t @ clifford @ t @ clifford):
+                    reference.assert_matches(u, layers=(1, 2))
+            reference.assert_matches(reduce(np.kron, [T] * n), layers=(1, 2))
+
+
+class TestStackedPauliKernel:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_agrees_with_pauli_expansion_on_mixed_stacks(self, n):
+        rng = np.random.default_rng(200 + n)
+        stack = []
+        for _ in range(12):
+            pauli = random_pauli(n, rng)
+            noise = rng.normal(size=pauli.shape) + 1j * rng.normal(size=pauli.shape)
+            stack += [pauli, pauli + 1e-6 * noise / np.abs(noise).max(),
+                      random_clifford(n, rng), haar_unitary(n, rng)]
+        order = rng.permutation(len(stack))
+        stack = np.array(stack)[order]
+        expected = [is_pauli_like_reference(u) for u in stack]
+        assert pauli_like(stack).tolist() == expected
+        assert [is_pauli_like(u) for u in stack] == expected
+        assert sum(expected) >= 12 and len(expected) - sum(expected) >= 24
+
+    def test_zero_and_scaled_matrices_rejected_without_warnings(self):
+        stack = np.array([np.zeros((4, 4)), 0.5 * np.kron(X, Z), np.kron(Y, Z)], dtype=complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert pauli_like(stack).tolist() == [False, False, True]

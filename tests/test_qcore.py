@@ -142,9 +142,10 @@ class TestPauliStrings:
 
 
 def scalar_phase_key(u):
-    """Reference: one matrix's key, pivot = first entry of largest rounded modulus."""
+    """Reference: one matrix's key, pivot = first entry within 1e-9 of the largest modulus."""
     flat = u.ravel()
-    pivot = flat[np.argmax(np.abs(np.round(flat, 8)))]
+    mags = np.abs(flat)
+    pivot = flat[np.flatnonzero(mags >= mags.max() - 1e-9)[0]]
     return (np.round(u * (abs(pivot) / pivot), 8) + 0.0).tobytes()
 
 
@@ -170,3 +171,60 @@ class TestPhaseCanonicalKeys:
         row_blocks, matrices = self.rows_and_matrices()
         for u in matrices + row_blocks:
             assert phase_canonical_key(u) == scalar_phase_key(u)
+
+
+class TestPhaseCanonicalKeyInvariance:
+    """The key of a hit fiducial survives the changes that leave its class unchanged.
+
+    Hit amplitudes take few distinct moduli, so rows often hold several
+    entries of equal modulus; the key must not pick its pivot among them by
+    the row's phase.
+    """
+
+    @pytest.fixture(scope="class")
+    def hits(self):
+        from tetrabasis.search import SearchConfig, search_regular
+        hits = search_regular(SearchConfig(3, 2)) + search_regular(
+            SearchConfig(4, 2, sample=6000, seed=1))
+        assert len(hits) > 100
+        return hits
+
+    @staticmethod
+    def random_lc(n, rng):
+        """Kronecker product of n random single-qubit Cliffords, each with a random phase."""
+        from tetrabasis.search import single_qubit_cliffords
+        cliffords = single_qubit_cliffords()
+        return reduce(np.kron, [np.exp(2j * np.pi * rng.random()) * cliffords[k]
+                                for k in rng.integers(0, 24, n)])
+
+    @staticmethod
+    def column_keys(columns):
+        return set(phase_canonical_keys(columns.T))
+
+    def test_random_global_phase(self, hits):
+        rng = np.random.default_rng(11)
+        for hit in hits:
+            for psi in (hit.basis.fiducial, self.random_lc(hit.basis.n, rng) @ hit.basis.fiducial):
+                phases = np.exp(2j * np.pi * rng.random(4))[:, None]
+                keys = phase_canonical_keys(phases * psi)
+                assert keys == [phase_canonical_key(psi)] * 4
+
+    def test_other_column_as_fiducial(self, hits):
+        # the column, read off as a state, carries an arbitrary phase
+        from tetrabasis.basisgen import orbit_basis
+        rng = np.random.default_rng(12)
+        for hit in hits:
+            basis = hit.basis
+            other = orbit_basis(np.exp(2j * np.pi * rng.random())
+                                * basis.column(int(rng.integers(1, basis.size))), basis.group)
+            assert self.column_keys(other.columns) == self.column_keys(basis.columns)
+
+    def test_random_lc_tuple_on_both_sides(self, hits):
+        from tetrabasis.basisgen import orbit_basis
+        rng = np.random.default_rng(13)
+        for hit in hits:
+            basis = hit.basis
+            other = orbit_basis(np.exp(2j * np.pi * rng.random())
+                                * basis.column(int(rng.integers(1, basis.size))), basis.group)
+            lc = self.random_lc(basis.n, rng)
+            assert self.column_keys(lc @ other.columns) == self.column_keys(lc @ basis.columns)
