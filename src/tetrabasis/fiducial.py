@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
-from .qcore import apply_on_qubit, check_capacity
+from .qcore import check_capacity
 
 MAX_PRECISION = 62  # polynomial values are int64 mod 2^m
 
@@ -187,27 +188,38 @@ def apply_cnot(psi: np.ndarray, n: int, control: int, target: int) -> np.ndarray
     return out
 
 
+@lru_cache(maxsize=None)
+def _staircase_index(n: int) -> np.ndarray:
+    """The CNOT staircase as a gather index: output entry x is input entry index[x]."""
+    index = np.arange(2**n)
+    for control in range(n, 1, -1):
+        index = apply_cnot(index, n, control, control - 1)
+    return index
+
+
 def staircase_circuit(n: int) -> np.ndarray:
     """S(n) = CNOT(2->1) ... CNOT(n->n-1) as a permutation matrix; S(1) = identity."""
     if n < 1:
         raise ValueError("n must be >= 1")
     check_capacity(2**n)
-    mat = np.eye(2**n, dtype=complex)
-    for control in range(n, 1, -1):
-        mat = np.array([apply_cnot(col, n, control, control - 1) for col in mat.T]).T
-    return mat
+    return np.eye(2**n, dtype=complex)[_staircase_index(n)]
 
 
-_HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+
+
+def build_fiducials(values: np.ndarray, n: int, m: int) -> np.ndarray:
+    """Fiducial states S(n) H_n D_f H^(x n) |0..0> as (B, 2^n) rows.
+
+    Row b of ``values`` is f_b over all 2^n inputs, in ``polynomial_values``
+    order; H_n acts on qubit n only.
+    """
+    check_capacity(2**n)
+    psi = 2 ** (-n / 2) * np.exp(2j * np.pi * values / 2**m)
+    psi = (psi.reshape(-1, 2) @ HADAMARD.T).reshape(len(values), -1)  # H on qubit n
+    return psi[:, _staircase_index(n)]
 
 
 def build_fiducial(f: PhasePolynomial) -> np.ndarray:
-    """Fiducial state S(n) H_n D_f H^(x n) |0..0>, with H_n acting on qubit n only."""
-    n = f.n
-    check_capacity(2**n)
-    psi = np.full(2**n, 2 ** (-n / 2), dtype=complex)
-    psi = psi * np.exp(2j * np.pi * polynomial_values(f) / 2**f.m)
-    psi = apply_on_qubit(_HADAMARD, psi, n)
-    for control in range(n, 1, -1):
-        psi = apply_cnot(psi, n, control, control - 1)
-    return psi
+    """Fiducial state of one polynomial: the one-row case of ``build_fiducials``."""
+    return build_fiducials(polynomial_values(f)[None], f.n, f.m)[0]

@@ -235,6 +235,8 @@ def clifford_level_test(u: np.ndarray, cap: int = DEFAULT_CAP, mode: str = "gene
         raise ValueError("input is not unitary")
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
+    if mode == "full" and full_layers < 1:
+        raise ValueError(f"full_layers must be at least 1, got {full_layers}")
     check_cap(cap)
     engine = _LevelEngine(n, tol, full_layers if mode == "full" else 0)
     return LevelResult(engine.level(u, cap), cap, mode)

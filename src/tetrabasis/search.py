@@ -1,11 +1,14 @@
 """Exhaustive search over phase polynomials and classification of the hits.
 
-Enumerates canonical polynomials (degree >= 2), screens blocks of them in
-array passes, builds the survivors' orbit bases and geometry in further array
-passes, keeps those with regular tetrahedral marginals, fingerprints the hits
-together, and groups them into equivalence classes with explicit
-local-Clifford witnesses.  The witness scan visits only the Clifford tuples
-whose cube rotations carry each qubit's Bloch vector onto the target column's.
+Enumerates canonical polynomials (degree >= 2) and takes them in blocks:
+``fiducial.build_fiducials`` builds a block's fiducial rows, every row's
+orbit must pass the orthonormality guard, and ``screen_block`` drops the
+rows whose Bloch vectors provably fail the filters.  The survivors' orbit
+bases, geometry and fingerprints are built in further array passes, and
+those that pass the filters are the hits.  Hits are grouped into equivalence
+classes with explicit local-Clifford witnesses.  The witness scan visits
+only the Clifford tuples whose cube rotations carry each qubit's Bloch
+vector onto the target column's.
 """
 
 from __future__ import annotations
@@ -13,14 +16,14 @@ from __future__ import annotations
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import combinations, islice, product
 
 import numpy as np
 
 from .basisgen import Basis, TetraGroup, build_tetra_group, orbit_columns
-from .entanglement import InvariantFingerprint, invariant_fingerprint, invariant_fingerprints
-from .fiducial import MAX_PRECISION, PhasePolynomial, apply_cnot, build_fiducial
+from .entanglement import InvariantFingerprint, invariant_fingerprints
+from .fiducial import HADAMARD, MAX_PRECISION, PhasePolynomial, build_fiducial, build_fiducials
 from .geometry import (
     EPS_GEO,
     GeometryReport,
@@ -85,7 +88,6 @@ class SearchConfig:
     chunk_size: int = 64
     sample: int | None = None      # sampled search for spaces over the full-run limit
     seed: int = 0
-    polynomials: tuple[PhasePolynomial, ...] | None = None  # explicit restriction
 
     def __post_init__(self):
         if self.n < 2:
@@ -104,23 +106,15 @@ class SearchHit:
     geometry: GeometryReport
     level: int
     basis: Basis = field(compare=False, repr=False)  # built once, with the geometry
+    fingerprint: InvariantFingerprint = field(compare=False, repr=False)
 
     @property
     def key(self) -> str:
         return self.polynomial.to_text()
 
-    @cached_property
-    def fingerprint(self) -> InvariantFingerprint:
-        """Invariant fingerprint, computed on first use from the orbit basis."""
-        return invariant_fingerprint(self.basis, self.geometry)
-
 
 def evaluate_polynomial_candidate(f: PhasePolynomial) -> SearchHit:
-    """Build the orbit basis of f and compute geometry and level.
-
-    The fingerprint is left to the first read of ``SearchHit.fingerprint``,
-    so candidates that fail the filters never pay for it.
-    """
+    """Build the orbit basis of f and compute geometry, level and fingerprint."""
     states = build_fiducial(f)[None]
     _require_orthonormal(states, build_tetra_group(f.n), lambda i: f)
     return _evaluate_rows([f], states)[0]
@@ -138,20 +132,11 @@ def _evaluate_rows(polys: list[PhasePolynomial], states: np.ndarray) -> list[Sea
     group = build_tetra_group(polys[0].n)
     columns = orbit_columns(states, group)
     geometries = classify_geometries(orbit_bloch_tables(states, group))
-    return [SearchHit(f, geometry, diagonal_clifford_level(f), Basis(f.n, cols, psi, group, f))
-            for f, geometry, cols, psi in zip(polys, geometries, columns, states)]
-
-
-def _filtered_hits(polys: list[PhasePolynomial], states: np.ndarray,
-                   cfg: SearchConfig) -> list[SearchHit]:
-    """The rows' hits that pass the filters, their fingerprints computed in one pass."""
-    hits = [hit for hit in _evaluate_rows(polys, states) if _passes_filters(hit, cfg)]
-    if hits:
-        fingerprints = invariant_fingerprints(np.array([hit.basis.fiducial for hit in hits]),
-                                              [hit.geometry for hit in hits])
-        for hit, fingerprint in zip(hits, fingerprints):
-            hit.__dict__["fingerprint"] = fingerprint  # where cached_property keeps it
-    return hits
+    fingerprints = invariant_fingerprints(states, geometries)
+    return [SearchHit(f, geometry, diagonal_clifford_level(f), Basis(f.n, cols, psi, group, f),
+                      fingerprint)
+            for f, geometry, cols, psi, fingerprint
+            in zip(polys, geometries, columns, states, fingerprints)]
 
 
 def _non_orthonormal(f: PhasePolynomial, violation: float) -> AssertionError:
@@ -168,29 +153,11 @@ def _passes_filters(hit: SearchHit, cfg: SearchConfig) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _screen_tables(n: int, monos: tuple[tuple[int, ...], ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Monomial indicators (K, 2^n) over the inputs, and the staircase as a gather index.
-
-    The staircase of CNOTs permutes amplitudes: after it, entry x holds the
-    entry ``perm[x]`` held before.
-    """
+def _monomial_indicator(n: int, monos: tuple[tuple[int, ...], ...]) -> np.ndarray:
+    """(K, 2^n) 0/1 indicators of the monomials over the inputs; coefficients @ it are values."""
     idx = np.arange(2**n)
     masks = [sum(1 << (n - i) for i in mono) for mono in monos]
-    indicator = np.array([(idx & mask) == mask for mask in masks], dtype=np.int64)
-    perm = idx
-    for control in range(n, 1, -1):
-        perm = apply_cnot(perm, n, control, control - 1)
-    return indicator, perm
-
-
-def _screen_fiducials(coeffs: np.ndarray, n: int, m: int,
-                      monos: list[tuple[int, ...]]) -> np.ndarray:
-    """``build_fiducial`` of each row of a (B, K) coefficient block, as (B, 2^n) rows."""
-    indicator, perm = _screen_tables(n, tuple(monos))
-    values = (coeffs @ indicator) % 2**m
-    psi = 2 ** (-n / 2) * np.exp(2j * np.pi * values / 2**m)
-    psi = (psi.reshape(-1, 2) @ _HADAMARD.T).reshape(len(coeffs), -1)  # H on qubit n
-    return psi[:, perm]
+    return np.array([(idx & mask) == mask for mask in masks], dtype=np.int64)
 
 
 def _orbit_violations(psi: np.ndarray, group: TetraGroup) -> np.ndarray:
@@ -229,28 +196,16 @@ def _bloch_vectors(psi: np.ndarray, n: int) -> np.ndarray:
     return vectors
 
 
-def screen_block(coeffs: np.ndarray, n: int, m: int, monos: list[tuple[int, ...]],
-                 cfg: SearchConfig) -> np.ndarray:
-    """Boolean mask over a (B, K) coefficient block: the candidates that may pass cfg.
+def screen_block(states: np.ndarray, cfg: SearchConfig) -> np.ndarray:
+    """Boolean mask over (B, 2^n) fiducial rows: the candidates that may pass cfg.
 
-    Every candidate's orbit must be orthonormal, as in
-    ``evaluate_polynomial_candidate``.  ``classify_geometry`` calls qubit l
-    regular when each component of its Bloch vector exceeds EPS_GEO in
-    modulus and the moduli spread by at most EPS_GEO; nonzero components need
-    that lower bound on every qubit.  Both tests are widened by SCREEN_SLACK,
-    so only candidates that provably fail are dropped.  Lengths are never
-    compared across qubits.
+    ``classify_geometry`` calls qubit l regular when each component of its
+    Bloch vector exceeds EPS_GEO in modulus and the moduli spread by at most
+    EPS_GEO; nonzero components need that lower bound on every qubit.  Both
+    tests are widened by SCREEN_SLACK, so only candidates that provably fail
+    are dropped.  Lengths are never compared across qubits.
     """
-    return _screen(coeffs, n, m, monos, cfg)[0]
-
-
-def _screen(coeffs: np.ndarray, n: int, m: int, monos: list[tuple[int, ...]],
-            cfg: SearchConfig) -> tuple[np.ndarray, np.ndarray]:
-    """``screen_block``'s mask, and the block's fiducials as (B, 2^n) rows."""
-    psi = _screen_fiducials(coeffs, n, m, monos)
-    _require_orthonormal(psi, build_tetra_group(n),
-                         lambda i: polynomial_from_coeffs(n, m, monos, coeffs[i].tolist()))
-    mags = np.abs(_bloch_vectors(psi, n))
+    mags = np.abs(_bloch_vectors(states, cfg.n))
     keep = np.ones(len(mags), dtype=bool)
     if cfg.require_regular:
         regular = ((mags.min(axis=2) > EPS_GEO - SCREEN_SLACK)
@@ -258,23 +213,28 @@ def _screen(coeffs: np.ndarray, n: int, m: int, monos: list[tuple[int, ...]],
         keep &= regular.all(axis=1)
     if cfg.require_nonzero:
         keep &= mags.min(axis=(1, 2)) > EPS_GEO - SCREEN_SLACK
-    return keep, psi
+    return keep
 
 
 def _evaluate_chunk(args) -> list[SearchHit]:
     """Hits among the candidates, in order, screened SCREEN_BATCH at a time.
 
-    Only the candidates ``screen_block`` keeps have their orbit bases,
-    geometry and fingerprints built, all of a block's survivors together.
+    Every candidate's orbit must be orthonormal, as in
+    ``evaluate_polynomial_candidate``; only the candidates ``screen_block``
+    keeps have their orbit bases, geometry and fingerprints built, all of a
+    block's survivors together.
     """
     n, m, monos, coeff_chunk, cfg = args
+    indicator = _monomial_indicator(n, tuple(monos))
     hits = []
     coeff_iter = iter(coeff_chunk)
     while block := list(islice(coeff_iter, SCREEN_BATCH)):
-        keep, states = _screen(np.array(block, dtype=np.int64), n, m, monos, cfg)
-        kept = np.flatnonzero(keep)
+        states = build_fiducials((np.array(block, dtype=np.int64) @ indicator) % 2**m, n, m)
+        _require_orthonormal(states, build_tetra_group(n),
+                             lambda i: polynomial_from_coeffs(n, m, monos, block[i]))
+        kept = np.flatnonzero(screen_block(states, cfg))
         polys = [polynomial_from_coeffs(n, m, monos, block[i]) for i in kept]
-        hits += _filtered_hits(polys, states[kept], cfg)
+        hits += [hit for hit in _evaluate_rows(polys, states[kept]) if _passes_filters(hit, cfg)]
     return hits
 
 
@@ -298,11 +258,6 @@ def _candidate_coeffs(cfg: SearchConfig, monos: list[tuple[int, ...]]):
 
 def search_regular(cfg: SearchConfig) -> list[SearchHit]:
     """Filtered hits over the polynomial space, in deterministic enumeration order."""
-    if cfg.polynomials is not None:
-        polys = list(cfg.polynomials)
-        states = np.array([build_fiducial(f) for f in polys]).reshape(len(polys), 2**cfg.n)
-        _require_orthonormal(states, build_tetra_group(cfg.n), polys.__getitem__)
-        return _filtered_hits(polys, states, cfg)
     monos = canonical_monomials(cfg.n)
     coeff_iter = _candidate_coeffs(cfg, monos)
     if cfg.jobs <= 1:
@@ -331,7 +286,6 @@ def search_regular(cfg: SearchConfig) -> list[SearchHit]:
 # single-qubit Clifford representatives and local-Clifford witnesses
 
 _PHASE_GATE = np.array([[1, 0], [0, 1j]], dtype=complex)
-_HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
 
 @lru_cache(maxsize=1)
@@ -344,7 +298,7 @@ def single_qubit_cliffords() -> tuple[np.ndarray, ...]:
     while head < len(order):
         base = order[head]
         head += 1
-        for gate in (_PHASE_GATE, _HADAMARD):
+        for gate in (_PHASE_GATE, HADAMARD):
             candidate = base @ gate
             key = phase_canonical_key(candidate)
             if key not in seen:

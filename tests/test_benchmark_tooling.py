@@ -1,12 +1,17 @@
 """The benchmark's tracer and gate bind library functions by name.
 
 Deleting or renaming one of those functions must fail here, not only when
-the benchmark runs with ``--trace 1``.  The benchmark files are loaded
-read-only.
+the benchmark runs with ``--trace 1``.  The recorded outputs of a few
+benchmark operations are replayed too.  The benchmark files are loaded
+read-only, without writing bytecode next to them.
 """
 
+import contextlib
+import hashlib
 import importlib
 import importlib.util
+import io
+import json
 import sys
 from pathlib import Path
 
@@ -50,3 +55,34 @@ def test_tracer_installs_and_restores(tracer):
 def test_gate_imports():
     gate = load_benchmark_module("gate")
     assert callable(gate.Gate)
+
+
+@pytest.fixture(scope="module")
+def replay_ops():
+    """Seeds 0-1 of search-n4 and inspect-n4 (with the reproduce suites) and classify-n3."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sys, "dont_write_bytecode", True)
+        patch.syspath_prepend(str(BENCHMARKS))  # run.py imports its siblings by name
+        run = load_benchmark_module("run")
+        workloads = [run.build_workload(name, seed)
+                     for name in ("search-n4", "inspect-n4") for seed in (0, 1)]
+        workloads.append(run.build_workload("classify-n3", 0))
+    return list({op.label: op for w in workloads for op in w.ops}.values())
+
+
+def test_recorded_outputs_replay(replay_ops):
+    cli = importlib.import_module("tetrabasis.cli")
+    reference = json.loads((BENCHMARKS / "reference.json").read_text(encoding="utf-8"))["ops"]
+    assert len(replay_ops) == 29
+    mismatched = []
+    for op in replay_ops:
+        out = io.StringIO()
+        try:
+            with contextlib.redirect_stdout(out):
+                code = cli.main(list(op.argv))
+        except SystemExit as exc:
+            code = exc.code
+        got = {"sha256": hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest(), "exit": code}
+        if got != reference[op.label]:
+            mismatched.append(op.label)
+    assert mismatched == []

@@ -9,12 +9,15 @@ from tetrabasis.fiducial import (
     PolynomialParseError,
     apply_cnot,
     build_fiducial,
+    build_fiducials,
     diagonal_gate,
     evaluate_polynomial,
     parse_polynomial,
     polynomial_values,
     staircase_circuit,
 )
+from tetrabasis.qcore import apply_on_qubit
+from tetrabasis.search import canonical_monomials, enumerate_polynomials, polynomial_from_coeffs
 
 APPA_FIDUCIAL = np.array([1, (1 - 1j) / 2, (1 + 1j) / 2, 0], dtype=complex) / np.sqrt(2)
 APPC_FIDUCIAL = 0.5 * np.array(
@@ -188,3 +191,68 @@ class TestBuildFiducial:
             circuit = staircase_circuit(n) @ hn @ diagonal_gate(f) @ reduce(np.kron, [h] * n)
             psi = circuit @ np.eye(2**n)[:, 0]
             np.testing.assert_allclose(build_fiducial(f), psi, atol=1e-13)
+
+
+def scalar_fiducial(f):
+    """Reference: the one-polynomial circuit, H on qubit n by apply_on_qubit, then CNOT by CNOT."""
+    n = f.n
+    h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+    psi = np.full(2**n, 2 ** (-n / 2), dtype=complex)
+    psi = psi * np.exp(2j * np.pi * polynomial_values(f) / 2**f.m)
+    psi = apply_on_qubit(h, psi, n)
+    for control in range(n, 1, -1):
+        psi = apply_cnot(psi, n, control, control - 1)
+    return psi
+
+
+def dense_cnot(n, control, target):
+    """CNOT as a dense matrix: |0><0| on the control, plus |1><1| on it with X on the target."""
+    def kron(ops):
+        return reduce(np.kron, [ops.get(q, np.eye(2)) for q in range(1, n + 1)])
+    x = np.array([[0, 1], [1, 0]])
+    return kron({control: np.diag([1, 0])}) + kron({control: np.diag([0, 1]), target: x})
+
+
+def seeded_polynomials(n, m, count, seed):
+    rng = np.random.default_rng([seed, n, m])
+    monos = canonical_monomials(n)
+    draws = rng.integers(0, 2**m, (count, len(monos))).tolist()
+    return [polynomial_from_coeffs(n, m, monos, coeffs) for coeffs in draws]
+
+
+class TestBuildFiducials:
+    @pytest.mark.parametrize("polys", [
+        pytest.param(lambda: list(enumerate_polynomials(3, 1)), id="n3-m1"),
+        pytest.param(lambda: list(enumerate_polynomials(3, 2)), id="n3-m2"),
+        pytest.param(lambda: list(enumerate_polynomials(3, 3)), id="n3-m3"),
+        pytest.param(lambda: seeded_polynomials(4, 2, 500, 0), id="n4-m2"),
+        pytest.param(lambda: seeded_polynomials(4, 3, 500, 1), id="n4-m3"),
+        pytest.param(lambda: seeded_polynomials(5, 2, 300, 2), id="n5-m2"),
+        pytest.param(lambda: list(enumerate_polynomials(2, 2, min_degree=1)), id="n2-m2"),
+        pytest.param(lambda: list(enumerate_polynomials(2, 3, min_degree=1)), id="n2-m3"),
+    ])
+    def test_rows_equal_the_scalar_circuit_bitwise(self, polys):
+        polys = polys()
+        f = polys[0]
+        rows = build_fiducials(np.array([polynomial_values(g) for g in polys]), f.n, f.m)
+        assert rows.shape == (len(polys), 2**f.n)
+        for g, row in zip(polys, rows):
+            expected = scalar_fiducial(g).tobytes()
+            assert row.tobytes() == expected, g.to_text()
+            assert build_fiducial(g).tobytes() == expected, g.to_text()
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_single_qubit_rows_one_at_a_time(self, m):
+        # at n = 1 a block of two or more rows goes through another BLAS kernel
+        # than one row, and the Hadamard's cancellations can differ in the last
+        # bit (1e-17 for 0); the search never builds blocks below n = 2
+        for g in enumerate_polynomials(1, m, min_degree=1):
+            expected = scalar_fiducial(g).tobytes()
+            assert build_fiducials(polynomial_values(g)[None], 1, m)[0].tobytes() == expected
+            assert build_fiducial(g).tobytes() == expected
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_staircase_is_the_dense_cnot_product(self, n):
+        expected = reduce(np.matmul, [dense_cnot(n, c, c - 1) for c in range(2, n + 1)],
+                          np.eye(2**n))
+        assert np.array_equal(staircase_circuit(n), expected)

@@ -237,6 +237,15 @@ class TestRecursiveLevelTest:
         with pytest.raises(ValueError):
             clifford_level_test(X, mode="bogus")
 
+    @pytest.mark.parametrize("layers", [0, -3])
+    def test_full_mode_needs_a_full_layer(self, layers):
+        # mode 'full' needs at least one full layer; mode 'generator' ignores the value
+        with pytest.raises(ValueError, match="full_layers"):
+            clifford_level_test(np.kron(T, T), mode="full", full_layers=layers)
+        with pytest.raises(ValueError, match="full_layers"):
+            verify_level_bound(parse_polynomial("z1 z2", 2, 2), full_layers=layers)
+        assert clifford_level_test(T, mode="generator", full_layers=layers).level == 3
+
     def test_global_phase_and_pauli_invariance(self):
         rng = np.random.default_rng(5)
         pool = [H, T, np.kron(H, T)]

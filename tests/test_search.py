@@ -73,8 +73,7 @@ class TestSearchRegular:
 
     def test_explicit_polynomial_restriction(self):
         from tetrabasis.reproduce import APPD_EXAMPLE1, APPD_EXAMPLE2
-        polys = tuple(parse_polynomial(t, 4, 2) for t in (APPD_EXAMPLE1, APPD_EXAMPLE2))
-        hits = search_regular(SearchConfig(4, 2, polynomials=polys))
+        hits = regular_hits(parse_polynomial(t, 4, 2) for t in (APPD_EXAMPLE1, APPD_EXAMPLE2))
         assert len(hits) == 2
         assert sorted(h.fingerprint.r for h in hits) == [
             round(np.sqrt(3) / 8, 10), round(3 * np.sqrt(3) / 8, 10)]
@@ -102,6 +101,12 @@ class TestSearchRegular:
         serial = hits_csv(search_regular(SearchConfig(3, 2)))
         parallel = hits_csv(search_regular(SearchConfig(3, 2, jobs=2, chunk_size=17)))
         assert serial == parallel
+
+
+def regular_hits(polys):
+    """The regular hits among explicit polynomials, each through evaluate_polynomial_candidate."""
+    hits = [evaluate_polynomial_candidate(f) for f in polys]
+    return [hit for hit in hits if hit.geometry.all_regular]
 
 
 def candidate_coeffs(cfg):
@@ -143,8 +148,7 @@ class TestBatchedScreen:
         assert screened == reference  # polynomial, geometry report and level
         assert [h.key for h in screened] == [h.key for h in reference]
         assert [h.level for h in screened] == [h.level for h in reference]
-        if cfg.require_regular:
-            assert [h.fingerprint for h in screened] == [h.fingerprint for h in reference]
+        assert [h.fingerprint for h in screened] == [h.fingerprint for h in reference]
         return screened
 
     @pytest.mark.parametrize("regular,nonzero", FILTERS)
@@ -174,7 +178,7 @@ class TestBatchedScreen:
                 for c in coeffs]
         for regular, nonzero in FILTERS:
             flt = replace(cfg, require_regular=regular, require_nonzero=nonzero)
-            keep = screen_block(np.array(coeffs), cfg.n, cfg.m, monos, flt)
+            keep = screen_block(np.array([h.basis.fiducial for h in hits]), flt)
             passed = np.array([passes(h, flt) for h in hits])
             assert keep.shape == passed.shape and not np.any(passed & ~keep)
             if regular:
@@ -185,11 +189,7 @@ class TestBatchedScreen:
         hit = evaluate_polynomial_candidate(f)
         assert hit.geometry.all_regular and hit.geometry.nonzero_components
         assert hit.geometry.r is None  # its qubits' Bloch lengths differ
-        monos = canonical_monomials(4)
-        coeffs = np.array([[f.terms.get(frozenset(mono), 0) for mono in monos]])
-        assert screen_block(coeffs, 4, 2, monos, SearchConfig(4, 2, require_nonzero=True))[0]
-        assert [h.key for h in search_regular(SearchConfig(4, 2, polynomials=(f,)))] == [
-            UNEQUAL_LENGTHS]
+        assert screen_block(build_fiducial(f)[None], SearchConfig(4, 2, require_nonzero=True))[0]
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_orthonormality_guard_sees_screened_out_candidates(self, monkeypatch, n):
@@ -415,8 +415,7 @@ class TestPrunedWitness:
         regular = []
         while len(regular) < 2:
             coeffs = tuple(int(c) for c in rng.integers(0, 4, len(monos)))
-            hits = search_regular(SearchConfig(
-                4, 2, polynomials=(polynomial_from_coeffs(4, 2, monos, coeffs),)))
+            hits = regular_hits([polynomial_from_coeffs(4, 2, monos, coeffs)])
             regular.extend(h.polynomial for h in hits)
         # the negation's basis holds the conjugated fiducial, so that pair has
         # a witness; the cross pair runs the plain pass only, as a full 24^4 scan
@@ -485,8 +484,7 @@ class TestConjugatePartnerIndex:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_seeded_n4_hits_with_negations_in_both_orders(self, seed):
         hits = search_regular(SearchConfig(4, 2, sample=300, seed=seed))
-        negated = search_regular(SearchConfig(4, 2, polynomials=tuple(
-            h.polynomial.negated() for h in hits)))
+        negated = regular_hits(h.polynomial.negated() for h in hits)
         assert len(negated) == len(hits) > 0
         for both in (hits + negated, negated[::-1] + hits[::-1]):
             partners = conjugate_partner_key(both, both)
@@ -572,8 +570,7 @@ class TestClassGrouping:
 
     def test_n4_explicit_examples_classify(self):
         from tetrabasis.reproduce import APPD_EXAMPLE1, APPD_EXAMPLE2
-        polys = tuple(parse_polynomial(t, 4, 2) for t in (APPD_EXAMPLE1, APPD_EXAMPLE2))
-        hits = search_regular(SearchConfig(4, 2, polynomials=polys))
+        hits = regular_hits(parse_polynomial(t, 4, 2) for t in (APPD_EXAMPLE1, APPD_EXAMPLE2))
         records = group_into_classes(hits)
         assert len(records) == 2  # different tetra sizes, distinct fingerprints
         assert {len(r.representatives) for r in records} == {1}
