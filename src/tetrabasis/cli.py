@@ -178,22 +178,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_level.add_argument("--mode", choices=["generator", "full"], default="generator")
     p_level.add_argument("--cap", type=int, default=DEFAULT_CAP)
 
-    p_search = sub("search", help="enumerate polynomials and filter bases")
-    add_common(p_search, poly=False, formats=("json", "csv", "text"))
-    p_search.add_argument("--filter", action="append", choices=["regular", "nonzero"],
-                          default=None, help="filters; default regular")
-    p_search.add_argument("--jobs", type=int, default=1, help="parallel worker count")
-    p_search.add_argument("--sample", type=int, default=None,
-                          help="sampled search size (needed for n >= 4 full spaces)")
-    p_search.add_argument("--seed", type=int, default=0)
+    def add_search(name, summary, formats):
+        p = sub(name, help=summary)
+        add_common(p, poly=False, formats=formats)
+        p.add_argument("--filter", action="append", choices=["regular", "nonzero"],
+                       default=None, help="filters; default regular")
+        p.add_argument("--jobs", type=int, default=1, help="parallel worker count")
+        p.add_argument("--sample", type=int, default=None,
+                       help="sampled search size (needed for n >= 4 full spaces)")
+        p.add_argument("--seed", type=int, default=0)
 
-    p_classify = sub("classify", help="search and group hits into classes")
-    add_common(p_classify, poly=False)
-    p_classify.add_argument("--filter", action="append", choices=["regular", "nonzero"],
-                            default=None)
-    p_classify.add_argument("--jobs", type=int, default=1)
-    p_classify.add_argument("--sample", type=int, default=None)
-    p_classify.add_argument("--seed", type=int, default=0)
+    add_search("search", "enumerate polynomials and filter bases", ("json", "csv", "text"))
+    add_search("classify", "search and group hits into classes", ("json", "text"))
 
     p_wit = sub("witness", help="local-Clifford witness between two bases")
     add_common(p_wit)

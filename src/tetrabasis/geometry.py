@@ -15,7 +15,7 @@ from itertools import combinations, product
 import numpy as np
 
 from .basisgen import Basis, TetraGroup, bloch_state
-from .qcore import EPS_UNITARY, PAULI_MATS, apply_on_qubit, is_unitary, num_qubits
+from .qcore import EPS_UNITARY, apply_on_qubit, is_unitary, num_qubits
 
 EPS_GEO = 1e-8
 
@@ -36,20 +36,19 @@ class ChiralityInconsistencyError(RuntimeError):
     """No single orthogonal map aligns the two qubits' Bloch tables."""
 
 
-_BLOCH_PAULIS = np.array([PAULI_MATS[p] for p in ("X", "Y", "Z")])
-
-
 def bloch_vectors(states: np.ndarray) -> np.ndarray:
     """(B, n, 3) Bloch vectors (<X>, <Y>, <Z>) of every qubit of each row of (B, 2^n) states.
 
-    Row by row and qubit by qubit this is ``partial_trace`` and tr(rho P)
-    with the same numpy operations, so a row's vectors do not depend on the
-    other rows.
+    Row by row and qubit by qubit, rho is ``partial_trace`` with the same
+    numpy operations, so a row's vectors do not depend on the other rows.
+    The vector is read off rho: tr(rho X) = rho01 + rho10, tr(rho Y) =
+    i (rho01 - rho10) and tr(rho Z) = rho00 - rho11, real parts taken.
     """
     states = np.asarray(states, dtype=complex)
     mats = states[:, _qubit_split(num_qubits(states.shape[1]))]  # (B, n, 2, 2^(n-1))
     rho = mats @ mats.conj().swapaxes(-1, -2)
-    return np.trace(rho[:, :, None] @ _BLOCH_PAULIS, axis1=-2, axis2=-1).real
+    r00, r01, r10, r11 = rho[..., 0, 0], rho[..., 0, 1], rho[..., 1, 0], rho[..., 1, 1]
+    return np.stack([r01.real + r10.real, r10.imag - r01.imag, r00.real - r11.real], axis=-1)
 
 
 @lru_cache(maxsize=None)

@@ -3,9 +3,10 @@
 Enumerates canonical polynomials (degree >= 2) and takes them in blocks:
 ``fiducial.build_fiducials`` builds a block's fiducial rows, every row's
 orbit must pass the orthonormality guard, and ``screen_block`` drops the
-rows whose Bloch vectors provably fail the filters.  The survivors' orbit
-bases, geometry and fingerprints are built in further array passes, and
-those that pass the filters are the hits.  Hits are grouped into equivalence
+rows whose Bloch vectors provably fail the filters.  The survivors' geometry
+and fingerprints are built in further array passes, and those that pass the
+filters are the hits; a hit keeps its fiducial row, and orbit columns are
+built only where they are read.  Hits are grouped into equivalence
 classes with explicit local-Clifford witnesses.  The witness scan visits
 only the Clifford tuples whose cube rotations carry each qubit's Bloch
 vector onto the target column's.
@@ -21,7 +22,7 @@ from itertools import combinations, islice, product
 
 import numpy as np
 
-from .basisgen import Basis, TetraGroup, build_tetra_group, orbit_columns
+from .basisgen import Basis, TetraGroup, build_tetra_group, orbit_basis, orbit_columns
 from .entanglement import InvariantFingerprint, invariant_fingerprints
 from .fiducial import HADAMARD, MAX_PRECISION, PhasePolynomial, build_fiducial, build_fiducials
 from .geometry import (
@@ -50,6 +51,7 @@ FULL_ENUMERATION_LIMIT = 2**23
 SCREEN_BATCH = 4096  # candidates per array pass of the pre-screen
 SCREEN_SLACK = 1e-9  # margin around EPS_GEO for the float error of the screen's Bloch vectors
 PARTNER_BATCH = 256  # hits per phase_canonical_keys call when pairing; bounds its temporaries
+CHUNK_SIZE = 64  # candidates per worker task of a multi-process search
 
 
 def canonical_monomials(n: int, min_degree: int = 2) -> list[tuple[int, ...]]:
@@ -85,7 +87,6 @@ class SearchConfig:
     require_regular: bool = True
     require_nonzero: bool = False
     jobs: int = 1
-    chunk_size: int = 64
     sample: int | None = None      # sampled search for spaces over the full-run limit
     seed: int = 0
 
@@ -96,6 +97,8 @@ class SearchConfig:
             raise ValueError(f"precision m must lie in 1..{MAX_PRECISION}, got {self.m}")
         if self.sample is not None and self.sample < 1:
             raise ValueError("sample size must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.jobs < 1:
             raise ValueError("jobs must be at least 1")
 
@@ -105,7 +108,7 @@ class SearchHit:
     polynomial: PhasePolynomial
     geometry: GeometryReport
     level: int
-    basis: Basis = field(compare=False, repr=False)  # built once, with the geometry
+    fiducial: np.ndarray = field(compare=False, repr=False)  # (2^n,) row; the basis is its orbit
     fingerprint: InvariantFingerprint = field(compare=False, repr=False)
 
     @property
@@ -114,7 +117,7 @@ class SearchHit:
 
 
 def evaluate_polynomial_candidate(f: PhasePolynomial) -> SearchHit:
-    """Build the orbit basis of f and compute geometry, level and fingerprint."""
+    """Check the orbit of f's fiducial and compute geometry, level and fingerprint."""
     states = build_fiducial(f)[None]
     _require_orthonormal(states, build_tetra_group(f.n), lambda i: f)
     return _evaluate_rows([f], states)[0]
@@ -124,19 +127,15 @@ def _evaluate_rows(polys: list[PhasePolynomial], states: np.ndarray) -> list[Sea
     """``evaluate_polynomial_candidate`` of each polynomial, given its fiducial row.
 
     The rows' orbits must already have passed ``_require_orthonormal``.
-    Bases and geometry are computed in array passes over all rows; what a
-    row adds on its own is mostly the construction of its dataclasses.
+    Geometry and fingerprints are computed in array passes over all rows;
+    what a row adds on its own is mostly the construction of its dataclasses.
     """
     if not polys:
         return []
-    group = build_tetra_group(polys[0].n)
-    columns = orbit_columns(states, group)
-    geometries = classify_geometries(orbit_bloch_tables(states, group))
+    geometries = classify_geometries(orbit_bloch_tables(states, build_tetra_group(polys[0].n)))
     fingerprints = invariant_fingerprints(states, geometries)
-    return [SearchHit(f, geometry, diagonal_clifford_level(f), Basis(f.n, cols, psi, group, f),
-                      fingerprint)
-            for f, geometry, cols, psi, fingerprint
-            in zip(polys, geometries, columns, states, fingerprints)]
+    return [SearchHit(f, geometry, diagonal_clifford_level(f), psi, fingerprint)
+            for f, geometry, psi, fingerprint in zip(polys, geometries, states, fingerprints)]
 
 
 def _non_orthonormal(f: PhasePolynomial, violation: float) -> AssertionError:
@@ -161,10 +160,12 @@ def _monomial_indicator(n: int, monos: tuple[tuple[int, ...], ...]) -> np.ndarra
 
 
 def _orbit_violations(psi: np.ndarray, group: TetraGroup) -> np.ndarray:
-    """Per row, ``check_orthonormal``'s violation for the row's orbit basis.
+    """Per row, the largest of |norm - 1| and |<psi|U_g|psi>| over the labels g >= 1.
 
-    That is the largest of |norm - 1| and |<psi|U_g|psi>| over the labels
-    g >= 1, taken one label at a time so no temporary outgrows the block.
+    This is ``check_orthonormal``'s violation of the orbit basis, but not bit
+    for bit: the values can differ from its, and with the block size, by
+    about 1e-16, so only the decision against EPS_NORM is shared.  Labels
+    are taken one at a time so no temporary outgrows the block.
     """
     x = np.arange(2**group.n)
     conj = psi.conj()
@@ -221,8 +222,8 @@ def _evaluate_chunk(args) -> list[SearchHit]:
 
     Every candidate's orbit must be orthonormal, as in
     ``evaluate_polynomial_candidate``; only the candidates ``screen_block``
-    keeps have their orbit bases, geometry and fingerprints built, all of a
-    block's survivors together.
+    keeps have their geometry and fingerprints built, all of a block's
+    survivors together.
     """
     n, m, monos, coeff_chunk, cfg = args
     indicator = _monomial_indicator(n, tuple(monos))
@@ -263,15 +264,7 @@ def search_regular(cfg: SearchConfig) -> list[SearchHit]:
     if cfg.jobs <= 1:
         return _evaluate_chunk((cfg.n, cfg.m, monos, coeff_iter, cfg))
 
-    chunks = []
-    current = []
-    for coeffs in coeff_iter:
-        current.append(coeffs)
-        if len(current) >= cfg.chunk_size:
-            chunks.append(current)
-            current = []
-    if current:
-        chunks.append(current)
+    chunks = list(iter(lambda: list(islice(coeff_iter, CHUNK_SIZE)), []))
     hits = []
     # spawn context: fresh interpreters avoid BLAS state inherited across fork
     context = multiprocessing.get_context("spawn")
@@ -445,21 +438,24 @@ def conjugate_partner_key(hits: list[SearchHit], among: list[SearchHit]) -> list
 
     The group's Paulis Z^b X^a are real, so conjugation commutes with them:
     hit j's basis holds conj(psi_i) exactly when psi_j is, up to phase, a
-    column of conj(basis_i).  The fiducials of ``among`` are indexed by
-    ``phase_canonical_key`` (the first of equal keys wins) and each hit's
-    conjugated columns are looked up; the partner is the smallest index found.
+    column of conj(basis_i), the orbit of conj(psi_i).  The fiducials of
+    ``among`` are indexed by ``phase_canonical_key`` (the first of equal keys
+    wins) and the orbit columns of the hits' conjugated fiducials are looked
+    up, PARTNER_BATCH hits at a time; the partner is the smallest index found.
     """
     index: dict[bytes, int] = {}
     if among:
-        fiducials = np.array([other.basis.fiducial for other in among])
-        for i, key in enumerate(phase_canonical_keys(fiducials)):
+        for i, key in enumerate(phase_canonical_keys(np.array([h.fiducial for h in among]))):
             index.setdefault(key, i)
     partners = []
     for start in range(0, len(hits), PARTNER_BATCH):
         batch = hits[start:start + PARTNER_BATCH]
-        keys = phase_canonical_keys(np.concatenate([hit.basis.columns.conj().T for hit in batch]))
-        for j, hit in enumerate(batch):
-            size = hit.basis.size
+        fiducials = np.array([hit.fiducial for hit in batch])
+        size = fiducials.shape[1]
+        group = build_tetra_group(num_qubits(size))
+        columns = orbit_columns(fiducials.conj(), group)  # (B, 2^n, 2^n), column g of row b
+        keys = phase_canonical_keys(columns.transpose(0, 2, 1).reshape(-1, size))
+        for j in range(len(batch)):
             found = [index[k] for k in keys[j * size:(j + 1) * size] if k in index]
             partners.append(among[min(found)].key if found else None)
     return partners
@@ -470,7 +466,8 @@ def group_into_classes(hits: list[SearchHit], tol: float = 1e-9) -> list[ClassRe
 
     Within one fingerprint group, a hit joins the first class whose
     representative basis it maps onto under some pure local-Clifford tuple;
-    otherwise it opens a new class.  A class's conjugation partner is the
+    otherwise it opens a new class, and its orbit basis becomes the class's
+    witness target.  A class's conjugation partner is the
     class of the first member whose basis holds the representative's
     conjugated fiducial (``conjugate_partner_key``).
     """
@@ -481,11 +478,12 @@ def group_into_classes(hits: list[SearchHit], tol: float = 1e-9) -> list[ClassRe
     records: list[ClassRecord] = []
     for key in sorted(groups, key=repr):
         members = groups[key]
-        classes: list[tuple[ClassRecord, SearchHit]] = []
+        classes: list[tuple[ClassRecord, Basis]] = []
+        reps: list[SearchHit] = []
         member_class: dict[str, ClassRecord] = {}
         for hit in members:
-            for record, rep in classes:
-                witness = lc_equivalence_witness(hit.basis.fiducial, rep.basis,
+            for record, target in classes:
+                witness = lc_equivalence_witness(hit.fiducial, target,
                                                  allow_conjugation=False, tol=tol)
                 if witness is not None:
                     record.representatives.append(hit.polynomial)
@@ -495,9 +493,11 @@ def group_into_classes(hits: list[SearchHit], tol: float = 1e-9) -> list[ClassRe
             else:
                 record = ClassRecord(fingerprint=hit.fingerprint,
                                      representatives=[hit.polynomial])
-                classes.append((record, hit))
+                target = orbit_basis(hit.fiducial, build_tetra_group(hit.polynomial.n),
+                                     hit.polynomial)
+                classes.append((record, target))
+                reps.append(hit)
                 member_class[hit.key] = record
-        reps = [rep for _, rep in classes]
         for (record, _), partner in zip(classes, conjugate_partner_key(reps, members)):
             if partner is not None:
                 record.conjugate_partner = member_class[partner].key

@@ -59,13 +59,14 @@ def test_gate_imports():
 
 @pytest.fixture(scope="module")
 def replay_ops():
-    """Seeds 0-1 of search-n4 and inspect-n4 (with the reproduce suites) and classify-n3."""
+    """Every recorded search-n4 seed (0-39), inspect-n4 seeds 0-1 with the reproduce
+    suites, and classify-n3."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sys, "dont_write_bytecode", True)
         patch.syspath_prepend(str(BENCHMARKS))  # run.py imports its siblings by name
         run = load_benchmark_module("run")
-        workloads = [run.build_workload(name, seed)
-                     for name in ("search-n4", "inspect-n4") for seed in (0, 1)]
+        workloads = [run.build_workload("search-n4", seed) for seed in range(40)]
+        workloads += [run.build_workload("inspect-n4", seed) for seed in (0, 1)]
         workloads.append(run.build_workload("classify-n3", 0))
     return list({op.label: op for w in workloads for op in w.ops}.values())
 
@@ -73,7 +74,7 @@ def replay_ops():
 def test_recorded_outputs_replay(replay_ops):
     cli = importlib.import_module("tetrabasis.cli")
     reference = json.loads((BENCHMARKS / "reference.json").read_text(encoding="utf-8"))["ops"]
-    assert len(replay_ops) == 29
+    assert len(replay_ops) == 67
     mismatched = []
     for op in replay_ops:
         out = io.StringIO()

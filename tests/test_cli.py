@@ -198,6 +198,13 @@ class TestSearch:
         assert code == 2
         assert out == ""
 
+    @pytest.mark.parametrize("command", ["search", "classify"])
+    @pytest.mark.parametrize("sample", [[], ["--sample", "3"]])
+    def test_negative_seed_rejected(self, capsys, command, sample):
+        code, out = run_cli(capsys, command, "--n", "2", "--m", "2", "--seed", "-1", *sample)
+        assert code == 2
+        assert out == ""
+
 
 class TestClassify:
     def test_n2_single_class(self, capsys):

@@ -4,6 +4,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from tetrabasis.basisgen import build_tetra_group, orbit_basis
 from tetrabasis.qcore import (
     CapacityError,
     PAULI_MATS,
@@ -154,7 +155,8 @@ class TestPhaseCanonicalKeys:
         from tetrabasis.search import SearchConfig, search_regular, single_qubit_cliffords
         hits = search_regular(SearchConfig(3, 2))[:6] + search_regular(
             SearchConfig(4, 2, sample=300, seed=1))
-        columns = [h.basis.columns.conj().T for h in hits]
+        columns = [orbit_basis(h.fiducial, build_tetra_group(h.polynomial.n)).columns.conj().T
+                   for h in hits]
         # ties: the equal-modulus rows of the n = 2 orbit and of Hadamard-like matrices
         tied = np.array([[1, 1j, -1, -1j], [0.5, -0.5, 0.5j, 0.5], [0, 1, -1, 0]]) / 2
         return columns + [tied], list(single_qubit_cliffords())
@@ -204,26 +206,24 @@ class TestPhaseCanonicalKeyInvariance:
     def test_random_global_phase(self, hits):
         rng = np.random.default_rng(11)
         for hit in hits:
-            for psi in (hit.basis.fiducial, self.random_lc(hit.basis.n, rng) @ hit.basis.fiducial):
+            for psi in (hit.fiducial, self.random_lc(hit.polynomial.n, rng) @ hit.fiducial):
                 phases = np.exp(2j * np.pi * rng.random(4))[:, None]
                 keys = phase_canonical_keys(phases * psi)
                 assert keys == [phase_canonical_key(psi)] * 4
 
     def test_other_column_as_fiducial(self, hits):
         # the column, read off as a state, carries an arbitrary phase
-        from tetrabasis.basisgen import orbit_basis
         rng = np.random.default_rng(12)
         for hit in hits:
-            basis = hit.basis
+            basis = orbit_basis(hit.fiducial, build_tetra_group(hit.polynomial.n))
             other = orbit_basis(np.exp(2j * np.pi * rng.random())
                                 * basis.column(int(rng.integers(1, basis.size))), basis.group)
             assert self.column_keys(other.columns) == self.column_keys(basis.columns)
 
     def test_random_lc_tuple_on_both_sides(self, hits):
-        from tetrabasis.basisgen import orbit_basis
         rng = np.random.default_rng(13)
         for hit in hits:
-            basis = hit.basis
+            basis = orbit_basis(hit.fiducial, build_tetra_group(hit.polynomial.n))
             other = orbit_basis(np.exp(2j * np.pi * rng.random())
                                 * basis.column(int(rng.integers(1, basis.size))), basis.group)
             lc = self.random_lc(basis.n, rng)

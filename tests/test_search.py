@@ -90,16 +90,20 @@ class TestSearchRegular:
         second = [h.key for h in search_regular(cfg)]
         assert first == second
 
-    def test_parallel_matches_serial(self):
+    def test_parallel_matches_serial(self, monkeypatch):
+        from tetrabasis import search
         serial = search_regular(SearchConfig(3, 2))
-        parallel = search_regular(SearchConfig(3, 2, jobs=2, chunk_size=32))
+        monkeypatch.setattr(search, "CHUNK_SIZE", 32)
+        parallel = search_regular(SearchConfig(3, 2, jobs=2))
         assert [h.key for h in serial] == [h.key for h in parallel]
         assert [h.fingerprint for h in serial] == [h.fingerprint for h in parallel]
 
-    def test_reports_bitwise_stable_across_chunking(self):
+    def test_reports_bitwise_stable_across_chunking(self, monkeypatch):
+        from tetrabasis import search
         from tetrabasis.cli import hits_csv
         serial = hits_csv(search_regular(SearchConfig(3, 2)))
-        parallel = hits_csv(search_regular(SearchConfig(3, 2, jobs=2, chunk_size=17)))
+        monkeypatch.setattr(search, "CHUNK_SIZE", 17)  # 256 = 15 * 17 + 1: an uneven last chunk
+        parallel = hits_csv(search_regular(SearchConfig(3, 2, jobs=2)))
         assert serial == parallel
 
 
@@ -178,7 +182,7 @@ class TestBatchedScreen:
                 for c in coeffs]
         for regular, nonzero in FILTERS:
             flt = replace(cfg, require_regular=regular, require_nonzero=nonzero)
-            keep = screen_block(np.array([h.basis.fiducial for h in hits]), flt)
+            keep = screen_block(np.array([h.fiducial for h in hits]), flt)
             passed = np.array([passes(h, flt) for h in hits])
             assert keep.shape == passed.shape and not np.any(passed & ~keep)
             if regular:
@@ -459,11 +463,15 @@ def scan_partner_keys(hits, among, tol=1e-9):
     """Reference: per hit, scan ``among`` for the first basis holding its conjugated fiducial."""
     keys = []
     for hit in hits:
-        target = conjugate_state(hit.basis.fiducial)
+        target = conjugate_state(orbit_of(hit.polynomial).fiducial)
         keys.append(next((other.key for other in among
-                          if np.max(np.abs(other.basis.columns.conj().T @ target)) >= 1 - tol),
-                         None))
+                          if holds(orbit_of(other.polynomial), target, tol)), None))
     return keys
+
+
+def holds(basis, state, tol=1e-9):
+    """True when some column of basis equals state up to phase."""
+    return np.max(np.abs(basis.columns.conj().T @ state)) >= 1 - tol
 
 
 class TestConjugatePartnerIndex:
@@ -508,9 +516,12 @@ class TestConjugatePartnerIndex:
     def test_smallest_index_among_several_matches(self, n3_hits):
         # each conjugated column opens the same orbit, so every basis below holds conj(psi)
         hit = n3_hits[0]
-        among = [SimpleNamespace(key=f"column {g}", basis=orbit_basis(col, build_tetra_group(3)))
-                 for g, col in reversed(list(enumerate(hit.basis.columns.conj().T)))]
-        assert conjugate_partner_key([hit], among) == scan_partner_keys([hit], among)
+        conjugated = orbit_of(hit.polynomial).columns.conj().T
+        among = [SimpleNamespace(key=f"column {g}", fiducial=col)
+                 for g, col in reversed(list(enumerate(conjugated)))]
+        target = conjugate_state(hit.fiducial)
+        assert all(holds(orbit_basis(other.fiducial, build_tetra_group(3)), target)
+                   for other in among)
         assert conjugate_partner_key([hit], among) == ["column 7"]
 
 
@@ -543,30 +554,47 @@ class TestClassGrouping:
             assert record.fingerprint.conjugate_flag is (partner.key < record.key)
         assert sum(r.fingerprint.conjugate_flag for r in records) == 4
 
-    def test_output_builds_each_hit_basis_once(self, monkeypatch):
-        # search, CSV output and grouping together build each hit's basis exactly once
-        from tetrabasis import search
+    def test_orbit_columns_built_only_for_pairing_and_class_targets(self, monkeypatch):
+        # the search builds no orbit columns; the pairing builds them for at
+        # most PARTNER_BATCH conjugated fiducials per call, and grouping one
+        # orbit basis (through basisgen's binding) per class
+        from tetrabasis import basisgen, search
         from tetrabasis.cli import hits_csv
-        calls = []
+        calls = {"search": [], "basisgen": []}
 
-        def counting_orbit_columns(states, group):
-            calls.extend(row.tobytes() for row in states)
-            return orbit_columns(states, group)
+        def counting(module):
+            def orbit_columns_counted(states, group):
+                calls[module].append(states)
+                return orbit_columns(states, group)
+            return orbit_columns_counted
 
-        monkeypatch.setattr(search, "orbit_columns", counting_orbit_columns)
+        monkeypatch.setattr(search, "orbit_columns", counting("search"))
+        monkeypatch.setattr(basisgen, "orbit_columns", counting("basisgen"))
         for cfg in (SearchConfig(4, 2, sample=300, seed=1), SearchConfig(3, 2)):
-            calls.clear()
+            for recorded in calls.values():
+                recorded.clear()
             hits = search_regular(cfg)
-            assert len(hits) >= 4
-            hits_csv(hits)
-            group_into_classes(hits)
-            assert sorted(calls) == sorted(h.basis.fiducial.tobytes() for h in hits)
+            assert len(hits) >= 4 and calls == {"search": [], "basisgen": []}
+            records = group_into_classes(hits)
+            assert [len(states) for states in calls["basisgen"]] == [1] * len(records)
+            assert sum(len(states) for states in calls["search"]) == len(records)
+            expected = hits_csv(hits)
+            calls["search"].clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(search, "PARTNER_BATCH", 3)
+                assert hits_csv(hits) == expected  # batches of 3; the 40 n=3 hits end unevenly
+            assert [len(states) for states in calls["search"]] == [
+                min(3, len(hits) - i) for i in range(0, len(hits), 3)]
+            conjugated = np.array([h.fiducial.conj() for h in hits])
+            assert np.concatenate(calls["search"]).tobytes() == conjugated.tobytes()
 
-    def test_hit_basis_is_the_orbit_basis(self):
-        hit = search_regular(SearchConfig(3, 2))[0]
-        expected = orbit_of(hit.polynomial)
-        assert hit.basis is hit.basis
-        assert hit.basis.columns.tobytes() == expected.columns.tobytes()
+    def test_hit_fiducial_is_the_orbit_fiducial(self):
+        hits = search_regular(SearchConfig(3, 2)) + search_regular(
+            SearchConfig(4, 2, sample=300, seed=1))
+        for hit in hits:
+            assert hit.fiducial.shape == (2**hit.polynomial.n,)
+            assert hit.fiducial.tobytes() == build_fiducial(hit.polynomial).tobytes()
+            assert hit.fiducial.tobytes() == orbit_of(hit.polynomial).column(0).tobytes()
 
     def test_n4_explicit_examples_classify(self):
         from tetrabasis.reproduce import APPD_EXAMPLE1, APPD_EXAMPLE2
