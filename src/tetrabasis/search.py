@@ -6,10 +6,12 @@ orbit must pass the orthonormality guard, and ``screen_block`` drops the
 rows whose Bloch vectors provably fail the filters.  The survivors' geometry
 and fingerprints are built in further array passes, and those that pass the
 filters are the hits; a hit keeps its fiducial row, and orbit columns are
-built only where they are read.  Hits are grouped into equivalence
-classes with explicit local-Clifford witnesses.  The witness scan visits
-only the Clifford tuples whose cube rotations carry each qubit's Bloch
-vector onto the target column's.
+built only where they are read.  Hits are grouped into local-Clifford
+classes by a canonical key (``lc_canonical_keys``: each qubit's frame is
+fixed by its Bloch vector), and each later member of a class is linked to
+the class's first by one explicit witness.  The witness scan visits only
+the Clifford tuples whose cube rotations carry each qubit's Bloch vector
+onto the target column's.
 """
 
 from __future__ import annotations
@@ -51,6 +53,8 @@ FULL_ENUMERATION_LIMIT = 2**23
 SCREEN_BATCH = 4096  # candidates per array pass of the pre-screen
 SCREEN_SLACK = 1e-9  # margin around EPS_GEO for the float error of the screen's Bloch vectors
 PARTNER_BATCH = 256  # hits per phase_canonical_keys call when pairing; bounds its temporaries
+KEY_HITS = 1024  # rows per Bloch-frame pass of lc_canonical_keys
+KEY_IMAGES = 4096  # frame-fixed images per array pass of lc_canonical_keys; bounds its temporaries
 CHUNK_SIZE = 64  # candidates per worker task of a multi-process search
 
 
@@ -433,6 +437,67 @@ class ClassRecord:
         }
 
 
+def lc_canonical_keys(fiducials: np.ndarray) -> list[bytes]:
+    """Per (2^n,) row, a key shared by the rows local-Clifford equivalent to it, and only them.
+
+    Kraus's standard form (PRL 104, 020504, 2010): fix each qubit's local
+    frame from its marginal, then take the smallest ``phase_canonical_keys``
+    row over the finite freedom that is left.  Qubit l's Bloch vector has 24
+    cube-rotation images R_k v_l; rounded to 8 decimals, the Cliffords whose
+    image is the lexicographically largest are kept (3 for a regular qubit,
+    1 for a generic vector, 24 for a zero one).  Every kept tuple is applied
+    to the row, and the key is the smallest key among those images.  An LC
+    image of the row keeps the composed tuples, so its images are the same
+    states up to phase.  Both steps round to 8 decimals, so the key is exact
+    only up to that rounding.  Rows are taken KEY_HITS at a time and their
+    images KEY_IMAGES at a time, so a zero-Bloch n=4 row's 24^4 images stay
+    bounded.
+    """
+    fiducials = np.asarray(fiducials, dtype=complex)
+    keys: list[bytes] = []
+    for start in range(0, len(fiducials), KEY_HITS):
+        keys += _block_lc_keys(fiducials[start:start + KEY_HITS])
+    return keys
+
+
+def _block_lc_keys(states: np.ndarray) -> list[bytes]:
+    """``lc_canonical_keys`` of one block of rows."""
+    n = num_qubits(states.shape[1])
+    images = np.round(np.einsum("kij,blj->blki", clifford_bloch_rotations(),
+                                bloch_vectors(states)), 8)  # (B, n, 24, 3)
+    kept = np.ones(images.shape[:3], dtype=bool)
+    for axis in range(3):  # lexicographic maximum, one component at a time
+        component = np.where(kept, images[..., axis], -np.inf)
+        kept &= component == component.max(axis=2, keepdims=True)
+    counts = kept.sum(axis=2)  # (B, n)
+    choices = np.argsort(~kept, axis=2, kind="stable")  # kept Cliffords first, ascending
+    sizes = counts.prod(axis=1)
+    ends = np.cumsum(sizes)
+    stack = np.stack(single_qubit_cliffords())
+    best: list[bytes | None] = [None] * len(states)
+    for first in range(0, int(ends[-1]), KEY_IMAGES):
+        image = np.arange(first, min(first + KEY_IMAGES, int(ends[-1])))
+        owner = np.searchsorted(ends, image, side="right")
+        rest = image - (ends[owner] - sizes[owner])  # image number within its row
+        psi = states[owner]
+        for l in range(n - 1, -1, -1):  # mixed radix, last qubit fastest
+            digit = rest % counts[owner, l]
+            rest //= counts[owner, l]
+            u = stack[choices[owner, l, digit]]  # (C, 2, 2)
+            split = psi.reshape(len(psi), 2**l, 2, -1)
+            upper, lower = split[:, :, 0], split[:, :, 1]
+            psi = np.stack([u[:, 0, 0, None, None] * upper + u[:, 0, 1, None, None] * lower,
+                            u[:, 1, 0, None, None] * upper + u[:, 1, 1, None, None] * lower],
+                           axis=2).reshape(len(psi), -1)
+        image_keys = phase_canonical_keys(psi)
+        bounds = np.flatnonzero(np.diff(owner)) + 1
+        for lo, hi in zip([0, *bounds], [*bounds, len(owner)]):
+            row, smallest = owner[lo], min(image_keys[lo:hi])
+            if best[row] is None or smallest < best[row]:
+                best[row] = smallest
+    return best
+
+
 def conjugate_partner_key(hits: list[SearchHit], among: list[SearchHit]) -> list[str | None]:
     """Per hit, the key of the first hit in ``among`` whose basis holds its conjugated fiducial.
 
@@ -462,48 +527,59 @@ def conjugate_partner_key(hits: list[SearchHit], among: list[SearchHit]) -> list
 
 
 def group_into_classes(hits: list[SearchHit], tol: float = 1e-9) -> list[ClassRecord]:
-    """Group hits by fingerprint, split by local-Clifford linkage, pair conjugates.
+    """Group hits by fingerprint, split by local-Clifford canonical key, pair conjugates.
 
-    Within one fingerprint group, a hit joins the first class whose
-    representative basis it maps onto under some pure local-Clifford tuple;
-    otherwise it opens a new class, and its orbit basis becomes the class's
-    witness target.  A class's conjugation partner is the
+    Every basis is the orbit of its fiducial under the same group of real
+    local Paulis, so a hit maps onto some column of another's basis under a
+    pure local-Clifford tuple exactly when their fiducials are LC-equivalent:
+    the classes are the LC classes of the fiducials, which share
+    ``lc_canonical_keys``.  Within one fingerprint group, the first hit with
+    a key opens its class, and its orbit basis becomes the class's witness
+    target; every later hit with that key makes one witness call, the one
+    that links it to its class.  A class's conjugation partner is the
     class of the first member whose basis holds the representative's
     conjugated fiducial (``conjugate_partner_key``).
     """
-    groups: dict[tuple, list[SearchHit]] = {}
-    for hit in hits:
-        groups.setdefault(hit.fingerprint.class_key(), []).append(hit)
+    groups: dict[tuple, list[tuple[SearchHit, bytes]]] = {}
+    for hit, lc_key in zip(hits, lc_canonical_keys(np.array([hit.fiducial for hit in hits]))):
+        groups.setdefault(hit.fingerprint.class_key(), []).append((hit, lc_key))
 
     records: list[ClassRecord] = []
     for key in sorted(groups, key=repr):
         members = groups[key]
-        classes: list[tuple[ClassRecord, Basis]] = []
+        classes: dict[bytes, tuple[ClassRecord, Basis]] = {}
         reps: list[SearchHit] = []
         member_class: dict[str, ClassRecord] = {}
-        for hit in members:
-            for record, target in classes:
+        for hit, lc_key in members:
+            if lc_key in classes:
+                record, target = classes[lc_key]
                 witness = lc_equivalence_witness(hit.fiducial, target,
                                                  allow_conjugation=False, tol=tol)
-                if witness is not None:
-                    record.representatives.append(hit.polynomial)
-                    record.witness_links[hit.key] = witness
-                    member_class[hit.key] = record
-                    break
+                if witness is None:
+                    raise _unlinked(hit.polynomial, record.representatives[0])
+                record.representatives.append(hit.polynomial)
+                record.witness_links[hit.key] = witness
             else:
                 record = ClassRecord(fingerprint=hit.fingerprint,
                                      representatives=[hit.polynomial])
                 target = orbit_basis(hit.fiducial, build_tetra_group(hit.polynomial.n),
                                      hit.polynomial)
-                classes.append((record, target))
+                classes[lc_key] = (record, target)
                 reps.append(hit)
-                member_class[hit.key] = record
-        for (record, _), partner in zip(classes, conjugate_partner_key(reps, members)):
+            member_class[hit.key] = record
+        opened = [record for record, _ in classes.values()]
+        for record, partner in zip(opened, conjugate_partner_key(reps, [h for h, _ in members])):
             if partner is not None:
                 record.conjugate_partner = member_class[partner].key
-        for record, _ in sorted(classes, key=lambda pair: pair[0].key):
+        for record in sorted(opened, key=lambda r: r.key):
             partner = record.conjugate_partner
             flag = None if partner is None else partner < record.key
             record.fingerprint = replace(record.fingerprint, conjugate_flag=flag)
             records.append(record)
     return records
+
+
+def _unlinked(f: PhasePolynomial, rep: PhasePolynomial) -> AssertionError:
+    return AssertionError(
+        f"{f.to_text()!r} shares the local-Clifford key of {rep.to_text()!r} "
+        "but no witness links them")

@@ -216,6 +216,20 @@ class TestClassify:
         record = payload["classes"][0]
         assert record["representatives"] == ["z1 z2", "3 z1 z2"]
 
+    @pytest.mark.parametrize("sample", ["3000", "200000"])
+    def test_n5_rejected_before_searching(self, capsys, monkeypatch, sample):
+        # the witness search stops at n = 4; a sample whose hits all have
+        # distinct fingerprints never reaches it, so only an up-front check
+        # gives every n = 5 sample the same exit code
+        def no_search(cfg):
+            raise AssertionError("searched")
+
+        monkeypatch.setattr(cli, "search_regular", no_search)
+        code = main(["classify", "--n", "5", "--m", "2", "--sample", sample, "--seed", "1"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "classify supported for n <= 4" in captured.err
+
 
 class TestWitness:
     def test_conjugation_needed(self, capsys):

@@ -1,4 +1,5 @@
 import os
+import re
 from dataclasses import replace
 from itertools import product
 from types import SimpleNamespace
@@ -8,9 +9,10 @@ import pytest
 
 from tetrabasis.basisgen import build_tetra_group, ejm_reference_basis, orbit_basis, orbit_columns
 from tetrabasis.fiducial import parse_polynomial, build_fiducial
-from tetrabasis.geometry import bloch_vector, conjugate_state
+from tetrabasis.geometry import bloch_vector, bloch_vectors, conjugate_state
 from tetrabasis.qcore import PAULI_MATS, CapacityError, apply_on_qubit, num_qubits
 from tetrabasis.search import (
+    ClassRecord,
     SearchConfig,
     Witness,
     canonical_monomials,
@@ -19,6 +21,7 @@ from tetrabasis.search import (
     enumerate_polynomials,
     evaluate_polynomial_candidate,
     group_into_classes,
+    lc_canonical_keys,
     lc_equivalence_witness,
     polynomial_from_coeffs,
     polynomial_space_size,
@@ -604,6 +607,162 @@ class TestClassGrouping:
         assert {len(r.representatives) for r in records} == {1}
         # neither example's conjugate is in this restricted set
         assert all(r.conjugate_partner is None for r in records)
+
+
+def greedy_classes(hits, tol=1e-9):
+    """Reference: a hit tries its fingerprint group's classes in order, one witness call each,
+    and joins the first that links it; otherwise it opens a class."""
+    groups = {}
+    for hit in hits:
+        groups.setdefault(hit.fingerprint.class_key(), []).append(hit)
+    records = []
+    for key in sorted(groups, key=repr):
+        members = groups[key]
+        classes, reps, member_class = [], [], {}
+        for hit in members:
+            for record, target in classes:
+                witness = lc_equivalence_witness(hit.fiducial, target, tol=tol)
+                if witness is not None:
+                    record.representatives.append(hit.polynomial)
+                    record.witness_links[hit.key] = witness
+                    member_class[hit.key] = record
+                    break
+            else:
+                record = ClassRecord(fingerprint=hit.fingerprint, representatives=[hit.polynomial])
+                classes.append((record, orbit_of(hit.polynomial)))
+                reps.append(hit)
+                member_class[hit.key] = record
+        for (record, _), partner in zip(classes, conjugate_partner_key(reps, members)):
+            if partner is not None:
+                record.conjugate_partner = member_class[partner].key
+        for record, _ in sorted(classes, key=lambda pair: pair[0].key):
+            partner = record.conjugate_partner
+            flag = None if partner is None else partner < record.key
+            record.fingerprint = replace(record.fingerprint, conjugate_flag=flag)
+            records.append(record)
+    return records
+
+
+def lc_image(psi, rng):
+    """A random orbit column of psi under a random local-Clifford tuple and global phase."""
+    n = num_qubits(len(psi))
+    state = orbit_columns(psi[None], build_tetra_group(n))[0][:, rng.integers(2**n)]
+    for qubit in range(1, n + 1):
+        state = apply_on_qubit(single_qubit_cliffords()[rng.integers(24)], state, qubit)
+    return state * np.exp(2j * np.pi * rng.random())
+
+
+GHZ4 = np.zeros(16, dtype=complex)
+GHZ4[[0, 15]] = 1 / np.sqrt(2)
+
+
+class TestCanonicalKeys:
+    @pytest.fixture(scope="class")
+    def mixed_hits(self):
+        # regular, non-regular and zero-Bloch hits (27 hits of the unfiltered n=3
+        # space have a zero Bloch vector, 4 of them on every qubit), and n=4 hits
+        # with unequal or non-regular vectors
+        return (search_regular(SearchConfig(3, 2, require_regular=False))
+                + search_regular(SearchConfig(4, 2, sample=1000, seed=3, require_regular=False,
+                                              require_nonzero=True))
+                + search_regular(SearchConfig(4, 2, sample=3000, seed=1)))
+
+    def test_mixed_hits_cover_every_frame_kind(self, mixed_hits):
+        zero = [np.linalg.norm(bloch_vectors(h.fiducial[None])[0], axis=1) < 1e-9
+                for h in mixed_hits]
+        assert sum(z.any() for z in zero) >= 20 and sum(z.all() for z in zero) >= 4
+        assert sum(h.geometry.all_regular for h in mixed_hits) >= 60
+        assert sum(not h.geometry.all_regular and not z.any()
+                   for h, z in zip(mixed_hits, zero)) >= 100
+
+    def test_invariant_under_phase_column_and_local_cliffords(self, mixed_hits):
+        rng = np.random.default_rng(5)
+        for n in (3, 4):
+            fiducials = [h.fiducial for h in mixed_hits if h.polynomial.n == n]
+            keys = lc_canonical_keys(np.array(fiducials))
+            for _ in range(2):
+                assert lc_canonical_keys(np.array([lc_image(psi, rng) for psi in fiducials])) == keys
+
+    def test_keys_do_not_depend_on_the_block(self, mixed_hits, monkeypatch):
+        from tetrabasis import search
+        fiducials = np.array([h.fiducial for h in mixed_hits if h.polynomial.n == 3])
+        keys = lc_canonical_keys(fiducials)
+        assert keys == [lc_canonical_keys(psi[None])[0] for psi in fiducials[:40]] + keys[40:]
+        # a zero-Bloch n=3 row has 24^3 images, so it spans many passes of 50
+        monkeypatch.setattr(search, "KEY_HITS", 7)
+        monkeypatch.setattr(search, "KEY_IMAGES", 50)
+        assert lc_canonical_keys(fiducials) == keys
+
+    def test_zero_bloch_n4_images_are_bounded(self):
+        # GHZ4 keeps all 24 Cliffords on every qubit: 24^4 images of 16 amplitudes
+        import tracemalloc
+        tracemalloc.start()
+        try:
+            key = lc_canonical_keys(GHZ4[None])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6  # all images at once would take 85 MB
+        assert lc_canonical_keys(lc_image(GHZ4, np.random.default_rng(2))[None]) == key
+
+
+class TestKeyedGrouping:
+    @pytest.mark.parametrize("cfg", [
+        SearchConfig(3, 2),
+        SearchConfig(3, 3),
+        SearchConfig(3, 2, require_regular=False, require_nonzero=True),
+        SearchConfig(3, 2, require_regular=False),
+        SearchConfig(2, 3),
+        SearchConfig(4, 2, sample=12000, seed=7),
+    ], ids=["n3m2", "n3m3", "n3-nonzero", "n3-unfiltered", "n2m3", "n4-sample"])
+    def test_matches_greedy_witness_grouping(self, cfg):
+        hits = search_regular(cfg)
+        records = group_into_classes(hits)
+        reference = greedy_classes(hits)
+        assert ([[f.to_text() for f in r.representatives] for r in records]
+                == [[f.to_text() for f in r.representatives] for r in reference])
+        assert [r.to_json_dict() for r in records] == [r.to_json_dict() for r in reference]
+        if cfg.n == 4:
+            assert sum(len(r.representatives) > 1 for r in records) >= 4
+
+    def test_one_witness_call_per_non_first_member(self, monkeypatch):
+        from tetrabasis import search
+        calls = []
+
+        def counting(psi, basis, **kwargs):
+            calls.append((psi.tobytes(), basis.polynomial.to_text()))
+            return lc_equivalence_witness(psi, basis, **kwargs)
+
+        monkeypatch.setattr(search, "lc_equivalence_witness", counting)
+        hits = search_regular(SearchConfig(3, 2, require_regular=False))
+        records = group_into_classes(hits)
+        fiducials = {h.key: h.fiducial.tobytes() for h in hits}
+        assert sorted(calls) == sorted((fiducials[f.to_text()], r.key)
+                                       for r in records for f in r.representatives[1:])
+        assert len(calls) == 256 - 56
+
+    def test_key_match_without_witness_raises(self, monkeypatch, n3_hits):
+        from tetrabasis import search
+        first, later = group_into_classes(n3_hits)[0].representatives[:2]
+        pair = [h for key in (first, later) for h in n3_hits if h.polynomial == key]
+        monkeypatch.setattr(search, "lc_equivalence_witness", lambda *args, **kwargs: None)
+        message = (f"{later.to_text()!r} shares the local-Clifford key of {first.to_text()!r} "
+                   "but no witness links them")
+        with pytest.raises(AssertionError, match=re.escape(message)):
+            group_into_classes(pair)
+
+    @pytest.mark.longrun
+    @pytest.mark.skipif(not os.environ.get("TETRABASIS_LONGRUN"),
+                        reason="opt-in long-running check (set TETRABASIS_LONGRUN=1)")
+    def test_full_n4_census(self):
+        hits = search_regular(SearchConfig(4, 2))
+        records = group_into_classes(hits)
+        assert len(hits) == 42_052 and len(records) == 4_674
+        keys = {r.key for r in records}
+        assert all(r.conjugate_partner in keys for r in records)
+        assert sum(r.conjugate_partner == r.key for r in records) == 16
+        assert all(len(r.witness_links) == len(r.representatives) - 1 for r in records)
+        assert sum(len(r.representatives) for r in records) == len(hits)
 
 
 class TestConfig:
