@@ -57,8 +57,14 @@ def _formatted(obj):
     return obj
 
 
-def render_json(obj) -> str:
-    return json.dumps(_formatted(obj), indent=2)
+def render_json(obj) -> None:
+    """Write obj as indented JSON and a newline to the current ``sys.stdout``.
+
+    ``json.dump`` writes the encoder's chunks as they come, so a large report
+    is never held as one string; the bytes equal ``json.dumps(..., indent=2)``.
+    """
+    json.dump(_formatted(obj), sys.stdout, indent=2)
+    sys.stdout.write("\n")
 
 
 def complex_pairs(vec: np.ndarray) -> list[list[float]]:
@@ -268,15 +274,17 @@ def cmd_build(args) -> int:
         print(f"fiducial: {payload['fiducial']}")
         print(f"columns: {basis.size}")
     else:
-        print(render_json(payload))
+        render_json(payload)
     return 0
 
 
 def cmd_verify(args) -> int:
     report = check_orthonormal(_basis(args), tol=_tolerance(args.tolerance, "norm", 1e-10))
     payload = {"ok": report.ok, "max_violation": report.max_violation}
-    print(render_json(payload) if args.format != "text"
-          else f"orthonormal: {report.ok} (max violation {report.max_violation:.3e})")
+    if args.format == "text":
+        print(f"orthonormal: {report.ok} (max violation {report.max_violation:.3e})")
+    else:
+        render_json(payload)
     return 0 if report.ok else 1
 
 
@@ -289,7 +297,7 @@ def cmd_geometry(args) -> int:
         print(f"r: {fmt_number(report.r)}")
         print(f"chirality: {report.chirality_signature()}")
     else:
-        print(render_json(payload))
+        render_json(payload)
     return 0
 
 
@@ -300,7 +308,7 @@ def cmd_invariants(args) -> int:
         for key, value in _formatted(payload).items():
             print(f"{key}: {value}")
     else:
-        print(render_json(payload))
+        render_json(payload)
     return 0
 
 
@@ -318,7 +326,7 @@ def cmd_level(args) -> int:
         if args.matrix:
             print(f"matrix level: {payload['matrix']['level']} (mode {args.mode})")
     else:
-        print(render_json(payload))
+        render_json(payload)
     return 0
 
 
@@ -346,7 +354,7 @@ def cmd_search(args) -> int:
     else:
         rows = [dict(zip(CSV_COLUMNS, hit_csv_row(h, p)))
                 for h, p in zip(hits, conjugate_partner_key(hits, hits))]
-        print(render_json({"n": args.n, "m": args.m, "hits": rows}))
+        render_json({"n": args.n, "m": args.m, "hits": rows})
     return 0
 
 
@@ -364,7 +372,7 @@ def cmd_classify(args) -> int:
                   f"reps={len(record.representatives)} conjugate_of={record.conjugate_partner!r}")
         print(f"{len(records)} classes")
     else:
-        print(render_json(payload))
+        render_json(payload)
     return 0
 
 
@@ -383,14 +391,14 @@ def cmd_witness(args) -> int:
               f"witness: cliffords {witness.clifford_indices} conjugated={witness.conjugated} "
               f"column={witness.column}")
     else:
-        print(render_json(payload))
+        render_json(payload)
     return 0
 
 
 def cmd_reproduce(args) -> int:
     suite = reproduce_suite(args.suite)
     if args.format == "json":
-        print(render_json(suite.to_json_dict()))
+        render_json(suite.to_json_dict())
     elif args.format == "csv":
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")

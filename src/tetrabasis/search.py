@@ -11,7 +11,10 @@ classes by a canonical key (``lc_canonical_keys``: each qubit's frame is
 fixed by its Bloch vector), and each later member of a class is linked to
 the class's first by one explicit witness.  The witness scan visits only
 the Clifford tuples whose cube rotations carry each qubit's Bloch vector
-onto the target column's.
+onto the target column's.  It takes their prefixes as stacked array blocks,
+one matmul per block against the target columns with the last qubit's 24
+Cliffords folded in, and recomputes only the winning tuple's phase with
+one qubit's operator at a time.
 """
 
 from __future__ import annotations
@@ -56,6 +59,8 @@ PARTNER_BATCH = 256  # hits per phase_canonical_keys call when pairing; bounds i
 KEY_HITS = 1024  # rows per Bloch-frame pass of lc_canonical_keys
 KEY_IMAGES = 4096  # frame-fixed images per array pass of lc_canonical_keys; bounds its temporaries
 CHUNK_SIZE = 64  # candidates per worker task of a multi-process search
+WITNESS_FIRST_BLOCK = 8  # live prefixes in the witness scan's first stacked pass; early hits stay cheap
+WITNESS_BLOCK = 64  # live prefixes per later pass; bounds the stacked states and overlaps
 
 
 def canonical_monomials(n: int, min_degree: int = 2) -> list[tuple[int, ...]]:
@@ -358,10 +363,22 @@ def lc_equivalence_witness(psi1: np.ndarray, basis2: Basis, allow_conjugation: b
     vector v_l to R_k v_l.  A hit |<c|phi>| >= 1 - tol puts the two pure
     states within trace distance sqrt(1 - (1 - tol)^2), and partial traces
     do not increase it, so every qubit's Bloch vectors then differ by at most
-    2 sqrt(1 - (1 - tol)^2).  Tuple prefixes on qubits 1..n-1 whose rotations
-    miss that bound for every column are skipped; the last qubit is scanned
-    whole.  A zero Bloch vector admits all 24 Cliffords, so the pruning holds
-    for any unit state and any basis, with or without a group.
+    2 sqrt(1 - (1 - tol)^2).  A zero Bloch vector admits all 24 Cliffords, so
+    the pruning holds for any unit state and any basis, with or without a
+    group.
+
+    The scan is stacked.  A (24,) * (n-1) array of column bitsets, the AND
+    of each qubit's allowed rotations, lists the prefixes on qubits 1..n-1
+    that can still reach some column; the last qubit is scanned whole.  Its 24
+    Cliffords are folded into the target columns once, so one matmul gives
+    a block of live prefixes' overlaps with every (last Clifford, column)
+    pair, and the first hit in C order is the first tuple in lexicographic
+    order.  Blocks hold WITNESS_FIRST_BLOCK prefixes, then WITNESS_BLOCK, so
+    early hits stay cheap.  The hit test reads the stacked overlaps, whose
+    last bits can differ from a one-prefix scan's, so only an overlap within
+    rounding of 1 - tol could be decided differently.  The winner's phase
+    is recomputed from that prefix alone with one qubit's operator at a time
+    (``_witness_phase``), so its float bits do not depend on the block.
     """
     psi1 = np.asarray(psi1, dtype=complex)
     n = num_qubits(psi1.shape[0])
@@ -373,10 +390,12 @@ def lc_equivalence_witness(psi1: np.ndarray, basis2: Basis, allow_conjugation: b
         raise ValueError(f"witness tolerance must lie in (0, 1), got {tol}")
     if abs(np.linalg.norm(psi1) - 1) > 1e-9:
         raise ValueError("witness search needs a unit state")  # the Bloch bound assumes one
-    cliffs = single_qubit_cliffords()
-    stack = np.stack(cliffs)  # (24, 2, 2)
+    stack = np.stack(single_qubit_cliffords())  # (24, 2, 2)
     rotations = clifford_bloch_rotations()
     cols_dag = basis2.columns.conj().T
+    size = len(cols_dag)
+    # folded[(r, b), (k, c)] = sum_a <column c|_(r, a) C_k[a, b]: last qubit's Clifford k, column c
+    folded = (cols_dag.reshape(-1, 2) @ stack).reshape(24 * size, -1).T
     targets = orbit_bloch_table(basis2) if basis2.group is not None else basis_bloch_table(basis2)
     # slack in the overlap covers its float error; the margin covers the Bloch vectors'
     bound = 2 * np.sqrt(1 - (1 - tol - 1e-12) ** 2) + 1e-12
@@ -387,29 +406,51 @@ def lc_equivalence_witness(psi1: np.ndarray, basis2: Basis, allow_conjugation: b
         rotated = np.einsum("kij,lj->lki", rotations, vectors)  # (n, 24, 3)
         allowed = np.linalg.norm(
             rotated[:, :, None, :] - targets[:, None, :, :], axis=-1) <= bound  # (n, 24, cols)
-        reachable = allowed.any(axis=1).all(axis=0)
-        choices = {tuple(tuple(np.flatnonzero(allowed[l, :, c]).tolist()) for l in range(n - 1))
-                   for c in np.flatnonzero(reachable)}
-        prefixes = sorted({t for sets in choices for t in product(*sets)})
-        states = {(): base}  # prefix -> base with the prefix's Cliffords applied
-        for prefix in prefixes:
-            for qubit in range(1, n):
-                if prefix[:qubit] not in states:
-                    states[prefix[:qubit]] = apply_on_qubit(
-                        cliffs[prefix[qubit - 1]], states[prefix[:qubit - 1]], qubit)
-            grouped = states[prefix].reshape(-1, 2)
-            batch = np.einsum("rb,kab->kra", grouped, stack).reshape(24, -1)
-            overlaps = cols_dag @ batch.T  # (columns, 24)
-            hits = np.argwhere(np.abs(overlaps) >= 1 - tol)
-            if hits.size == 0:
-                continue
-            # first tuple = smallest last-qubit index, then smallest column
-            order = np.lexsort((hits[:, 0], hits[:, 1]))
-            column, last = int(hits[order[0]][0]), int(hits[order[0]][1])
-            # mapped state = phase * column, phase = <column|mapped>
-            phase = complex(overlaps[column, last])
-            return Witness(prefix + (last,), conjugated, column, phase)
+        # bit c of reach[k_1, .., k_l] is set when the prefix can still reach column c
+        bits = np.where(allowed, np.uint64(1) << np.arange(size, dtype=np.uint64), 0).sum(axis=2)
+        reach = np.bitwise_and.reduce(np.bitwise_or.reduce(bits, axis=1))
+        for l in range(n - 1):
+            reach = reach[..., None] & bits[l]
+        live = np.flatnonzero(reach)  # lexicographic order
+        digits = [live // 24 ** (n - 2 - l) % 24 for l in range(n - 1)]  # qubit l+1's Clifford
+        start, step = 0, WITNESS_FIRST_BLOCK
+        while start < len(live):
+            block = [d[start:start + step] for d in digits]
+            psi = base[None]
+            for l in range(n - 1):
+                psi = _apply_rowwise(stack[block[l]], psi, l)
+            hits = np.flatnonzero(np.abs(psi @ folded) >= 1 - tol)
+            if hits.size:
+                row, last, column = map(int, np.unravel_index(hits[0], (len(psi), 24, size)))
+                prefix = tuple(int(d[row]) for d in block)
+                phase = _witness_phase(base, prefix, last, column, cols_dag, stack)
+                return Witness(prefix + (last,), conjugated, column, phase)
+            start, step = start + step, WITNESS_BLOCK
     return None
+
+
+def _witness_phase(base: np.ndarray, prefix: tuple[int, ...], last: int, column: int,
+                   cols_dag: np.ndarray, stack: np.ndarray) -> complex:
+    """<column|mapped> for the tuple prefix + (last,), mapped state = phase * column.
+
+    Computed with the operations of a scan that visits one prefix at a time,
+    so the phase, and the output that prints it, is bit for bit that scan's.
+    """
+    state = base
+    for qubit, index in enumerate(prefix, start=1):
+        state = apply_on_qubit(stack[index], state, qubit)
+    batch = np.einsum("rb,kab->kra", state.reshape(-1, 2), stack).reshape(24, -1)
+    return complex((cols_dag @ batch.T)[column, last])
+
+
+def _apply_rowwise(u: np.ndarray, psi: np.ndarray, l: int) -> np.ndarray:
+    """Row b of psi with the (B, 2, 2) u[b] applied to qubit l + 1; a single row is broadcast."""
+    split = psi.reshape(len(psi), 2**l, 2, -1)
+    upper, lower = split[:, :, 0], split[:, :, 1]
+    out = np.empty((len(u),) + split.shape[1:], dtype=complex)
+    out[:, :, 0] = u[:, 0, 0, None, None] * upper + u[:, 0, 1, None, None] * lower
+    out[:, :, 1] = u[:, 1, 0, None, None] * upper + u[:, 1, 1, None, None] * lower
+    return out.reshape(len(u), -1)
 
 
 # ---------------------------------------------------------------------------
@@ -483,12 +524,7 @@ def _block_lc_keys(states: np.ndarray) -> list[bytes]:
         for l in range(n - 1, -1, -1):  # mixed radix, last qubit fastest
             digit = rest % counts[owner, l]
             rest //= counts[owner, l]
-            u = stack[choices[owner, l, digit]]  # (C, 2, 2)
-            split = psi.reshape(len(psi), 2**l, 2, -1)
-            upper, lower = split[:, :, 0], split[:, :, 1]
-            psi = np.stack([u[:, 0, 0, None, None] * upper + u[:, 0, 1, None, None] * lower,
-                            u[:, 1, 0, None, None] * upper + u[:, 1, 1, None, None] * lower],
-                           axis=2).reshape(len(psi), -1)
+            psi = _apply_rowwise(stack[choices[owner, l, digit]], psi, l)
         image_keys = phase_canonical_keys(psi)
         bounds = np.flatnonzero(np.diff(owner)) + 1
         for lo, hi in zip([0, *bounds], [*bounds, len(owner)]):

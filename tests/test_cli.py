@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import json
 import re
 
@@ -8,6 +10,7 @@ import pytest
 from tetrabasis import cli
 from tetrabasis.cli import CSV_COLUMNS, fmt_number, main
 from tetrabasis.reproduce import SUITE_NAMES
+from tetrabasis.search import SearchConfig, group_into_classes, search_regular
 
 
 def run_cli(capsys, *argv):
@@ -487,6 +490,25 @@ class TestSharedParser:
         # the config file's switch and mode applied to its call alone
         assert "matrix" in json.loads(shared[1][1]) and "matrix" not in json.loads(shared[0][1])
         assert shared[0] == shared[-1]
+
+
+class TestRenderJson:
+    PAYLOAD = {"n": np.int64(3), "r": np.sqrt(3) / 4, "ok": np.bool_(True), "none": None,
+               "rows": [(1 / 3, "z1 z2"), []], "nested": {"empty": {}, "phase": [0.5, -1e-17]}}
+
+    def test_streamed_bytes_equal_dumps(self, capsys):
+        cli.render_json(self.PAYLOAD)
+        assert capsys.readouterr().out == json.dumps(cli._formatted(self.PAYLOAD), indent=2) + "\n"
+
+    def test_writes_to_the_current_stdout(self):
+        # sys.stdout is looked up per call, so a later redirect still captures it
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["classify", "--n", "3", "--m", "2"])
+        records = group_into_classes(search_regular(SearchConfig(3, 2)))
+        payload = {"n": 3, "m": 2, "classes": [r.to_json_dict() for r in records]}
+        assert code == 0
+        assert out.getvalue() == json.dumps(cli._formatted(payload), indent=2) + "\n"
 
 
 class TestNumberFormatting:

@@ -16,8 +16,14 @@ from tetrabasis.geometry import (
     classify_geometry,
     relational_chirality,
 )
-from tetrabasis.qcore import PAULI_MATS, pauli_matrix
-from tetrabasis.search import SearchConfig, search_regular
+from tetrabasis.qcore import PAULI_MATS, apply_on_qubit, pauli_matrix
+from tetrabasis.search import (
+    SearchConfig,
+    lc_equivalence_witness,
+    search_regular,
+    single_qubit_cliffords,
+)
+from test_search import exhaustive_witness
 
 
 def pauli_letters(n):
@@ -124,6 +130,31 @@ class TestOrbitProperties:
             basis = orbit_basis(build_fiducial(f), build_tetra_group(3), f)
             m = measurement_unitary(basis)
             assert np.max(np.abs(m.conj().T @ m - np.eye(8))) < 1e-10
+
+
+@st.composite
+def witness_cases(draw):
+    """A state L U_g psi_f (LC tuple L, orbit column g) and the orbit basis of f, -f or h."""
+    n = draw(st.sampled_from([3, 2]))
+    f = draw(polynomials(n, 2))
+    target = draw(st.one_of(st.just(f), st.just(f.negated()), polynomials(n, 2)))
+    state = orbit_basis(build_fiducial(f), build_tetra_group(n), f).column(
+        draw(st.integers(0, 2**n - 1)))
+    cliffs = single_qubit_cliffords()
+    for qubit, index in enumerate(draw(st.lists(st.integers(0, 23), min_size=n, max_size=n)), 1):
+        state = apply_on_qubit(cliffs[index], state, qubit)
+    return state, orbit_basis(build_fiducial(target), build_tetra_group(n), target)
+
+
+class TestWitnessOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(witness_cases())
+    def test_stacked_scan_equals_exhaustive(self, case):
+        # exact equality, phase bits included, in the plain pass and in both passes
+        state, basis = case
+        for conjugation in (False, True):
+            assert (lc_equivalence_witness(state, basis, allow_conjugation=conjugation)
+                    == exhaustive_witness(state, basis, allow_conjugation=conjugation))
 
 
 class TestChiralityInvariance:

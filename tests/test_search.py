@@ -9,9 +9,11 @@ import pytest
 
 from tetrabasis.basisgen import build_tetra_group, ejm_reference_basis, orbit_basis, orbit_columns
 from tetrabasis.fiducial import parse_polynomial, build_fiducial
-from tetrabasis.geometry import bloch_vector, bloch_vectors, conjugate_state
+from tetrabasis.geometry import bloch_vector, bloch_vectors, conjugate_state, orbit_bloch_table
 from tetrabasis.qcore import PAULI_MATS, CapacityError, apply_on_qubit, num_qubits
 from tetrabasis.search import (
+    WITNESS_BLOCK,
+    WITNESS_FIRST_BLOCK,
     ClassRecord,
     SearchConfig,
     Witness,
@@ -330,6 +332,19 @@ def orbit_of(f):
     return orbit_basis(build_fiducial(f), build_tetra_group(f.n), f)
 
 
+def live_prefixes(psi, basis, tol=1e-9):
+    """Reference: the Bloch-pruned prefixes on qubits 1..n-1, listed per column and sorted."""
+    n = basis.n
+    rotated = np.einsum("kij,lj->lki", clifford_bloch_rotations(), bloch_vectors(psi[None])[0])
+    bound = 2 * np.sqrt(1 - (1 - tol - 1e-12) ** 2) + 1e-12
+    allowed = np.linalg.norm(rotated[:, :, None] - orbit_bloch_table(basis)[:, None],
+                             axis=-1) <= bound
+    reachable = allowed.any(axis=1).all(axis=0)
+    return sorted({prefix for c in np.flatnonzero(reachable)
+                   for prefix in product(*(np.flatnonzero(allowed[l, :, c]).tolist()
+                                           for l in range(n - 1)))})
+
+
 def assert_matches_exhaustive(psi, basis, tol=1e-9):
     """Pruned and exhaustive scans agree exactly, in each pass and in both together.
 
@@ -453,6 +468,35 @@ class TestPrunedWitness:
         assert_matches_exhaustive(ghz, orbit_of(f))
         witness = lc_equivalence_witness(build_fiducial(f), orbit_of(f))
         assert witness.clifford_indices == (0, 0, 0) and witness.column == 0
+
+    # the stacked scan takes WITNESS_FIRST_BLOCK live prefixes, then
+    # WITNESS_BLOCK at a time; each case asserts where its prefixes fall
+    GHZ3 = np.array([1, 0, 0, 0, 0, 0, 0, 1], dtype=complex) / np.sqrt(2)
+
+    def test_hit_in_the_second_block(self):
+        psi = build_fiducial(parse_polynomial("2 z1 z3 + z2 z3", 3, 2))
+        target = orbit_of(parse_polynomial("2 z1 z3 + 3 z2 z3", 3, 2))
+        assert assert_matches_exhaustive(psi, target) >= 1
+        live = live_prefixes(psi, target)
+        rank = live.index(lc_equivalence_witness(psi, target).clifford_indices[:-1])
+        assert WITNESS_FIRST_BLOCK <= rank < WITNESS_FIRST_BLOCK + WITNESS_BLOCK
+        assert (rank, len(live)) == (16, 64)
+
+    def test_all_zero_bloch_hit_in_the_third_block(self):
+        # every qubit of both has a zero Bloch vector, so all 24^2 prefixes are live
+        target = orbit_of(parse_polynomial("2 z1 z2 + 2 z1 z3", 3, 2))
+        assert assert_matches_exhaustive(self.GHZ3, target) >= 1
+        live = live_prefixes(self.GHZ3, target)
+        assert len(live) == 24**2
+        rank = live.index(lc_equivalence_witness(self.GHZ3, target).clifford_indices[:-1])
+        assert WITNESS_FIRST_BLOCK + WITNESS_BLOCK <= rank == 100
+
+    def test_miss_over_many_blocks(self):
+        psi = build_fiducial(parse_polynomial("2 z1 z3", 3, 2))
+        target = orbit_of(parse_polynomial("3 z1 z2 + 2 z1 z3", 3, 2))
+        assert len(live_prefixes(psi, target)) == 24**2 > WITNESS_FIRST_BLOCK + 2 * WITNESS_BLOCK
+        assert lc_equivalence_witness(psi, target) is None
+        assert_matches_exhaustive(psi, target)
 
     @pytest.mark.longrun
     @pytest.mark.skipif(not os.environ.get("TETRABASIS_LONGRUN"),
