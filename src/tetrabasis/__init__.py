@@ -50,7 +50,6 @@ from .search import (
     ClassRecord,
     SearchConfig,
     SearchHit,
-    enumerate_polynomials,
     group_into_classes,
     lc_equivalence_witness,
     search_regular,

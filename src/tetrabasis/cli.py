@@ -360,10 +360,9 @@ def cmd_search(args) -> int:
 
 def cmd_classify(args) -> int:
     cfg = _search_config(args)
-    if cfg.n > 4:  # lc_equivalence_witness's cap: fail before the search, whatever it finds
+    if cfg.n > 4:  # the documented cap: fail before the search, whatever it finds
         raise CapacityError("classify supported for n <= 4: witness search supported for n <= 4")
-    hits = search_regular(cfg)
-    records = group_into_classes(hits)
+    records = group_into_classes(search_regular(cfg))  # the hits are freed before the output
     payload = {"n": args.n, "m": args.m, "classes": [r.to_json_dict() for r in records]}
     if args.format == "text":
         for record in records:

@@ -8,13 +8,17 @@ and fingerprints are built in further array passes, and those that pass the
 filters are the hits; a hit keeps its fiducial row, and orbit columns are
 built only where they are read.  Hits are grouped into local-Clifford
 classes by a canonical key (``lc_canonical_keys``: each qubit's frame is
-fixed by its Bloch vector), and each later member of a class is linked to
-the class's first by one explicit witness.  The witness scan visits only
-the Clifford tuples whose cube rotations carry each qubit's Bloch vector
-onto the target column's.  It takes their prefixes as stacked array blocks,
-one matmul per block against the target columns with the last qubit's 24
-Cliffords folded in, and recomputes only the winning tuple's phase with
-one qubit's operator at a time.
+fixed by its Bloch vector, and the smallest image over the frame-fixing
+Clifford tuples is kept).  Each later member of a class is linked to the
+class's first by an explicit witness, derived from the tuples that reach
+the two fiducials' minimal images with a table of Clifford products, so
+grouping makes no witness scan.  The scan, ``lc_equivalence_witness``,
+serves the ``witness`` command and the reproduction suites.  It visits
+only the Clifford tuples whose cube rotations carry each qubit's Bloch
+vector onto the target column's.  It takes their prefixes as stacked array
+blocks, one matmul per block against the target columns with the last
+qubit's 24 Cliffords folded in, and recomputes only the winning tuple's
+phase with one qubit's operator at a time.
 """
 
 from __future__ import annotations
@@ -74,19 +78,6 @@ def canonical_monomials(n: int, min_degree: int = 2) -> list[tuple[int, ...]]:
 def polynomial_from_coeffs(n: int, m: int, monos: list[tuple[int, ...]],
                            coeffs: tuple[int, ...]) -> PhasePolynomial:
     return PhasePolynomial(n, m, {frozenset(s): c for s, c in zip(monos, coeffs) if c})
-
-
-def enumerate_polynomials(n: int, m: int, min_degree: int = 2):
-    """All (2^m)^(#monomials) coefficient assignments, lexicographic order."""
-    if n > 5:
-        raise CapacityError("full enumeration supported for n <= 5")
-    monos = canonical_monomials(n, min_degree)
-    for coeffs in product(range(2**m), repeat=len(monos)):
-        yield polynomial_from_coeffs(n, m, monos, coeffs)
-
-
-def polynomial_space_size(n: int, m: int, min_degree: int = 2) -> int:
-    return (2**m) ** len(canonical_monomials(n, min_degree))
 
 
 @dataclass(frozen=True)
@@ -175,6 +166,11 @@ def _orbit_violations(psi: np.ndarray, group: TetraGroup) -> np.ndarray:
     for bit: the values can differ from its, and with the block size, by
     about 1e-16, so only the decision against EPS_NORM is shared.  Labels
     are taken one at a time so no temporary outgrows the block.
+
+    S(n) H_n conjugates the group onto the 2^n Z strings, and the state it
+    acts on, D_f H^(x n)|0..0>, has flat moduli, so every orbit is
+    orthonormal by construction: the guard catches only a fault in the
+    fiducial builder or the group.
     """
     x = np.arange(2**group.n)
     conj = psi.conj()
@@ -186,11 +182,15 @@ def _orbit_violations(psi: np.ndarray, group: TetraGroup) -> np.ndarray:
 
 
 def _require_orthonormal(states: np.ndarray, group: TetraGroup, poly_of) -> None:
-    """Raise for the first row whose orbit is not orthonormal; poly_of(i) names row i."""
-    violation = _orbit_violations(states, group)
-    bad = np.flatnonzero(violation > EPS_NORM)
+    """Raise for the first row whose orbit is not orthonormal; poly_of(i) names row i.
+
+    The reported violation is recomputed from that row alone, so the message
+    does not depend on the block the row was screened in.
+    """
+    bad = np.flatnonzero(_orbit_violations(states, group) > EPS_NORM)
     if bad.size:
-        raise _non_orthonormal(poly_of(bad[0]), violation[bad[0]])
+        row = bad[0]
+        raise _non_orthonormal(poly_of(row), _orbit_violations(states[row:row + 1], group)[0])
 
 
 def _bloch_vectors(psi: np.ndarray, n: int) -> np.ndarray:
@@ -320,6 +320,40 @@ def clifford_bloch_rotations() -> np.ndarray:
     stack = np.stack(single_qubit_cliffords())
     table = np.einsum("iab,kbc,jcd,kad->kij", sigma, stack, sigma, stack.conj()).real / 2
     return np.rint(table)
+
+
+@lru_cache(maxsize=1)
+def clifford_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Cliffords' product table modulo phase, their inverses, and the Paulis' indices.
+
+    products[i, j] is the index of C_i C_j and inverse[i] that of C_i^dag,
+    up to phase; paulis[a, b] is the index of Z^b X^a (I, X, Z and ZX).
+    A Clifford up to phase is fixed by its Bloch rotation, and the rotation
+    of a product is the product of the rotations, so the tables are read
+    from the exact integer rotations.
+    """
+    rotations = clifford_bloch_rotations().astype(np.int64)
+    digits = 3 ** np.arange(9)
+    code = {int(c): k for k, c in enumerate((rotations.reshape(24, 9) + 1) @ digits)}
+
+    def indices(mats: np.ndarray) -> np.ndarray:
+        flat = (mats.reshape(-1, 9) + 1) @ digits
+        return np.array([code[int(c)] for c in flat], dtype=np.intp).reshape(mats.shape[:-2])
+
+    x, z = np.diag([1, -1, -1]), np.diag([-1, -1, 1])  # rotations of X and Z
+    paulis = np.stack([[np.eye(3, dtype=np.int64), z], [x, z @ x]])
+    return (indices(np.einsum("iab,jbc->ijac", rotations, rotations)),
+            indices(rotations.transpose(0, 2, 1)), indices(paulis))
+
+
+@lru_cache(maxsize=None)
+def _column_paulis(n: int) -> np.ndarray:
+    """(2^n, n) Clifford indices of column g's Pauli Z^b X^a on each qubit, qubit 1 first."""
+    group = build_tetra_group(n)
+    shifts = np.arange(n - 1, -1, -1)
+    x = np.array(group.x_masks)[:, None] >> shifts & 1
+    z = np.array(group.z_masks)[:, None] >> shifts & 1
+    return clifford_tables()[2][x, z]
 
 
 @dataclass(frozen=True)
@@ -492,17 +526,30 @@ def lc_canonical_keys(fiducials: np.ndarray) -> list[bytes]:
     states up to phase.  Both steps round to 8 decimals, so the key is exact
     only up to that rounding.  Rows are taken KEY_HITS at a time and their
     images KEY_IMAGES at a time, so a zero-Bloch n=4 row's 24^4 images stay
-    bounded.
+    bounded.  The kept tuples whose image has the key are its canonical
+    frames: two rows with one key are linked by composing their frames,
+    which is how ``group_into_classes`` derives its witnesses.
     """
+    return _lc_keys_and_frames(fiducials)[0]
+
+
+def _lc_keys_and_frames(fiducials: np.ndarray) -> tuple[list[bytes], np.ndarray, np.ndarray]:
+    """``lc_canonical_keys``, and the kept (frame-fixing) Clifford index tuples whose image
+    has that key: row i's are the (M, n) int8 rows tuples[offsets[i]:offsets[i + 1]]."""
     fiducials = np.asarray(fiducials, dtype=complex)
     keys: list[bytes] = []
+    blocks, counts = [], []
     for start in range(0, len(fiducials), KEY_HITS):
-        keys += _block_lc_keys(fiducials[start:start + KEY_HITS])
-    return keys
+        block_keys, block_tuples, block_counts = _block_lc_keys(fiducials[start:start + KEY_HITS])
+        keys += block_keys
+        blocks.append(block_tuples)
+        counts.append(block_counts)
+    tuples = np.concatenate(blocks) if blocks else np.empty((0, 0), dtype=np.int8)
+    return keys, tuples, np.cumsum(np.concatenate([[0], *counts]).astype(np.intp))
 
 
-def _block_lc_keys(states: np.ndarray) -> list[bytes]:
-    """``lc_canonical_keys`` of one block of rows."""
+def _block_lc_keys(states: np.ndarray) -> tuple[list[bytes], np.ndarray, np.ndarray]:
+    """``_lc_keys_and_frames`` of one block of rows, with each row's count of tuples."""
     n = num_qubits(states.shape[1])
     images = np.round(np.einsum("kij,blj->blki", clifford_bloch_rotations(),
                                 bloch_vectors(states)), 8)  # (B, n, 24, 3)
@@ -516,22 +563,29 @@ def _block_lc_keys(states: np.ndarray) -> list[bytes]:
     ends = np.cumsum(sizes)
     stack = np.stack(single_qubit_cliffords())
     best: list[bytes | None] = [None] * len(states)
+    frames: list[np.ndarray | None] = [None] * len(states)
     for first in range(0, int(ends[-1]), KEY_IMAGES):
         image = np.arange(first, min(first + KEY_IMAGES, int(ends[-1])))
         owner = np.searchsorted(ends, image, side="right")
         rest = image - (ends[owner] - sizes[owner])  # image number within its row
         psi = states[owner]
+        tuples = np.empty((len(image), n), dtype=np.int8)
         for l in range(n - 1, -1, -1):  # mixed radix, last qubit fastest
             digit = rest % counts[owner, l]
             rest //= counts[owner, l]
-            psi = _apply_rowwise(stack[choices[owner, l, digit]], psi, l)
+            tuples[:, l] = choices[owner, l, digit]
+            psi = _apply_rowwise(stack[tuples[:, l]], psi, l)
         image_keys = phase_canonical_keys(psi)
         bounds = np.flatnonzero(np.diff(owner)) + 1
         for lo, hi in zip([0, *bounds], [*bounds, len(owner)]):
             row, smallest = owner[lo], min(image_keys[lo:hi])
-            if best[row] is None or smallest < best[row]:
-                best[row] = smallest
-    return best
+            if best[row] is not None and smallest > best[row]:
+                continue
+            minimal = tuples[lo:hi][[key == smallest for key in image_keys[lo:hi]]]
+            if best[row] == smallest:
+                minimal = np.concatenate([frames[row], minimal])
+            best[row], frames[row] = smallest, minimal
+    return best, np.concatenate(frames), np.array([len(f) for f in frames])
 
 
 def conjugate_partner_key(hits: list[SearchHit], among: list[SearchHit]) -> list[str | None]:
@@ -571,40 +625,45 @@ def group_into_classes(hits: list[SearchHit], tol: float = 1e-9) -> list[ClassRe
     the classes are the LC classes of the fiducials, which share
     ``lc_canonical_keys``.  Within one fingerprint group, the first hit with
     a key opens its class, and its orbit basis becomes the class's witness
-    target; every later hit with that key makes one witness call, the one
-    that links it to its class.  A class's conjugation partner is the
-    class of the first member whose basis holds the representative's
+    target; every later hit with that key is linked to it by the witness
+    ``lc_equivalence_witness`` would find, derived from the canonical frames
+    (``_derived_witness``) without a scan.  A class's conjugation partner is
+    the class of the first member whose basis holds the representative's
     conjugated fiducial (``conjugate_partner_key``).
     """
-    groups: dict[tuple, list[tuple[SearchHit, bytes]]] = {}
-    for hit, lc_key in zip(hits, lc_canonical_keys(np.array([hit.fiducial for hit in hits]))):
-        groups.setdefault(hit.fingerprint.class_key(), []).append((hit, lc_key))
+    keys, tuples, offsets = _lc_keys_and_frames(np.array([hit.fiducial for hit in hits]))
+    groups: dict[tuple, list[int]] = {}
+    for i, hit in enumerate(hits):
+        groups.setdefault(hit.fingerprint.class_key(), []).append(i)
+    stack = np.stack(single_qubit_cliffords())
 
     records: list[ClassRecord] = []
     for key in sorted(groups, key=repr):
-        members = groups[key]
-        classes: dict[bytes, tuple[ClassRecord, Basis]] = {}
+        members = groups[key]  # indices into hits
+        classes: dict[bytes, tuple[ClassRecord, np.ndarray, np.ndarray]] = {}
         reps: list[SearchHit] = []
         member_class: dict[str, ClassRecord] = {}
-        for hit, lc_key in members:
+        for i in members:
+            hit, lc_key = hits[i], keys[i]
             if lc_key in classes:
-                record, target = classes[lc_key]
-                witness = lc_equivalence_witness(hit.fiducial, target,
-                                                 allow_conjugation=False, tol=tol)
-                if witness is None:
+                record, cols_dag, frames = classes[lc_key]
+                witness = _derived_witness(hit.fiducial, tuples[offsets[i]], frames, cols_dag,
+                                           stack)
+                if abs(witness.phase) < 1 - tol:
                     raise _unlinked(hit.polynomial, record.representatives[0])
                 record.representatives.append(hit.polynomial)
                 record.witness_links[hit.key] = witness
             else:
                 record = ClassRecord(fingerprint=hit.fingerprint,
                                      representatives=[hit.polynomial])
-                target = orbit_basis(hit.fiducial, build_tetra_group(hit.polynomial.n),
-                                     hit.polynomial)
-                classes[lc_key] = (record, target)
+                basis = orbit_basis(hit.fiducial, build_tetra_group(hit.polynomial.n),
+                                    hit.polynomial)
+                classes[lc_key] = (record, basis.columns.conj().T,
+                                   tuples[offsets[i]:offsets[i + 1]])
                 reps.append(hit)
             member_class[hit.key] = record
-        opened = [record for record, _ in classes.values()]
-        for record, partner in zip(opened, conjugate_partner_key(reps, [h for h, _ in members])):
+        opened = [record for record, _, _ in classes.values()]
+        for record, partner in zip(opened, conjugate_partner_key(reps, [hits[i] for i in members])):
             if partner is not None:
                 record.conjugate_partner = member_class[partner].key
         for record in sorted(opened, key=lambda r: r.key):
@@ -613,6 +672,33 @@ def group_into_classes(hits: list[SearchHit], tol: float = 1e-9) -> list[ClassRe
             record.fingerprint = replace(record.fingerprint, conjugate_flag=flag)
             records.append(record)
     return records
+
+
+def _derived_witness(psi: np.ndarray, frame: np.ndarray, frames: np.ndarray,
+                     cols_dag: np.ndarray, stack: np.ndarray) -> Witness:
+    """The witness ``lc_equivalence_witness`` returns for psi against a class's target.
+
+    The target is the orbit basis of the class's first fiducial psi_A; its
+    columns come as the scan takes them, cols_dag = columns.conj().T.  frame
+    carries psi, and each tuple f of frames carries psi_A, onto the same
+    canonical state up to phase.  Any tuple T carrying psi onto column
+    c = P_c psi_A composes with frame's inverse into a frame-fixing tuple of
+    minimal image, so T = P_c f^-1 frame for some f.  Columns are
+    orthogonal, so each T reaches one column, and the scan's first hit is
+    the smallest of these tuples over every c and f, computed qubit by qubit
+    from ``clifford_tables``.  The phase is the scan's own ``_witness_phase``,
+    bit for bit; the caller checks its modulus.
+    """
+    products, inverse, _ = clifford_tables()
+    n = len(frame)
+    tuples = products[_column_paulis(n)[:, None, :],
+                      products[inverse[frames], frame]]  # (2^n, M, n)
+    smallest = int(np.argmin(tuples @ 24 ** np.arange(n - 1, -1, -1)))
+    column, row = divmod(smallest, tuples.shape[1])
+    clifford_indices = tuple(int(k) for k in tuples[column, row])
+    phase = _witness_phase(np.asarray(psi, dtype=complex), clifford_indices[:-1],
+                           clifford_indices[-1], column, cols_dag, stack)
+    return Witness(clifford_indices, False, column, phase)
 
 
 def _unlinked(f: PhasePolynomial, rep: PhasePolynomial) -> AssertionError:

@@ -14,11 +14,13 @@ from tetrabasis.basisgen import (
     measurement_unitary,
     orbit_basis,
 )
-from tetrabasis.fiducial import parse_polynomial, build_fiducial
+from tetrabasis.fiducial import HADAMARD, parse_polynomial, build_fiducial, staircase_circuit
 from tetrabasis.geometry import bloch_vector
 from tetrabasis.qcore import PAULI_MATS, CapacityError, pauli_matrix
 from tetrabasis.reproduce import EJM_MATRIX
-from tetrabasis.search import canonical_monomials, enumerate_polynomials, polynomial_from_coeffs
+from tetrabasis.search import canonical_monomials, polynomial_from_coeffs
+
+from polyspace import enumerate_polynomials
 
 KET00 = np.eye(4, dtype=complex)[0]
 
@@ -86,6 +88,23 @@ class TestTetraGroup:
         for n in (2, 3, 4, 5):
             for elem in mask_elements(n):
                 np.testing.assert_array_equal(elem @ elem, np.eye(2**n))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_fiducial_circuit_conjugates_the_group_to_the_z_strings(self, n):
+        # W = S(n) H_n carries D_f H^(x n)|0..0> to the fiducial, and W^dag U_g W
+        # is exactly one Z string per label.  D_f H^(x n)|0..0> has flat moduli,
+        # so <psi|U_g|psi> = 2^-n sum_x (-1)^(c.x) = 0 for g >= 1: every orbit
+        # is orthonormal by construction, for every polynomial
+        w = staircase_circuit(n) @ np.kron(np.eye(2 ** (n - 1)), HADAMARD)
+        group = build_tetra_group(n)
+        strings = []
+        for a, b in zip(group.x_masks, group.z_masks):
+            conjugated = w.conj().T @ pauli_matrix(n, a, b) @ w
+            c = next(c for c in range(2**n)
+                     if np.allclose(conjugated, pauli_matrix(n, 0, c), atol=1e-12))
+            strings.append(c)
+        assert sorted(strings) == list(range(2**n))
+        assert strings[0] == 0
 
     def test_small_n_rejected(self):
         with pytest.raises(ValueError):

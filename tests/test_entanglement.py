@@ -22,7 +22,7 @@ from tetrabasis.qcore import PAULI_MATS, partial_trace
 def basis_state(n, index):
     return np.eye(2**n, dtype=complex)[index]
 
-from tetrabasis.search import enumerate_polynomials
+from polyspace import enumerate_polynomials
 
 GHZ = (basis_state(3, 0b000) + basis_state(3, 0b111)) / np.sqrt(2)
 BELL = (basis_state(2, 0b00) + basis_state(2, 0b11)) / np.sqrt(2)

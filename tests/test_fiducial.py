@@ -17,7 +17,9 @@ from tetrabasis.fiducial import (
     staircase_circuit,
 )
 from tetrabasis.qcore import apply_on_qubit
-from tetrabasis.search import canonical_monomials, enumerate_polynomials, polynomial_from_coeffs
+from tetrabasis.search import canonical_monomials, polynomial_from_coeffs
+
+from polyspace import enumerate_polynomials
 
 APPA_FIDUCIAL = np.array([1, (1 - 1j) / 2, (1 + 1j) / 2, 0], dtype=complex) / np.sqrt(2)
 APPC_FIDUCIAL = 0.5 * np.array(

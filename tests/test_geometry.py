@@ -31,7 +31,9 @@ from tetrabasis.geometry import (
 )
 from tetrabasis.qcore import PAULI_MATS, partial_trace
 from tetrabasis.reproduce import APPD_EXAMPLE1, APPD_EXAMPLE2
-from tetrabasis.search import canonical_monomials, enumerate_polynomials, polynomial_from_coeffs
+from tetrabasis.search import canonical_monomials, polynomial_from_coeffs
+
+from polyspace import enumerate_polynomials
 
 
 def basis_state(n, index):

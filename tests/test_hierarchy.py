@@ -31,7 +31,9 @@ from tetrabasis.qcore import (
     pauli_matrix,
     phase_canonical_key,
 )
-from tetrabasis.search import canonical_monomials, enumerate_polynomials, polynomial_from_coeffs
+from tetrabasis.search import canonical_monomials, polynomial_from_coeffs
+
+from polyspace import enumerate_polynomials
 
 X, Y, Z = PAULI_MATS["X"], PAULI_MATS["Y"], PAULI_MATS["Z"]
 H = (X + Z) / np.sqrt(2)

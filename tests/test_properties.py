@@ -1,6 +1,7 @@
 """Structural property tests: algebraic identities, invariances, canonicalization."""
 
-from functools import reduce
+from dataclasses import replace
+from functools import lru_cache, reduce
 from itertools import combinations
 
 import numpy as np
@@ -19,6 +20,7 @@ from tetrabasis.geometry import (
 from tetrabasis.qcore import PAULI_MATS, apply_on_qubit, pauli_matrix
 from tetrabasis.search import (
     SearchConfig,
+    group_into_classes,
     lc_equivalence_witness,
     search_regular,
     single_qubit_cliffords,
@@ -155,6 +157,35 @@ class TestWitnessOracle:
         for conjugation in (False, True):
             assert (lc_equivalence_witness(state, basis, allow_conjugation=conjugation)
                     == exhaustive_witness(state, basis, allow_conjugation=conjugation))
+
+
+@lru_cache(maxsize=None)
+def search_hits(n):
+    """Unfiltered n=3 hits (zero-Bloch rows included), or regular n=4 sample hits."""
+    if n == 3:
+        return search_regular(SearchConfig(3, 2, require_regular=False))
+    return search_regular(SearchConfig(4, 2, sample=3000, seed=1))
+
+
+class TestDerivedWitness:
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([3, 4]), st.integers(0, 10**6),
+           st.lists(st.integers(0, 23), min_size=4, max_size=4), st.integers(0, 15),
+           st.floats(0, 1, exclude_max=True))
+    def test_link_to_a_local_clifford_image_equals_the_scan(self, n, pick, tuple_, column, turn):
+        # the image L P_c psi e^(2 pi i turn) shares psi's key, and its derived
+        # link is the scan's first witness, phase bits included
+        hits = search_hits(n)
+        hit = hits[pick % len(hits)]
+        basis = orbit_basis(hit.fiducial, build_tetra_group(n), hit.polynomial)
+        state = basis.column(column % 2**n)
+        for qubit, index in enumerate(tuple_[:n], 1):
+            state = apply_on_qubit(single_qubit_cliffords()[index], state, qubit)
+        label = parse_polynomial("z1 z2" if hit.key == "0" else "0", n, 2)
+        image = replace(hit, polynomial=label, fiducial=state * np.exp(2j * np.pi * turn))
+        [record] = group_into_classes([hit, image])
+        assert record.witness_links == {
+            label.to_text(): lc_equivalence_witness(image.fiducial, basis)}
 
 
 class TestChiralityInvariance:

@@ -19,18 +19,19 @@ from tetrabasis.search import (
     Witness,
     canonical_monomials,
     clifford_bloch_rotations,
+    clifford_tables,
     conjugate_partner_key,
-    enumerate_polynomials,
     evaluate_polynomial_candidate,
     group_into_classes,
     lc_canonical_keys,
     lc_equivalence_witness,
     polynomial_from_coeffs,
-    polynomial_space_size,
     screen_block,
     search_regular,
     single_qubit_cliffords,
 )
+
+from polyspace import enumerate_polynomials, polynomial_space_size
 
 
 class TestEnumeration:
@@ -216,6 +217,30 @@ class TestBatchedScreen:
         with pytest.raises(AssertionError, match=message):
             search_regular(SearchConfig(n, 2))
 
+    def test_guard_message_does_not_depend_on_the_block(self, monkeypatch):
+        # one corrupted row of the n=3 space; its violation is reported from
+        # that row alone, whatever SCREEN_BATCH puts beside it
+        from tetrabasis import search
+        from tetrabasis.fiducial import polynomial_values
+        bad = parse_polynomial("z1 z2 + 2 z1 z3 + 3 z2 z3", 3, 2)
+        build = search.build_fiducials
+
+        def corrupting(values, n, m):
+            states = build(values, n, m)
+            rows = np.flatnonzero((values == polynomial_values(bad)).all(axis=1))
+            states[rows] = (states[rows] + 0.01 * np.roll(states[rows], 1, axis=1)) / 1.00005
+            return states
+
+        monkeypatch.setattr(search, "build_fiducials", corrupting)
+        messages = []
+        for batch in (4096, 1, 7):
+            monkeypatch.setattr(search, "SCREEN_BATCH", batch)
+            with pytest.raises(AssertionError) as caught:
+                search_regular(SearchConfig(3, 2))
+            messages.append(str(caught.value))
+        assert messages[0].startswith(f"orbit of {bad.to_text()!r} unexpectedly non-orthonormal")
+        assert messages == [messages[0]] * 3
+
 
 class TestCliffordGroup:
     def test_count(self):
@@ -241,6 +266,22 @@ class TestCliffordGroup:
 
     def test_identity_first(self):
         np.testing.assert_allclose(single_qubit_cliffords()[0], np.eye(2), atol=1e-15)
+
+    def test_tables_match_the_matrices_up_to_phase(self):
+        cliffs = single_qubit_cliffords()
+
+        def same_up_to_phase(a, b):
+            return abs(abs(np.trace(a.conj().T @ b)) - 2) < 1e-9
+
+        products, inverse, paulis = clifford_tables()
+        for i, a in enumerate(cliffs):
+            assert same_up_to_phase(cliffs[inverse[i]], a.conj().T)
+            for j, b in enumerate(cliffs):
+                assert same_up_to_phase(cliffs[products[i, j]], a @ b)
+        x, z = PAULI_MATS["X"], PAULI_MATS["Z"]
+        for a, b in product((0, 1), repeat=2):
+            pauli = np.linalg.matrix_power(z, b) @ np.linalg.matrix_power(x, a)
+            assert same_up_to_phase(cliffs[paulis[a, b]], pauli)
 
 
 class TestWitness:
@@ -769,31 +810,54 @@ class TestKeyedGrouping:
         if cfg.n == 4:
             assert sum(len(r.representatives) > 1 for r in records) >= 4
 
-    def test_one_witness_call_per_non_first_member(self, monkeypatch):
+    def test_grouping_makes_no_witness_call(self, monkeypatch):
         from tetrabasis import search
-        calls = []
 
-        def counting(psi, basis, **kwargs):
-            calls.append((psi.tobytes(), basis.polynomial.to_text()))
-            return lc_equivalence_witness(psi, basis, **kwargs)
+        def scan(*args, **kwargs):
+            raise AssertionError("group_into_classes scanned for a witness")
 
-        monkeypatch.setattr(search, "lc_equivalence_witness", counting)
+        monkeypatch.setattr(search, "lc_equivalence_witness", scan)
         hits = search_regular(SearchConfig(3, 2, require_regular=False))
         records = group_into_classes(hits)
-        fiducials = {h.key: h.fiducial.tobytes() for h in hits}
-        assert sorted(calls) == sorted((fiducials[f.to_text()], r.key)
-                                       for r in records for f in r.representatives[1:])
-        assert len(calls) == 256 - 56
+        assert len(records) == 56
+        assert sum(len(r.witness_links) for r in records) == 256 - 56
 
     def test_key_match_without_witness_raises(self, monkeypatch, n3_hits):
+        # conjugate partners share a fingerprint but are not LC-equivalent;
+        # given one key, the second's derived link has no unit overlap
         from tetrabasis import search
-        first, later = group_into_classes(n3_hits)[0].representatives[:2]
-        pair = [h for key in (first, later) for h in n3_hits if h.polynomial == key]
-        monkeypatch.setattr(search, "lc_equivalence_witness", lambda *args, **kwargs: None)
+        record = next(r for r in group_into_classes(n3_hits) if r.conjugate_partner != r.key)
+        pair = [h for h in n3_hits if h.key in (record.key, record.conjugate_partner)]
+        first, later = (h.polynomial for h in pair)
+        block_lc_keys = search._block_lc_keys
+
+        def one_key(states):
+            keys, tuples, counts = block_lc_keys(states)
+            return [b"one key"] * len(keys), tuples, counts
+
+        monkeypatch.setattr(search, "_block_lc_keys", one_key)
         message = (f"{later.to_text()!r} shares the local-Clifford key of {first.to_text()!r} "
                    "but no witness links them")
         with pytest.raises(AssertionError, match=re.escape(message)):
             group_into_classes(pair)
+
+    @pytest.mark.parametrize("cfg", [
+        SearchConfig(3, 2),
+        SearchConfig(3, 3),
+        SearchConfig(3, 2, require_regular=False, require_nonzero=True),
+        SearchConfig(3, 3, require_regular=False, require_nonzero=True),
+        SearchConfig(3, 2, require_regular=False),
+        SearchConfig(3, 3, require_regular=False),
+        SearchConfig(4, 2, sample=60000, seed=9),
+    ], ids=["n3m2", "n3m3", "n3m2-nonzero", "n3m3-nonzero", "n3m2-unfiltered",
+            "n3m3-unfiltered", "n4-sample"])
+    def test_derived_links_equal_the_scan(self, cfg):
+        # unfiltered n=3 hits include zero-Bloch rows, whose frames keep all
+        # 24 Cliffords on a qubit
+        hits = search_regular(cfg)
+        records = group_into_classes(hits)
+        assert_links_equal_the_scan(hits, records)
+        assert sum(len(r.witness_links) for r in records) >= (20 if cfg.n == 4 else 30)
 
     @pytest.mark.longrun
     @pytest.mark.skipif(not os.environ.get("TETRABASIS_LONGRUN"),
@@ -807,6 +871,17 @@ class TestKeyedGrouping:
         assert sum(r.conjugate_partner == r.key for r in records) == 16
         assert all(len(r.witness_links) == len(r.representatives) - 1 for r in records)
         assert sum(len(r.representatives) for r in records) == len(hits)
+        assert sum(len(r.witness_links) for r in records) == 37_378
+        assert_links_equal_the_scan(hits, records)
+
+
+def assert_links_equal_the_scan(hits, records):
+    """Every derived witness link is the one the scan returns, phase bits included."""
+    fiducials = {h.key: h.fiducial for h in hits}
+    for record in records:
+        target = orbit_of(record.representatives[0])
+        for key, witness in record.witness_links.items():
+            assert witness == lc_equivalence_witness(fiducials[key], target)
 
 
 class TestConfig:
