@@ -19,7 +19,12 @@ import numpy as np
 from .basisgen import build_tetra_group, check_orthonormal, orbit_basis
 from .entanglement import invariant_fingerprint
 from .fiducial import PolynomialParseError, build_fiducial, parse_polynomial
-from .geometry import classify_geometry, orbit_bloch_table
+from .geometry import (
+    ChiralityInconsistencyError,
+    DegenerateGeometryError,
+    classify_geometry,
+    orbit_bloch_table,
+)
 from .hierarchy import DEFAULT_CAP, check_cap, clifford_level_test, diagonal_clifford_level
 from .qcore import CapacityError
 from .reproduce import SUITE_NAMES, reproduce_suite
@@ -189,7 +194,8 @@ def build_parser() -> argparse.ArgumentParser:
         add_common(p, poly=False, formats=formats)
         p.add_argument("--filter", action="append", choices=["regular", "nonzero"],
                        default=None, help="filters; default regular")
-        p.add_argument("--jobs", type=int, default=1, help="parallel worker count")
+        p.add_argument("--jobs", type=int, default=1,
+                       help="takes only 1: the search runs in one process")
         p.add_argument("--sample", type=int, default=None,
                        help="sampled search size (needed for n >= 4 full spaces)")
         p.add_argument("--seed", type=int, default=0)
@@ -289,8 +295,14 @@ def cmd_verify(args) -> int:
 
 
 def cmd_geometry(args) -> int:
-    report = classify_geometry(orbit_bloch_table(_basis(args)),
-                               tol=_tolerance(args.tolerance, "geo", 1e-8))
+    table = orbit_bloch_table(_basis(args))
+    tol = _tolerance(args.tolerance, "geo", 1e-8)
+    try:
+        report = classify_geometry(table, tol=tol)
+    except (ChiralityInconsistencyError, DegenerateGeometryError) as exc:
+        # a loose --tolerance can call qubits regular whose chirality is undefined
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     payload = report.to_json_dict()
     if args.format == "text":
         print(f"classes: {', '.join(report.classes)}")
@@ -331,13 +343,14 @@ def cmd_level(args) -> int:
 
 
 def _search_config(args) -> SearchConfig:
+    if args.jobs != 1:
+        raise ValueError("--jobs takes only 1: the search runs in one process")
     filters = args.filter if args.filter is not None else ["regular"]
     return SearchConfig(
         n=args.n,
         m=args.m,
         require_regular="regular" in filters,
         require_nonzero="nonzero" in filters,
-        jobs=args.jobs,
         sample=args.sample,
         seed=args.seed,
     )
@@ -361,7 +374,8 @@ def cmd_search(args) -> int:
 def cmd_classify(args) -> int:
     cfg = _search_config(args)
     if cfg.n > 4:  # the documented cap: fail before the search, whatever it finds
-        raise CapacityError("classify supported for n <= 4: witness search supported for n <= 4")
+        raise CapacityError(
+            "classify supported for n <= 4: classes past n = 4 are not yet validated")
     records = group_into_classes(search_regular(cfg))  # the hits are freed before the output
     payload = {"n": args.n, "m": args.m, "classes": [r.to_json_dict() for r in records]}
     if args.format == "text":

@@ -23,8 +23,6 @@ phase with one qubit's operator at a time.
 
 from __future__ import annotations
 
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from itertools import combinations, islice, product
@@ -62,9 +60,9 @@ SCREEN_SLACK = 1e-9  # margin around EPS_GEO for the float error of the screen's
 PARTNER_BATCH = 256  # hits per phase_canonical_keys call when pairing; bounds its temporaries
 KEY_HITS = 1024  # rows per Bloch-frame pass of lc_canonical_keys
 KEY_IMAGES = 4096  # frame-fixed images per array pass of lc_canonical_keys; bounds its temporaries
-CHUNK_SIZE = 64  # candidates per worker task of a multi-process search
 WITNESS_FIRST_BLOCK = 8  # live prefixes in the witness scan's first stacked pass; early hits stay cheap
 WITNESS_BLOCK = 64  # live prefixes per later pass; bounds the stacked states and overlaps
+WITNESS_TOL = 1e-9  # a witness maps onto a column with overlap modulus at least 1 - WITNESS_TOL
 
 
 def canonical_monomials(n: int, min_degree: int = 2) -> list[tuple[int, ...]]:
@@ -86,7 +84,6 @@ class SearchConfig:
     m: int
     require_regular: bool = True
     require_nonzero: bool = False
-    jobs: int = 1
     sample: int | None = None      # sampled search for spaces over the full-run limit
     seed: int = 0
 
@@ -99,8 +96,6 @@ class SearchConfig:
             raise ValueError("sample size must be positive")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if self.jobs < 1:
-            raise ValueError("jobs must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -194,7 +189,14 @@ def _require_orthonormal(states: np.ndarray, group: TetraGroup, poly_of) -> None
 
 
 def _bloch_vectors(psi: np.ndarray, n: int) -> np.ndarray:
-    """(B, n, 3) Bloch vectors of each row's qubits: (2 Re r01, -2 Im r01, r00 - r11)."""
+    """(B, n, 3) Bloch vectors of each row's qubits: (2 Re r01, -2 Im r01, r00 - r11).
+
+    The screen's own kernel, kept apart from ``geometry.bloch_vectors``: that
+    one measured about 3 to 6 times slower on n=4 screen blocks, and its bits
+    are fixed by the partial-trace formula the reports print.  The screen
+    needs only its decisions, and the two kernels differ by at most about
+    2e-16, far inside SCREEN_SLACK.
+    """
     vectors = np.empty((len(psi), n, 3))
     for l in range(n):
         split = psi.reshape(len(psi), 2**l, 2, -1)
@@ -226,28 +228,6 @@ def screen_block(states: np.ndarray, cfg: SearchConfig) -> np.ndarray:
     return keep
 
 
-def _evaluate_chunk(args) -> list[SearchHit]:
-    """Hits among the candidates, in order, screened SCREEN_BATCH at a time.
-
-    Every candidate's orbit must be orthonormal, as in
-    ``evaluate_polynomial_candidate``; only the candidates ``screen_block``
-    keeps have their geometry and fingerprints built, all of a block's
-    survivors together.
-    """
-    n, m, monos, coeff_chunk, cfg = args
-    indicator = _monomial_indicator(n, tuple(monos))
-    hits = []
-    coeff_iter = iter(coeff_chunk)
-    while block := list(islice(coeff_iter, SCREEN_BATCH)):
-        states = build_fiducials((np.array(block, dtype=np.int64) @ indicator) % 2**m, n, m)
-        _require_orthonormal(states, build_tetra_group(n),
-                             lambda i: polynomial_from_coeffs(n, m, monos, block[i]))
-        kept = np.flatnonzero(screen_block(states, cfg))
-        polys = [polynomial_from_coeffs(n, m, monos, block[i]) for i in kept]
-        hits += [hit for hit in _evaluate_rows(polys, states[kept]) if _passes_filters(hit, cfg)]
-    return hits
-
-
 def _candidate_coeffs(cfg: SearchConfig, monos: list[tuple[int, ...]]):
     size = (2**cfg.m) ** len(monos)
     if cfg.sample is None:
@@ -267,20 +247,25 @@ def _candidate_coeffs(cfg: SearchConfig, monos: list[tuple[int, ...]]):
 
 
 def search_regular(cfg: SearchConfig) -> list[SearchHit]:
-    """Filtered hits over the polynomial space, in deterministic enumeration order."""
-    monos = canonical_monomials(cfg.n)
-    coeff_iter = _candidate_coeffs(cfg, monos)
-    if cfg.jobs <= 1:
-        return _evaluate_chunk((cfg.n, cfg.m, monos, coeff_iter, cfg))
+    """Filtered hits over the polynomial space, in deterministic enumeration order.
 
-    chunks = list(iter(lambda: list(islice(coeff_iter, CHUNK_SIZE)), []))
+    Candidates are screened SCREEN_BATCH at a time.  Every candidate's orbit
+    must be orthonormal, as in ``evaluate_polynomial_candidate``; only the
+    candidates ``screen_block`` keeps have their geometry and fingerprints
+    built, all of a block's survivors together.
+    """
+    n, m = cfg.n, cfg.m
+    monos = canonical_monomials(n)
+    indicator = _monomial_indicator(n, tuple(monos))
+    group = build_tetra_group(n)
+    coeff_iter = _candidate_coeffs(cfg, monos)
     hits = []
-    # spawn context: fresh interpreters avoid BLAS state inherited across fork
-    context = multiprocessing.get_context("spawn")
-    with ProcessPoolExecutor(max_workers=cfg.jobs, mp_context=context) as pool:
-        args = [(cfg.n, cfg.m, monos, chunk, cfg) for chunk in chunks]
-        for chunk_hits in pool.map(_evaluate_chunk, args):
-            hits.extend(chunk_hits)
+    while block := list(islice(coeff_iter, SCREEN_BATCH)):
+        states = build_fiducials((np.array(block, dtype=np.int64) @ indicator) % 2**m, n, m)
+        _require_orthonormal(states, group, lambda i: polynomial_from_coeffs(n, m, monos, block[i]))
+        kept = np.flatnonzero(screen_block(states, cfg))
+        polys = [polynomial_from_coeffs(n, m, monos, block[i]) for i in kept]
+        hits += [hit for hit in _evaluate_rows(polys, states[kept]) if _passes_filters(hit, cfg)]
     return hits
 
 
@@ -385,7 +370,7 @@ class Witness:
 
 
 def lc_equivalence_witness(psi1: np.ndarray, basis2: Basis, allow_conjugation: bool = False,
-                           tol: float = 1e-9) -> Witness | None:
+                           tol: float = WITNESS_TOL) -> Witness | None:
     """First local-Clifford tuple mapping psi1 (or its conjugate) onto a column of basis2.
 
     The result is that of scanning all 24^n tuples in lexicographic index
@@ -616,7 +601,7 @@ def conjugate_partner_key(hits: list[SearchHit], among: list[SearchHit]) -> list
     return partners
 
 
-def group_into_classes(hits: list[SearchHit], tol: float = 1e-9) -> list[ClassRecord]:
+def group_into_classes(hits: list[SearchHit]) -> list[ClassRecord]:
     """Group hits by fingerprint, split by local-Clifford canonical key, pair conjugates.
 
     Every basis is the orbit of its fiducial under the same group of real
@@ -649,7 +634,7 @@ def group_into_classes(hits: list[SearchHit], tol: float = 1e-9) -> list[ClassRe
                 record, cols_dag, frames = classes[lc_key]
                 witness = _derived_witness(hit.fiducial, tuples[offsets[i]], frames, cols_dag,
                                            stack)
-                if abs(witness.phase) < 1 - tol:
+                if abs(witness.phase) < 1 - WITNESS_TOL:
                     raise _unlinked(hit.polynomial, record.representatives[0])
                 record.representatives.append(hit.polynomial)
                 record.witness_links[hit.key] = witness

@@ -99,6 +99,18 @@ class TestGeometry:
                           "--tolerance", "norm=1e-3")
         assert code == 2
 
+    def test_loose_tolerance_without_a_chirality_is_a_usage_error(self, capsys):
+        # at geo=0.2 both qubits pass as regular, but no orthogonal map aligns
+        # their tetrahedra; exit 2 with a message, not a traceback
+        code = main(["geometry", "--n", "3", "--m", "3",
+                     "--poly", "4 z1 z2 + 4 z1 z2 z3 + z2 z3", "--tolerance", "geo=0.2"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: ")
+        code, out = run_cli(capsys, "geometry", "--n", "3", "--m", "3",
+                            "--poly", "4 z1 z2 + 4 z1 z2 z3 + z2 z3")
+        assert code == 0 and json.loads(out)["class"] == ["disphenoid"] * 3
+
 
 class TestInvariants:
     def test_json_keys_and_values(self, capsys):
@@ -195,11 +207,29 @@ class TestSearch:
         assert out == ""
 
     @pytest.mark.parametrize("command", ["search", "classify"])
-    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    @pytest.mark.parametrize("jobs", ["0", "-2", "2", "4"])
     def test_non_positive_jobs_rejected(self, capsys, command, jobs):
         code, out = run_cli(capsys, command, "--n", "2", "--m", "2", "--jobs", jobs)
         assert code == 2
         assert out == ""
+
+    @pytest.mark.parametrize("command", ["search", "classify"])
+    def test_jobs_from_config_rejected(self, tmp_path, capsys, command):
+        # the search runs in one process: --jobs takes only 1, wherever it is set
+        config = tmp_path / "run.cfg"
+        config.write_text("jobs = 2\n")
+        code = main(["--config", str(config), command, "--n", "2", "--m", "2"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "--jobs takes only 1" in captured.err
+
+    @pytest.mark.parametrize("argv", [["search", "--format", "csv"],
+                                      ["classify", "--format", "json"]])
+    def test_jobs_one_prints_the_same_bytes(self, capsys, argv):
+        _, plain = run_cli(capsys, *argv, "--n", "3", "--m", "2")
+        code, with_flag = run_cli(capsys, *argv, "--n", "3", "--m", "2", "--jobs", "1")
+        assert code == 0
+        assert with_flag == plain
 
     @pytest.mark.parametrize("command", ["search", "classify"])
     @pytest.mark.parametrize("sample", [[], ["--sample", "3"]])
@@ -221,9 +251,8 @@ class TestClassify:
 
     @pytest.mark.parametrize("sample", ["3000", "200000"])
     def test_n5_rejected_before_searching(self, capsys, monkeypatch, sample):
-        # the witness search stops at n = 4; a sample whose hits all have
-        # distinct fingerprints never reaches it, so only an up-front check
-        # gives every n = 5 sample the same exit code
+        # classes past n = 4 are not yet validated; whatever a sample finds,
+        # an up-front check gives every n = 5 sample the same exit code
         def no_search(cfg):
             raise AssertionError("searched")
 

@@ -96,21 +96,19 @@ class TestSearchRegular:
         second = [h.key for h in search_regular(cfg)]
         assert first == second
 
-    def test_parallel_matches_serial(self, monkeypatch):
-        from tetrabasis import search
-        serial = search_regular(SearchConfig(3, 2))
-        monkeypatch.setattr(search, "CHUNK_SIZE", 32)
-        parallel = search_regular(SearchConfig(3, 2, jobs=2))
-        assert [h.key for h in serial] == [h.key for h in parallel]
-        assert [h.fingerprint for h in serial] == [h.fingerprint for h in parallel]
-
-    def test_reports_bitwise_stable_across_chunking(self, monkeypatch):
+    @pytest.mark.parametrize("cfg", [SearchConfig(3, 2), SearchConfig(4, 2, sample=3000, seed=5)],
+                             ids=["n3-full", "n4-sample"])
+    def test_reports_bitwise_stable_across_screen_blocks(self, monkeypatch, cfg):
+        # the screen block is the search's only chunking: 17 leaves an uneven
+        # last block (256 = 15 * 17 + 1), and 1 screens every row alone
         from tetrabasis import search
         from tetrabasis.cli import hits_csv
-        serial = hits_csv(search_regular(SearchConfig(3, 2)))
-        monkeypatch.setattr(search, "CHUNK_SIZE", 17)  # 256 = 15 * 17 + 1: an uneven last chunk
-        parallel = hits_csv(search_regular(SearchConfig(3, 2, jobs=2)))
-        assert serial == parallel
+        reports = []
+        for batch in (4096, 17, 1):
+            monkeypatch.setattr(search, "SCREEN_BATCH", batch)
+            reports.append(hits_csv(search_regular(cfg)))
+        assert reports[0].count("\n") > 1  # some hits, not only the header
+        assert reports[1] == reports[0] and reports[2] == reports[0]
 
 
 def regular_hits(polys):
