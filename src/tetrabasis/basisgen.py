@@ -120,9 +120,9 @@ def check_orthonormal(basis: Basis, tol: float = EPS_NORM) -> OrthonormalityRepo
     return OrthonormalityReport(ok=bool(violation <= tol), max_violation=violation)
 
 
-def measurement_unitary(basis: Basis, tol: float = EPS_NORM) -> np.ndarray:
+def measurement_unitary(basis: Basis) -> np.ndarray:
     """M with M|g> = U_g|psi>; requires an orthonormal basis."""
-    report = check_orthonormal(basis, tol)
+    report = check_orthonormal(basis)
     if not report.ok:
         raise NonOrthonormalBasisError(
             f"basis is not orthonormal (violation {report.max_violation:.3e})"
@@ -130,10 +130,10 @@ def measurement_unitary(basis: Basis, tol: float = EPS_NORM) -> np.ndarray:
     return basis.columns.copy()
 
 
-def bloch_state(direction: np.ndarray, sign: int = +1, tol: float = EPS_NORM) -> np.ndarray:
+def bloch_state(direction: np.ndarray, sign: int = +1) -> np.ndarray:
     """Qubit eigenstate along a unit Bloch vector (+1) or its antipode (-1)."""
     direction = np.asarray(direction, dtype=float)
-    if abs(np.linalg.norm(direction) - 1.0) > max(tol, 1e-9):
+    if abs(np.linalg.norm(direction) - 1.0) > 1e-9:
         raise ValueError("direction must be a unit vector")
     mx, my, mz = direction
     theta = np.arccos(np.clip(mz, -1.0, 1.0))
@@ -156,14 +156,14 @@ def ejm_reference_basis() -> Basis:
     return Basis(2, cols, cols[:, 0].copy())
 
 
-def bases_equal_up_to_relabeling(b1: np.ndarray, b2: np.ndarray, tol: float = 1e-9) -> bool:
-    """True when the column sets match up to a permutation and per-column phases."""
+def bases_equal_up_to_relabeling(b1: np.ndarray, b2: np.ndarray) -> bool:
+    """True when the column sets match up to a permutation and per-column phases, within 1e-10."""
     if b1.shape != b2.shape:
         return False
     overlaps = np.abs(b2.conj().T @ b1)
     used = set()
     for j in range(b1.shape[1]):
-        matches = [k for k in range(b2.shape[1]) if overlaps[k, j] >= 1 - tol]
+        matches = [k for k in range(b2.shape[1]) if overlaps[k, j] >= 1 - 1e-10]
         matches = [k for k in matches if k not in used]
         if not matches:
             return False

@@ -220,19 +220,19 @@ def _subcommands(parser) -> dict[str, argparse.ArgumentParser]:
                 if isinstance(a, argparse._SubParsersAction)).choices
 
 
-def _switch_flags(parser) -> set[str]:
-    """Option strings of the store_true flags of every subcommand."""
-    return {opt for sub in _subcommands(parser).values() for a in sub._actions
-            if isinstance(a, argparse._StoreTrueAction) for opt in a.option_strings}
+def _options(sub) -> dict[str, argparse.Action]:
+    """A subcommand's actions by option string."""
+    return {opt: a for a in sub._actions for opt in a.option_strings}
 
 
 def _apply_config_defaults(parser, argv):
     """Pull --config before full parsing so file values become defaults.
 
-    Keys before any [name] line apply to every subcommand; keys in a [name]
-    section apply only when subcommand name runs, and override top-level
-    keys.  The key of a store_true flag takes true (pass the flag) or false
-    (omit it).
+    Keys before any [name] line apply to every subcommand that has the flag;
+    one that no subcommand has is passed on, so parsing rejects it.  Keys in
+    a [name] section apply only when subcommand name runs, and override
+    top-level keys.  The key of a store_true flag takes true (pass the flag)
+    or false (omit it).
     """
     probe = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     probe.add_argument("--config")
@@ -246,15 +246,18 @@ def _apply_config_defaults(parser, argv):
             raise ValueError(f"config section [{name}] names no subcommand")
     # only --config may precede the subcommand, so it is the first bare word left
     command = next((a for a in rest if not a.startswith("-")), None)
-    values = {**sections[None], **sections.get(command, {})}
-    switches = _switch_flags(parser)
+    own = _options(commands[command]) if command in commands else {}
+    anywhere = {opt for sub in commands.values() for opt in _options(sub)}
+    values = {key: value for key, value in sections[None].items()
+              if f"--{key}" in own or f"--{key}" not in anywhere}
+    values.update(sections.get(command, {}))
     extra = []
     for key, value in values.items():
         flag = f"--{key}"
         # config only fills flags the user did not pass, so flags always win
         if flag in argv or any(a.startswith(flag + "=") for a in argv):
             continue
-        if flag not in switches:
+        if not isinstance(own.get(flag), argparse._StoreTrueAction):
             extra.extend([flag, value])
         elif value.lower() == "true":
             extra.append(flag)

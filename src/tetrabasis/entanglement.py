@@ -71,16 +71,16 @@ def permutation_operator_apply(psi: np.ndarray, perm: tuple[int, ...]) -> np.nda
     return psi.reshape([2] * n).transpose(perm).reshape(-1)
 
 
-def permutation_stabilizer_order(psi: np.ndarray, tol: float = 1e-9) -> int:
-    """Number of qubit-wire permutations fixing the state up to global phase."""
-    return int(_stabilizer_orders(np.asarray(psi, dtype=complex)[None], tol)[0])
+def permutation_stabilizer_order(psi: np.ndarray) -> int:
+    """Number of qubit-wire permutations fixing the state up to global phase, within 1e-9."""
+    return int(_stabilizer_orders(np.asarray(psi, dtype=complex)[None])[0])
 
 
-def _stabilizer_orders(states: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def _stabilizer_orders(states: np.ndarray) -> np.ndarray:
     """``permutation_stabilizer_order`` of each row of (B, 2^n) states."""
     moved = states[:, _wire_permutations(num_qubits(states.shape[1]))]  # (B, n!, 2^n)
     overlaps = np.einsum("bx,bpx->bp", states.conj(), moved)
-    return np.count_nonzero(np.abs(overlaps) >= 1 - tol, axis=1)
+    return np.count_nonzero(np.abs(overlaps) >= 1 - 1e-9, axis=1)
 
 
 @lru_cache(maxsize=None)

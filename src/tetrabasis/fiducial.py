@@ -59,10 +59,6 @@ class PhasePolynomial:
                 cleaned[mono] = coeff
         object.__setattr__(self, "terms", cleaned)
 
-    @property
-    def degree(self) -> int:
-        return max((len(s) for s in self.terms), default=0)
-
     def __hash__(self):
         return hash((self.n, self.m, frozenset(self.terms.items())))
 

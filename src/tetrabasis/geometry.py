@@ -15,7 +15,7 @@ from itertools import combinations, product
 import numpy as np
 
 from .basisgen import Basis, TetraGroup, bloch_state
-from .qcore import EPS_UNITARY, apply_on_qubit, is_unitary, num_qubits
+from .qcore import apply_on_qubit, is_unitary, num_qubits
 
 EPS_GEO = 1e-8
 
@@ -254,21 +254,6 @@ def _flip_labels(vectors: np.ndarray, tol: float) -> np.ndarray | None:
     return np.argmin(dist, axis=1)
 
 
-def _labeled_vertices(vectors: np.ndarray, tol: float) -> np.ndarray:
-    """The qubit's tetra vertices labeled by the group's local Pauli action.
-
-    Column 0 of the table is the fiducial (group label 0), so its vector
-    anchors the orbit; the group acts locally as Pauli conjugations, whose
-    Bloch action is the even-sign-change family.  Every table vector must lie
-    on that anchored orbit.
-    """
-    if _flip_labels(vectors, max(tol, 1e-7)) is None:
-        raise ChiralityInconsistencyError(
-            "Bloch table does not carry the sign-change orbit structure"
-        )
-    return vectors[0] * _PAULI_FLIPS
-
-
 def relational_chirality(table: np.ndarray, k: int, l: int,
                          tol: float = EPS_GEO) -> tuple[int, np.ndarray]:
     """Orthogonal map aligning the two qubits' group-labeled tetra, and its det sign.
@@ -276,11 +261,17 @@ def relational_chirality(table: np.ndarray, k: int, l: int,
     O carries qubit k's vertex for each local Pauli label onto qubit l's
     vertex for the same label; a -1 sign means mirrored tetrahedra.  Vertices
     are normalized first, so tetra of different sizes compare by shape alone.
-    Both vertex sets are the sign flips of their label-I vertices u_k and
-    u_l, so O = diag(u_l / u_k) and its sign is that of prod(u_l / u_k).
+    Column 0 of the table is the fiducial (group label 0), and the group acts
+    locally as Pauli conjugations, so each qubit's row must be the sign-flip
+    orbit of its label-I vertex (u_k, u_l).  Then O = diag(u_l / u_k) and
+    its sign is that of prod(u_l / u_k).
     """
-    uk = _labeled_vertices(table[k - 1], tol)[0]
-    ul = _labeled_vertices(table[l - 1], tol)[0]
+    for q in (k, l):
+        if _flip_labels(table[q - 1], max(tol, 1e-7)) is None:
+            raise ChiralityInconsistencyError(
+                "Bloch table does not carry the sign-change orbit structure"
+            )
+    uk, ul = table[k - 1, 0], table[l - 1, 0]
     nk, nl = np.linalg.norm(uk), np.linalg.norm(ul)
     if nk < max(tol, 1e-9) or nl < max(tol, 1e-9):
         raise DegenerateGeometryError("vanishing Bloch vectors carry no orientation")
@@ -301,8 +292,7 @@ def conjugate_state(psi: np.ndarray) -> np.ndarray:
     return np.conj(np.asarray(psi, dtype=complex))
 
 
-def apply_local_unitaries(psi: np.ndarray, factors: list[np.ndarray],
-                          tol: float = EPS_UNITARY) -> np.ndarray:
+def apply_local_unitaries(psi: np.ndarray, factors: list[np.ndarray]) -> np.ndarray:
     """Apply one single-qubit unitary per qubit: (U_1 x ... x U_n)|psi>."""
     psi = np.asarray(psi, dtype=complex)
     n = num_qubits(psi.shape[0])
@@ -310,7 +300,7 @@ def apply_local_unitaries(psi: np.ndarray, factors: list[np.ndarray],
         raise ValueError(f"expected {n} single-qubit factors, got {len(factors)}")
     for idx, u in enumerate(factors):
         u = np.asarray(u, dtype=complex)
-        if u.shape != (2, 2) or not is_unitary(u, max(tol, 1e-9)):
+        if u.shape != (2, 2) or not is_unitary(u):
             raise ValueError(f"factor {idx + 1} is not a single-qubit unitary")
         psi = apply_on_qubit(u, psi, idx + 1)
     return psi

@@ -27,13 +27,14 @@ from itertools import product
 
 import numpy as np
 
-from .basisgen import build_tetra_group, check_orthonormal, measurement_unitary, orbit_basis
+from .basisgen import build_tetra_group, measurement_unitary, orbit_basis
 from .fiducial import PhasePolynomial, build_fiducial
 from .qcore import is_unitary, num_qubits, parity_sign, phase_canonical_key, phase_canonical_keys
 
 DEFAULT_CAP = 6
 MODES = ("generator", "full")
 CHILD_BLOCK = 16  # children conjugated, Pauli-tested and keyed per array pass
+PAULI_TOL = 1e-9  # entrywise tolerance of the Pauli test
 
 
 def two_adic_valuation(c: int, m: int) -> int:
@@ -67,21 +68,21 @@ def _pauli_indices(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return _read_only(x, 1 << np.arange(num_qubits(d)), parity_sign(x[:, None] & x))
 
 
-def pauli_like(stack: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def pauli_like(stack: np.ndarray) -> np.ndarray:
     """Per matrix of a (k, d, d) stack, whether it is a unit phase times a Pauli string.
 
     X^a Z^b |x> = (-1)^(b.x) |x xor a>, so a matrix u must be supported on
     the permutation x -> x xor a, with a read off column 0, a unit-modulus
     entry u[a, 0], and ratios u[x xor a, x] / u[a, 0] = (-1)^(b.x), with b
-    read off at x = 2^j.  Every entry must match within tol; the check is
-    O(4^n) per matrix.
+    read off at x = 2^j.  Every entry must match within PAULI_TOL; the check
+    is O(4^n) per matrix.
     """
     stack = np.asarray(stack, dtype=complex)
     x, powers, characters = _pauli_indices(stack.shape[1])
     rows = np.arange(len(stack))[:, None]
     support = np.argmax(np.abs(stack[:, :, 0]), axis=1)[:, None] ^ x
     on = stack[rows, support, x]  # u[x xor a, x]; column 0 holds the pivot u[a, 0]
-    unit = np.abs(np.abs(on[:, 0]) - 1.0) <= tol
+    unit = np.abs(np.abs(on[:, 0]) - 1.0) <= PAULI_TOL
     if not unit.any():
         return unit
     # a non-unit pivot already fails; dividing by 1 instead keeps a zero pivot finite
@@ -89,15 +90,12 @@ def pauli_like(stack: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     b = ((on[:, powers] / pivot).real < 0) @ powers
     residual = np.abs(stack)
     residual[rows, support, x] = np.abs(on - pivot * characters[b])
-    return unit & (residual.max(axis=(1, 2)) <= tol)
+    return unit & (residual.max(axis=(1, 2)) <= PAULI_TOL)
 
 
-def is_pauli_like(u: np.ndarray, tol: float = 1e-9) -> bool:
-    """True when u is a unit phase times a Pauli string X^a Z^b, entrywise within tol.
-
-    The one-matrix case of ``pauli_like``.
-    """
-    return bool(pauli_like(np.asarray(u, dtype=complex)[None], tol)[0])
+def is_pauli_like(u: np.ndarray) -> bool:
+    """True when u is a unit phase times a Pauli string X^a Z^b: ``pauli_like`` of one matrix."""
+    return bool(pauli_like(np.asarray(u, dtype=complex)[None])[0])
 
 
 @dataclass(frozen=True)
@@ -163,21 +161,21 @@ class _LevelEngine:
     the first child that passes the budget still ends the node.
     """
 
-    def __init__(self, n: int, tol: float, full_layers: int):
+    def __init__(self, n: int, full_layers: int):
         self.n = n
-        self.tol = tol
         # flat index of row r of U: U.take(rows + cols) gathers columns cols
         self.rows = (np.arange(2**n) << n)[:, None]
         self.full_layers = full_layers
-        # memo: (layer class, matrix key) -> exact level, or -budget meaning
-        # "exceeds this budget".  The layer class is min(depth, full_layers):
+        # memo: (layer class, matrix key) -> exact level.  A node that passes
+        # its budget is not stored: the None unwinds to the root, and the
+        # engine serves one call.  The layer class is min(depth, full_layers):
         # nodes at or below the last full layer all recurse with generators,
         # while each full layer has its own subtree shape
         self.memo: dict[tuple[int, bytes], int] = {}
 
     def level(self, u: np.ndarray, budget: int) -> int | None:
         """Level of the root u, or None when it exceeds budget."""
-        if is_pauli_like(u, self.tol):
+        if is_pauli_like(u):
             return 1
         if budget <= 1:
             return None
@@ -188,27 +186,22 @@ class _LevelEngine:
         """Level of a non-Pauli u with budget >= 2, memoized under key."""
         cached = self.memo.get(key)
         if cached is not None:
-            if cached > 0:
-                return cached if cached <= budget else None
-            if -cached >= budget:
-                return None
+            return cached if cached <= budget else None
         layer = min(depth + 1, self.full_layers)
         udag = u.conj().T
         worst = 1
         for cols, signs in _child_blocks(self.n, depth < self.full_layers):
             children = (u.take(self.rows + cols[:, None, :]) * signs[:, None, :]) @ udag
-            inner = np.flatnonzero(~pauli_like(children, self.tol))
+            inner = np.flatnonzero(~pauli_like(children))
             if not inner.size:
                 continue
             if budget <= 2:
                 # a non-Pauli child would need level 1 to fit the budget
-                self.memo[key] = min(self.memo.get(key, 0), -budget)
                 return None
             keys = phase_canonical_keys(children[inner].reshape(inner.size, -1))
             for i, child_key in zip(inner, keys):
                 sub = self._expand(children[i], budget - 1, depth + 1, (layer, child_key))
                 if sub is None:
-                    self.memo[key] = min(self.memo.get(key, 0), -budget)
                     return None
                 worst = max(worst, sub)
         self.memo[key] = 1 + worst
@@ -222,7 +215,7 @@ def check_cap(cap: int) -> None:
 
 
 def clifford_level_test(u: np.ndarray, cap: int = DEFAULT_CAP, mode: str = "generator",
-                        tol: float = 1e-9, full_layers: int = 1) -> LevelResult:
+                        full_layers: int = 1) -> LevelResult:
     """Recursive hierarchy-membership test up to a level cap.
 
     mode='generator' conjugates single-qubit X/Z generators at every layer;
@@ -231,14 +224,14 @@ def clifford_level_test(u: np.ndarray, cap: int = DEFAULT_CAP, mode: str = "gene
     """
     u = np.asarray(u, dtype=complex)
     n = num_qubits(u.shape[0])
-    if not is_unitary(u, 1e-9):
+    if not is_unitary(u):
         raise ValueError("input is not unitary")
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
     if mode == "full" and full_layers < 1:
         raise ValueError(f"full_layers must be at least 1, got {full_layers}")
     check_cap(cap)
-    engine = _LevelEngine(n, tol, full_layers if mode == "full" else 0)
+    engine = _LevelEngine(n, full_layers if mode == "full" else 0)
     return LevelResult(engine.level(u, cap), cap, mode)
 
 
@@ -267,8 +260,6 @@ def verify_level_bound(f: PhasePolynomial, cap: int = DEFAULT_CAP, mode: str = "
     Clifford measurement unitary.
     """
     basis = orbit_basis(build_fiducial(f), build_tetra_group(f.n), f)
-    if not check_orthonormal(basis).ok:
-        raise ValueError("orbit basis of the polynomial is not orthonormal")
     k_diag = diagonal_clifford_level(f)
     result = clifford_level_test(measurement_unitary(basis), cap=cap, mode=mode,
                                  full_layers=full_layers)

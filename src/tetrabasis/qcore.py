@@ -17,7 +17,8 @@ import numpy as np
 MAX_QUBITS = 6
 
 EPS_NORM = 1e-10
-EPS_UNITARY = 1e-10
+EPS_HERMITIAN = 1e-10
+EPS_UNITARY = 1e-9
 PIVOT_TIE = 1e-9  # moduli this close count as tied when picking a key's pivot
 
 PAULI_MATS = {
@@ -82,21 +83,21 @@ def partial_trace(psi: np.ndarray, keep: set[int] | list[int] | tuple[int, ...])
     return mat @ mat.conj().T
 
 
-def is_hermitian(m: np.ndarray, tol: float = EPS_UNITARY) -> bool:
-    return bool(np.max(np.abs(m - m.conj().T)) <= tol)
+def is_hermitian(m: np.ndarray) -> bool:
+    return bool(np.max(np.abs(m - m.conj().T)) <= EPS_HERMITIAN)
 
 
-def is_unitary(m: np.ndarray, tol: float = EPS_UNITARY) -> bool:
+def is_unitary(m: np.ndarray) -> bool:
     d = m.shape[0]
-    return bool(np.max(np.abs(m.conj().T @ m - np.eye(d))) <= tol)
+    return bool(np.max(np.abs(m.conj().T @ m - np.eye(d))) <= EPS_UNITARY)
 
 
-def hermitian_eig(hm: np.ndarray, tol: float = EPS_UNITARY) -> tuple[np.ndarray, np.ndarray]:
+def hermitian_eig(hm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (real, descending) and matching eigenvector columns of a Hermitian matrix."""
     hm = np.asarray(hm, dtype=complex)
     if hm.shape[0] > 16:
         raise ValueError("hermitian_eig supports dimension <= 16")
-    if not is_hermitian(hm, tol):
+    if not is_hermitian(hm):
         raise ValueError("matrix is not Hermitian within tolerance")
     vals, vecs = np.linalg.eigh(hm)
     return vals[::-1].copy(), vecs[:, ::-1].copy()

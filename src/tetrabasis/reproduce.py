@@ -95,15 +95,15 @@ def alignment_factor() -> np.ndarray:
     return reflection @ alignment_rotation()
 
 
-def vertex_permutation(u: np.ndarray, tol: float = 1e-9) -> dict[int, tuple[int, int]]:
+def vertex_permutation(u: np.ndarray) -> dict[int, tuple[int, int]]:
     """Signed vertex action of a single-qubit unitary: j -> (sign, k) with m_j -> sign*m_k."""
     action = {}
     for j, m in enumerate(TETRAHEDRON_VERTICES, start=1):
         image = bloch_vector(u @ bloch_state(m, +1), 1)
         for k, target in enumerate(TETRAHEDRON_VERTICES, start=1):
-            if np.linalg.norm(image - target) <= tol:
+            if np.linalg.norm(image - target) <= 1e-9:
                 action[j] = (1, k)
-            elif np.linalg.norm(image + target) <= tol:
+            elif np.linalg.norm(image + target) <= 1e-9:
                 action[j] = (-1, k)
     return action
 
@@ -191,7 +191,7 @@ def suite_appA() -> ReproductionSuite:
     checks.append(_bool_check(
         "orbit basis equals the published EJM matrix up to -Y on qubit 2, "
         "column permutation and phases",
-        bases_equal_up_to_relabeling(transformed, EJM_MATRIX, tol=1e-10),
+        bases_equal_up_to_relabeling(transformed, EJM_MATRIX),
     ))
 
     ref = ejm_reference_basis()
@@ -233,10 +233,10 @@ def suite_table1() -> ReproductionSuite:
         psi1 = build_fiducial(parse_polynomial(poly1, 3, 2))
         f2 = parse_polynomial(poly2, 3, 2)
         basis2 = orbit_basis(build_fiducial(f2), group, f2)
-        pure = lc_equivalence_witness(psi1, basis2, allow_conjugation=False)
+        # the conjugation scan runs the pure pass first, so a pure witness would win it
         conj = lc_equivalence_witness(psi1, basis2, allow_conjugation=True)
         checks.append(_bool_check(f"row {row} entries have no pure local-Clifford witness",
-                                  pure is None))
+                                  conj is None or conj.conjugated))
         checks.append(_bool_check(f"row {row} entries linked by a conjugation witness",
                                   conj is not None and conj.conjugated))
     stab = permutation_stabilizer_order(build_fiducial(parse_polynomial(TABLE1_ROWS[0][0], 3, 2)))

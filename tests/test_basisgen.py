@@ -136,7 +136,7 @@ class TestOrbitBasis:
         transformed = np.stack(
             [apply_local_unitaries(basis.column(g), [np.eye(2), -PAULI_MATS["Y"]])
              for g in range(4)], axis=1)
-        assert bases_equal_up_to_relabeling(transformed, EJM_MATRIX, tol=1e-10)
+        assert bases_equal_up_to_relabeling(transformed, EJM_MATRIX)
 
     def test_orthonormal_for_phase_polynomial(self):
         f = parse_polynomial("z1 z2", 2, 2)

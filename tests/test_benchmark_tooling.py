@@ -1,8 +1,8 @@
 """The benchmark's tracer and gate bind library functions by name.
 
 Deleting or renaming one of those functions must fail here, not only when
-the benchmark runs with ``--trace 1``.  The recorded outputs of a few
-benchmark operations are replayed too.  The benchmark files are loaded
+the benchmark runs with ``--trace 1``.  The recorded output of every
+benchmark operation is replayed too.  The benchmark files are loaded
 read-only, without writing bytecode next to them.
 """
 
@@ -59,14 +59,14 @@ def test_gate_imports():
 
 @pytest.fixture(scope="module")
 def replay_ops():
-    """Every recorded search-n4 seed (0-39), inspect-n4 seeds 0-1 with the reproduce
-    suites, and classify-n3."""
+    """Every recorded operation: search-n4 and inspect-n4 seeds 0-39 (inspect-n4 with
+    the reproduce suites), and classify-n3."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sys, "dont_write_bytecode", True)
         patch.syspath_prepend(str(BENCHMARKS))  # run.py imports its siblings by name
         run = load_benchmark_module("run")
         workloads = [run.build_workload("search-n4", seed) for seed in range(40)]
-        workloads += [run.build_workload("inspect-n4", seed) for seed in (0, 1)]
+        workloads += [run.build_workload("inspect-n4", seed) for seed in range(40)]
         workloads.append(run.build_workload("classify-n3", 0))
     return list({op.label: op for w in workloads for op in w.ops}.values())
 
@@ -74,7 +74,7 @@ def replay_ops():
 def test_recorded_outputs_replay(replay_ops):
     cli = importlib.import_module("tetrabasis.cli")
     reference = json.loads((BENCHMARKS / "reference.json").read_text(encoding="utf-8"))["ops"]
-    assert len(replay_ops) == 67
+    assert len(replay_ops) == len(reference) == 447
     mismatched = []
     for op in replay_ops:
         out = io.StringIO()

@@ -65,6 +65,14 @@ class TestVerify:
         assert code == 2
         assert out == ""
 
+    @pytest.mark.parametrize("extra, code, line", [
+        ((), 0, "orthonormal: True (max violation 1.110e-16)"),
+        (("--tolerance", "norm=1e-20"), 1, "orthonormal: False (max violation 1.110e-16)"),
+    ])
+    def test_text(self, capsys, extra, code, line):
+        assert run_cli(capsys, "verify", "--n", "2", "--m", "2", "--poly", "z1 z2",
+                       "--format", "text", *extra) == (code, line + "\n")
+
 
 class TestGeometry:
     def test_json_keys(self, capsys):
@@ -152,6 +160,11 @@ class TestLevel:
         assert payload["formula_level"] == 3
         assert payload["matrix"]["level"] == 3
         assert payload["matrix"]["mode"] == "full"
+
+    def test_matrix_text(self, capsys):
+        code, out = run_cli(capsys, "level", "--n", "2", "--m", "2", "--poly", "z1 z2",
+                            "--matrix", "--format", "text")
+        assert (code, out) == (0, "3\nmatrix level: 3 (mode generator)\n")
 
     @pytest.mark.parametrize("cap", ["0", "-1"])
     def test_cap_below_one_rejected(self, capsys, cap):
@@ -249,6 +262,30 @@ class TestClassify:
         record = payload["classes"][0]
         assert record["representatives"] == ["z1 z2", "3 z1 z2"]
 
+    N3_TEXT = """\
+class '3 z1 z2 z3 + 3 z1 z3 + z2 z3': tangle=0.5038911093 r=0.4330127019 reps=4 \
+conjugate_of='z1 z2 z3 + z1 z3 + 3 z2 z3'
+class 'z1 z2 z3 + z1 z3 + 3 z2 z3': tangle=0.5038911093 r=0.4330127019 reps=4 \
+conjugate_of='3 z1 z2 z3 + 3 z1 z3 + z2 z3'
+class 'z1 z2 + 3 z1 z2 z3 + z1 z3 + z2 z3': tangle=0.6155536126 r=0.4330127019 reps=4 \
+conjugate_of='z1 z2 + z1 z2 z3 + z1 z3 + 3 z2 z3'
+class 'z1 z2 + z1 z2 z3 + z1 z3 + 3 z2 z3': tangle=0.6155536126 r=0.4330127019 reps=4 \
+conjugate_of='z1 z2 + 3 z1 z2 z3 + z1 z3 + z2 z3'
+class '2 z1 z2 + z1 z2 z3 + 2 z1 z3': tangle=0.6643841133 r=0.4330127019 reps=6 \
+conjugate_of='z1 z2 + z1 z2 z3 + 2 z1 z3'
+class 'z1 z2 + z1 z2 z3 + 2 z1 z3': tangle=0.6643841133 r=0.4330127019 reps=6 \
+conjugate_of='2 z1 z2 + z1 z2 z3 + 2 z1 z3'
+class 'z1 z2 z3 + 2 z1 z3': tangle=0.7525996612 r=0.4330127019 reps=6 \
+conjugate_of='z1 z2 z3 + z1 z3'
+class 'z1 z2 z3 + z1 z3': tangle=0.7525996612 r=0.4330127019 reps=6 \
+conjugate_of='z1 z2 z3 + 2 z1 z3'
+8 classes
+"""
+
+    def test_n3_text(self, capsys):
+        assert run_cli(capsys, "classify", "--n", "3", "--m", "2", "--format", "text") == (
+            0, self.N3_TEXT)
+
     @pytest.mark.parametrize("sample", ["3000", "200000"])
     def test_n5_rejected_before_searching(self, capsys, monkeypatch, sample):
         # classes past n = 4 are not yet validated; whatever a sample finds,
@@ -274,6 +311,13 @@ class TestWitness:
         code, out = run_cli(capsys, *args, "--conjugation")
         payload = json.loads(out)
         assert payload["witness"]["conjugated"] is True
+
+    def test_text(self, capsys):
+        args = ["witness", "--n", "3", "--m", "2", "--poly", "z1 z3 + 3 z2 z3 + z1 z2 z3",
+                "--target", "3 z1 z3 + z2 z3 + 3 z1 z2 z3", "--format", "text"]
+        assert run_cli(capsys, *args) == (0, "no witness\n")
+        assert run_cli(capsys, *args, "--conjugation") == (
+            0, "witness: cliffords (0, 0, 0) conjugated=True column=0\n")
 
 
 class TestReproduce:
@@ -439,6 +483,33 @@ class TestConfigFile:
         code, out = run_cli(capsys, "--config", str(config), "level")
         assert code == 0
         assert json.loads(out)["matrix"]["level"] == 3
+        # a top-level key fills only the subcommands that have its flag
+        code, out = run_cli(capsys, "--config", str(config), "search", "--n", "2",
+                            "--format", "csv")
+        assert code == 0
+        assert out == run_cli(capsys, "search", "--n", "2", "--format", "csv")[1]
+        assert out.count("\n") == 3  # header and the two n=2 hits
+        code, out = run_cli(capsys, "--config", str(config), "reproduce", "appA")
+        assert (code, out) == run_cli(capsys, "reproduce", "appA")
+        assert code == 0
+
+    @pytest.mark.parametrize("text", ["nn = 2\n", "n = 2\n[search]\npoly = z1 z2\n"])
+    def test_key_of_no_flag_rejected(self, tmp_path, capsys, text):
+        # a top-level key that no subcommand has, or a section key its subcommand lacks
+        config = tmp_path / "run.cfg"
+        config.write_text(text)
+        with pytest.raises(SystemExit) as err:
+            main(["--config", str(config), "search", "--n", "2"])
+        assert err.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_line_without_equals_rejected(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("n = 2\npoly z1 z2\n")
+        with pytest.raises(SystemExit) as err:
+            main(["--config", str(config), "build"])
+        assert err.value.code == 2
+        assert "config line 'poly z1 z2' is not key=value" in capsys.readouterr().err
 
     def test_section_overrides_top_level_and_flags_win(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"

@@ -15,6 +15,7 @@ from tetrabasis.fiducial import PhasePolynomial, parse_polynomial, build_fiducia
 from tetrabasis.hierarchy import (
     DEFAULT_CAP,
     MODES,
+    _LevelEngine,
     _generator_masks,
     _string_masks,
     clifford_level_test,
@@ -468,6 +469,15 @@ class TestStackedLevelEngine:
                 for u in (clifford, clifford @ t, t @ clifford @ t, t @ clifford @ t @ clifford):
                     reference.assert_matches(u, layers=(1, 2))
             reference.assert_matches(reduce(np.kron, [T] * n), layers=(1, 2))
+
+    def test_memo_holds_exact_levels_only(self):
+        # CS on qubits 1, 2 and a level-4 phase on qubit 3: qubit 1's and 2's
+        # generators give level-2 children before qubit 3's passes the budget
+        u = diagonal_gate(parse_polynomial("4 z1 z2 + z3", 3, 4))
+        engine = _LevelEngine(3, 0)
+        assert engine.level(u, 3) is None
+        assert sorted(engine.memo.values()) == [2, 2]
+        assert _LevelEngine(3, 0).level(u, 4) == 4
 
 
 class TestStackedPauliKernel:
