@@ -16,17 +16,18 @@ from functools import lru_cache
 
 import numpy as np
 
-from .basisgen import build_tetra_group, check_orthonormal, orbit_basis
+from .basisgen import build_tetra_group, check_orthonormal, measurement_unitary, orbit_basis
 from .entanglement import invariant_fingerprint
 from .fiducial import PolynomialParseError, build_fiducial, parse_polynomial
 from .geometry import (
+    EPS_GEO,
     ChiralityInconsistencyError,
     DegenerateGeometryError,
     classify_geometry,
     orbit_bloch_table,
 )
 from .hierarchy import DEFAULT_CAP, check_cap, clifford_level_test, diagonal_clifford_level
-from .qcore import CapacityError
+from .qcore import EPS_NORM, CapacityError
 from .reproduce import SUITE_NAMES, reproduce_suite
 from .search import (
     SearchConfig,
@@ -288,7 +289,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    report = check_orthonormal(_basis(args), tol=_tolerance(args.tolerance, "norm", 1e-10))
+    report = check_orthonormal(_basis(args), tol=_tolerance(args.tolerance, "norm", EPS_NORM))
     payload = {"ok": report.ok, "max_violation": report.max_violation}
     if args.format == "text":
         print(f"orthonormal: {report.ok} (max violation {report.max_violation:.3e})")
@@ -299,7 +300,7 @@ def cmd_verify(args) -> int:
 
 def cmd_geometry(args) -> int:
     table = orbit_bloch_table(_basis(args))
-    tol = _tolerance(args.tolerance, "geo", 1e-8)
+    tol = _tolerance(args.tolerance, "geo", EPS_GEO)
     try:
         report = classify_geometry(table, tol=tol)
     except (ChiralityInconsistencyError, DegenerateGeometryError) as exc:
@@ -332,7 +333,6 @@ def cmd_level(args) -> int:
     check_cap(args.cap)
     payload = {"polynomial": f.to_text(), "formula_level": diagonal_clifford_level(f)}
     if args.matrix:
-        from .basisgen import measurement_unitary
         result = clifford_level_test(measurement_unitary(_basis(args)),
                                      cap=args.cap, mode=args.mode)
         payload["matrix"] = result.to_json_dict()

@@ -1,10 +1,12 @@
 """Exhaustive search over phase polynomials and classification of the hits.
 
-Enumerates canonical polynomials (degree >= 2) and takes them in blocks:
-``fiducial.build_fiducials`` builds a block's fiducial rows, every row's
-orbit must pass the orthonormality guard, and ``screen_block`` drops the
-rows whose Bloch vectors provably fail the filters.  The survivors' geometry
-and fingerprints are built in further array passes, and those that pass the
+Candidates are the coefficient rows of canonical polynomials (degree >= 2).
+They arrive as (B, K) int64 array blocks, read from an index range for the
+full space or drawn in bulk for a sample.  ``fiducial.build_fiducials``
+builds a block's fiducial rows, every row's orbit must pass the
+orthonormality guard, and ``screen_block`` drops the rows whose Bloch
+vectors provably fail the filters.  The survivors' geometry and
+fingerprints are built in further array passes, and those that pass the
 filters are the hits; a hit keeps its fiducial row, and orbit columns are
 built only where they are read.  Hits are grouped into local-Clifford
 classes by a canonical key (``lc_canonical_keys``: each qubit's frame is
@@ -23,9 +25,10 @@ phase with one qubit's operator at a time.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from itertools import combinations, islice, product
+from itertools import combinations
 
 import numpy as np
 
@@ -74,7 +77,7 @@ def canonical_monomials(n: int, min_degree: int = 2) -> list[tuple[int, ...]]:
 
 
 def polynomial_from_coeffs(n: int, m: int, monos: list[tuple[int, ...]],
-                           coeffs: tuple[int, ...]) -> PhasePolynomial:
+                           coeffs: Sequence[int]) -> PhasePolynomial:
     return PhasePolynomial(n, m, {frozenset(s): c for s, c in zip(monos, coeffs) if c})
 
 
@@ -228,43 +231,65 @@ def screen_block(states: np.ndarray, cfg: SearchConfig) -> np.ndarray:
     return keep
 
 
-def _candidate_coeffs(cfg: SearchConfig, monos: list[tuple[int, ...]]):
-    size = (2**cfg.m) ** len(monos)
+def _candidate_blocks(cfg: SearchConfig, k: int):
+    """(B, k) int64 coefficient rows of at most SCREEN_BATCH candidates, in enumeration order.
+
+    The full space comes in ``itertools.product`` order: row idx holds the
+    base-2^m digits of idx, most significant first.  A sample is the first
+    min(sample, size) distinct rows of the seeded draws.  Each sampled
+    block is one ``rng.integers`` call of at most the rows still missing,
+    deduplicated in first-occurrence order, so the generator draws exactly
+    what one call per candidate would and leaves it in the same state.  A
+    block whose rows were all seen before is skipped.
+    """
+    base = 2**cfg.m
+    size = base**k
     if cfg.sample is None:
         if size > FULL_ENUMERATION_LIMIT:
             raise CapacityError(
                 f"{size} candidates exceed the full-enumeration limit; set a sample limit"
             )
-        yield from product(range(2**cfg.m), repeat=len(monos))
-    else:
-        rng = np.random.default_rng(cfg.seed)
-        seen = set()
-        while len(seen) < min(cfg.sample, size):
-            coeffs = tuple(int(c) for c in rng.integers(0, 2**cfg.m, len(monos)))
-            if coeffs not in seen:
-                seen.add(coeffs)
-                yield coeffs
+        powers = base ** np.arange(k - 1, -1, -1, dtype=np.int64)
+        for start in range(0, size, SCREEN_BATCH):
+            idx = np.arange(start, min(start + SCREEN_BATCH, size), dtype=np.int64)
+            yield idx[:, None] // powers % base
+        return
+    rng = np.random.default_rng(cfg.seed)
+    target = min(cfg.sample, size)
+    seen: set[bytes] = set()
+    while len(seen) < target:
+        draws = rng.integers(0, base, (min(target - len(seen), SCREEN_BATCH), k))
+        fresh = []
+        for i, row in enumerate(draws):
+            key = row.tobytes()
+            if key not in seen:
+                seen.add(key)
+                fresh.append(i)
+        if fresh:
+            yield draws[fresh]
 
 
 def search_regular(cfg: SearchConfig) -> list[SearchHit]:
     """Filtered hits over the polynomial space, in deterministic enumeration order.
 
-    Candidates are screened SCREEN_BATCH at a time.  Every candidate's orbit
-    must be orthonormal, as in ``evaluate_polynomial_candidate``; only the
-    candidates ``screen_block`` keeps have their geometry and fingerprints
-    built, all of a block's survivors together.
+    Candidates arrive as coefficient blocks of at most SCREEN_BATCH rows
+    (``_candidate_blocks``) and are screened a block at a time.  Every
+    candidate's orbit must be orthonormal, as in
+    ``evaluate_polynomial_candidate``; only the candidates ``screen_block``
+    keeps become ``PhasePolynomial``s and have their geometry and
+    fingerprints built, all of a block's survivors together.
     """
     n, m = cfg.n, cfg.m
     monos = canonical_monomials(n)
     indicator = _monomial_indicator(n, tuple(monos))
     group = build_tetra_group(n)
-    coeff_iter = _candidate_coeffs(cfg, monos)
     hits = []
-    while block := list(islice(coeff_iter, SCREEN_BATCH)):
-        states = build_fiducials((np.array(block, dtype=np.int64) @ indicator) % 2**m, n, m)
-        _require_orthonormal(states, group, lambda i: polynomial_from_coeffs(n, m, monos, block[i]))
+    for block in _candidate_blocks(cfg, len(monos)):
+        states = build_fiducials((block @ indicator) % 2**m, n, m)
+        _require_orthonormal(states, group,
+                             lambda i: polynomial_from_coeffs(n, m, monos, block[i].tolist()))
         kept = np.flatnonzero(screen_block(states, cfg))
-        polys = [polynomial_from_coeffs(n, m, monos, block[i]) for i in kept]
+        polys = [polynomial_from_coeffs(n, m, monos, block[i].tolist()) for i in kept]
         hits += [hit for hit in _evaluate_rows(polys, states[kept]) if _passes_filters(hit, cfg)]
     return hits
 

@@ -1,7 +1,9 @@
+import hashlib
+import json
 import os
 import re
 from dataclasses import replace
-from itertools import product
+from itertools import islice, product
 from types import SimpleNamespace
 
 import numpy as np
@@ -117,14 +119,18 @@ def regular_hits(polys):
     return [hit for hit in hits if hit.geometry.all_regular]
 
 
-def candidate_coeffs(cfg):
-    """Reference candidates: the full space in order, or the distinct seeded draws."""
+def candidate_coeffs(cfg, rng=None):
+    """Reference candidates: the full space in order, or the distinct seeded draws.
+
+    A sample is drawn one candidate at a time, until it holds min(sample,
+    space size) distinct rows; pass rng to draw from that generator.
+    """
     monos = canonical_monomials(cfg.n)
     if cfg.sample is None:
         return list(product(range(2**cfg.m), repeat=len(monos)))
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(cfg.seed) if rng is None else rng
     drawn = {}
-    while len(drawn) < cfg.sample:
+    while len(drawn) < min(cfg.sample, polynomial_space_size(cfg.n, cfg.m)):
         drawn.setdefault(tuple(int(c) for c in rng.integers(0, 2**cfg.m, len(monos))), None)
     return list(drawn)
 
@@ -238,6 +244,87 @@ class TestBatchedScreen:
             messages.append(str(caught.value))
         assert messages[0].startswith(f"orbit of {bad.to_text()!r} unexpectedly non-orthonormal")
         assert messages == [messages[0]] * 3
+
+
+def block_rows(cfg, monkeypatch, batch):
+    """The candidate blocks of cfg at SCREEN_BATCH = batch, and their rows as tuples."""
+    from tetrabasis import search
+    monkeypatch.setattr(search, "SCREEN_BATCH", batch)
+    blocks = list(search._candidate_blocks(cfg, len(canonical_monomials(cfg.n))))
+    for block in blocks:
+        assert block.dtype == np.int64 and block.ndim == 2 and 1 <= len(block) <= batch
+    return blocks, [tuple(row) for block in blocks for row in block.tolist()]
+
+
+class TestCandidateBlocks:
+    @pytest.mark.parametrize("batch", [4096, 17, 1])
+    @pytest.mark.parametrize("m", [1, 2, 3, 62])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_sampled_rows_equal_per_candidate_draws(self, monkeypatch, n, m, batch):
+        # the generator must leave its rng where one draw per candidate does
+        cfg = SearchConfig(n, m, sample=150, seed=n * 100 + m)
+        drawn = []
+        real = np.random.default_rng
+
+        def recorded(seed):
+            drawn.append(real(seed))
+            return drawn[-1]
+
+        monkeypatch.setattr(np.random, "default_rng", recorded)
+        _, rows = block_rows(cfg, monkeypatch, batch)
+        reference_rng = real(cfg.seed)
+        assert rows == candidate_coeffs(cfg, reference_rng)
+        assert drawn[0].bit_generator.state == reference_rng.bit_generator.state
+
+    @pytest.mark.parametrize("m,size", [(1, 2), (2, 4)])
+    def test_sample_larger_than_the_space(self, monkeypatch, m, size):
+        cfg = SearchConfig(2, m, sample=300, seed=7)
+        for batch in (4096, 17, 1):
+            _, rows = block_rows(cfg, monkeypatch, batch)
+            assert sorted(rows) == [(c,) for c in range(size)]
+            assert rows == candidate_coeffs(cfg)
+
+    def test_sample_dense_in_duplicates(self, monkeypatch):
+        # 12 distinct rows of a 16-row space take many repeated draws
+        cfg = SearchConfig(3, 1, sample=12, seed=2)
+        rng, distinct, draws = np.random.default_rng(cfg.seed), set(), 0
+        while len(distinct) < 12:
+            distinct.add(tuple(rng.integers(0, 2, 4)))
+            draws += 1
+        assert draws > 15
+        for batch in (4096, 17, 5, 1):
+            blocks, rows = block_rows(cfg, monkeypatch, batch)
+            assert rows == candidate_coeffs(cfg)
+        assert len(blocks) == 12  # at batch 1, each repeated draw left a block empty
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_full_space_is_product_order(self, monkeypatch, n, m):
+        expected = list(product(range(2**m), repeat=len(canonical_monomials(n))))
+        for batch in (4096, 17, 1):
+            _, rows = block_rows(SearchConfig(n, m), monkeypatch, batch)
+            assert rows == expected
+
+    def test_first_n4_blocks_are_product_order(self):
+        from tetrabasis.search import SCREEN_BATCH, _candidate_blocks
+        blocks = list(islice(_candidate_blocks(SearchConfig(4, 2), 11), 3))
+        assert [len(b) for b in blocks] == [SCREEN_BATCH] * 3
+        rows = [tuple(row) for block in blocks for row in block.tolist()]
+        assert rows == list(islice(product(range(4), repeat=11), 3 * SCREEN_BATCH))
+
+    @pytest.mark.parametrize("cfg", [SearchConfig(4, 2, sample=400, seed=1), SearchConfig(3, 2)],
+                             ids=["n4-sample", "n3-full"])
+    def test_hit_coefficients_are_python_ints(self, cfg):
+        hits = search_regular(cfg)
+        assert hits
+        assert all(type(c) is int for hit in hits for c in hit.polynomial.terms.values())
+
+    def test_sampled_search_json_serialises(self, capsys):
+        from tetrabasis.cli import main
+        assert main(["search", "--n", "4", "--m", "2", "--sample", "400", "--seed", "1",
+                     "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["hits"] and all(isinstance(row["poly"], str) for row in payload["hits"])
 
 
 class TestCliffordGroup:
@@ -860,7 +947,12 @@ class TestKeyedGrouping:
     @pytest.mark.longrun
     @pytest.mark.skipif(not os.environ.get("TETRABASIS_LONGRUN"),
                         reason="opt-in long-running check (set TETRABASIS_LONGRUN=1)")
-    def test_full_n4_census(self):
+    def test_full_n4_census(self, capsys):
+        # the CSV bytes pin the enumeration order too, which the counts alone do not
+        from tetrabasis.cli import main
+        assert main(["search", "--n", "4", "--m", "2", "--format", "csv"]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+            "71e88db5f40c5172f26f6e34b7ff3b411d2ef4d22d3b059f6d09119d03e5db5e")
         hits = search_regular(SearchConfig(4, 2))
         records = group_into_classes(hits)
         assert len(hits) == 42_052 and len(records) == 4_674
