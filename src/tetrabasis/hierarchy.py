@@ -13,10 +13,21 @@ and signs, with no Pauli expansion.
 Each expanded node handles its children as array blocks of up to
 CHILD_BLOCK Paulis.  U P is a column gather times a sign vector, so a
 block's children U P U^dag come from one stacked matmul; one stacked Pauli
-test picks out the children at level 1, and one key pass gives the rest
-their memo keys.  Those are then recursed into depth-first in Pauli order,
+test picks out the children at level 1, and one key pass keys the rest
+that the coset skip below keeps.  Those are recursed into depth-first in Pauli order,
 so a child that passes the budget still stops its node; only the rest of
 its block was computed in vain.
+
+A full layer expands one child per coset of K_U = {R : U R U^dag is a
+phased Pauli}, the first in Pauli order.  For R in K_U, U (P R) U^dag =
++-(U P U^dag) S up to phase, with S = U R U^dag, and S g S^dag = +-g for
+every Pauli g; so the children of U P R U^dag are those of U P U^dag up to
+sign, in generator and full layers alike.  The memo keys are phase-canonical,
+so the two subtrees, and the levels they give, are the same.  Only Paulis R
+whose child was actually tested count as members of K_U, so every skip is
+exact, and a cap miss still stops at its first over-budget child.  (A coset
+can get a second child when the product of tested Paulis linking the two
+was not tested itself yet.)  Generator layers skip nothing.
 """
 
 from __future__ import annotations
@@ -29,7 +40,14 @@ import numpy as np
 
 from .basisgen import build_tetra_group, measurement_unitary, orbit_basis
 from .fiducial import PhasePolynomial, build_fiducial
-from .qcore import is_unitary, num_qubits, parity_sign, phase_canonical_key, phase_canonical_keys
+from .qcore import (
+    check_capacity,
+    is_unitary,
+    num_qubits,
+    parity_sign,
+    phase_canonical_key,
+    phase_canonical_keys,
+)
 
 DEFAULT_CAP = 6
 MODES = ("generator", "full")
@@ -137,28 +155,49 @@ def _string_masks(n: int) -> list[tuple[int, int]]:
 
 
 @lru_cache(maxsize=None)
-def _child_blocks(n: int, full: bool) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Column gathers and signs that turn U into U P, CHILD_BLOCK Paulis at a time.
+def _child_blocks(n: int, full: bool) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    """Packed masks, column gathers and signs of U -> U P, CHILD_BLOCK Paulis at a time.
 
     For P = Z^b X^a, (U P)[:, x] = s_P(x) U[:, x xor a] with
-    s_P(x) = (-1)^popcount(b & (x xor a)).  The Paulis are those of one
-    layer: every non-identity string when full, else the generators.
+    s_P(x) = (-1)^popcount(b & (x xor a)), and P packs into (a << n) | b.
+    The Paulis are those of one layer: every non-identity string when full,
+    else the generators.
     """
     masks = np.array(_string_masks(n) if full else _generator_masks(n))
     x = np.arange(2**n)
+    packed = (masks[:, 0] << n) | masks[:, 1]
     cols = masks[:, :1] ^ x
     signs = parity_sign(masks[:, 1:] & cols).astype(float)
-    _read_only(cols, signs)
-    return tuple((cols[i:i + CHILD_BLOCK], signs[i:i + CHILD_BLOCK])
+    _read_only(packed, cols, signs)
+    return tuple((packed[i:i + CHILD_BLOCK], cols[i:i + CHILD_BLOCK], signs[i:i + CHILD_BLOCK])
                  for i in range(0, len(masks), CHILD_BLOCK))
+
+
+def _coset_firsts(inner: np.ndarray, masks: np.ndarray, kernel: set[int],
+                  expanded: set[int]) -> list[int]:
+    """The inner children P with no P xor R in expanded, R in kernel; adds them to expanded.
+
+    kernel holds packed masks R of tested children at level 1, so the
+    children of P and P xor R have the same level (see the module docstring).
+    """
+    firsts = []
+    for i, p in zip(inner.tolist(), masks[inner].tolist()):
+        if not any(p ^ r in expanded for r in kernel):
+            expanded.add(p)
+            firsts.append(i)
+    return firsts
 
 
 class _LevelEngine:
     """Recursive level computation with memoization on phase-canonical matrices.
 
-    A node's children U P U^dag are built, Pauli-tested and keyed one block
-    at a time; the non-Pauli ones are then recursed into in Pauli order, so
-    the first child that passes the budget still ends the node.
+    A node's children U P U^dag are built and Pauli-tested one block at a
+    time.  In a full layer, a non-Pauli child U P U^dag is skipped before it
+    is keyed when P xor Q is the mask of a tested Pauli child, for some child
+    Q already expanded: P lies in Q's coset of K_U, whose children all have
+    Q's level (see the module docstring).  The rest are keyed and recursed
+    into in Pauli order, so the first child that passes the budget still
+    ends the node.
     """
 
     def __init__(self, n: int, full_layers: int):
@@ -188,17 +227,25 @@ class _LevelEngine:
         if cached is not None:
             return cached if cached <= budget else None
         layer = min(depth + 1, self.full_layers)
+        full = depth < self.full_layers
         udag = u.conj().T
         worst = 1
-        for cols, signs in _child_blocks(self.n, depth < self.full_layers):
+        # packed masks of the children expanded so far and, in a full layer
+        # only, of the tested children at level 1; a generator layer skips none
+        kernel: set[int] = set()
+        expanded: set[int] = set()
+        for masks, cols, signs in _child_blocks(self.n, full):
             children = (u.take(self.rows + cols[:, None, :]) * signs[:, None, :]) @ udag
-            inner = np.flatnonzero(~pauli_like(children))
-            if not inner.size:
-                continue
-            if budget <= 2:
+            pauli = pauli_like(children)
+            if full:
+                kernel.update(masks[pauli].tolist())
+            if budget <= 2 and not pauli.all():
                 # a non-Pauli child would need level 1 to fit the budget
                 return None
-            keys = phase_canonical_keys(children[inner].reshape(inner.size, -1))
+            inner = _coset_firsts(np.flatnonzero(~pauli), masks, kernel, expanded)
+            if not inner:
+                continue
+            keys = phase_canonical_keys(children[inner].reshape(len(inner), -1))
             for i, child_key in zip(inner, keys):
                 sub = self._expand(children[i], budget - 1, depth + 1, (layer, child_key))
                 if sub is None:
@@ -223,7 +270,10 @@ def clifford_level_test(u: np.ndarray, cap: int = DEFAULT_CAP, mode: str = "gene
     recursion layers (default 1) and generators below.
     """
     u = np.asarray(u, dtype=complex)
+    if u.ndim != 2 or u.shape[0] != u.shape[1]:
+        raise ValueError(f"input must be a square matrix, got shape {u.shape}")
     n = num_qubits(u.shape[0])
+    check_capacity(u.shape[0])
     if not is_unitary(u):
         raise ValueError("input is not unitary")
     if mode not in MODES:

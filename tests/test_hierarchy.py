@@ -1,3 +1,5 @@
+import os
+import re
 import warnings
 from functools import lru_cache, reduce
 from itertools import product
@@ -12,6 +14,7 @@ from tetrabasis.basisgen import (
     orbit_basis,
 )
 from tetrabasis.fiducial import PhasePolynomial, parse_polynomial, build_fiducial, diagonal_gate
+from tetrabasis import hierarchy
 from tetrabasis.hierarchy import (
     DEFAULT_CAP,
     MODES,
@@ -26,13 +29,23 @@ from tetrabasis.hierarchy import (
     verify_level_bound,
 )
 from tetrabasis.qcore import (
+    MAX_QUBITS,
     PAULI_MATS,
+    CapacityError,
     num_qubits,
     parity_sign,
     pauli_matrix,
     phase_canonical_key,
 )
-from tetrabasis.search import canonical_monomials, polynomial_from_coeffs
+from tetrabasis.reproduce import APPD_EXAMPLE1
+from tetrabasis.search import (
+    SearchConfig,
+    canonical_monomials,
+    evaluate_polynomial_candidate,
+    group_into_classes,
+    polynomial_from_coeffs,
+    search_regular,
+)
 
 from polyspace import enumerate_polynomials
 
@@ -89,6 +102,28 @@ def random_clifford(n, rng, depth=12):
     for _ in range(depth):
         if n > 1 and rng.random() < 0.3:
             gate = embed(cz, int(rng.integers(1, n)), n)
+        else:
+            gate = embed((H, S)[rng.integers(2)], int(rng.integers(1, n + 1)), n)
+        u = gate @ u
+    return u
+
+
+def cnot(control, target, n):
+    """CNOT from qubit control to qubit target (1-indexed), as a permutation matrix."""
+    x = np.arange(2**n)
+    flip = np.where(x & (1 << (n - control)), 1 << (n - target), 0)
+    u = np.zeros((2**n, 2**n), dtype=complex)
+    u[x ^ flip, x] = 1
+    return u
+
+
+def random_cnot_clifford(n, rng, depth=12):
+    """Product of random H, S and CNOT gates, the CNOTs on any ordered pair of qubits."""
+    u = np.eye(2**n, dtype=complex)
+    for _ in range(depth):
+        if n > 1 and rng.random() < 0.4:
+            control, target = rng.choice(n, 2, replace=False) + 1
+            gate = cnot(int(control), int(target), n)
         else:
             gate = embed((H, S)[rng.integers(2)], int(rng.integers(1, n + 1)), n)
         u = gate @ u
@@ -236,6 +271,19 @@ class TestRecursiveLevelTest:
         with pytest.raises(ValueError):
             clifford_level_test(np.array([[1, 1], [0, 1.0]]))
 
+    @pytest.mark.parametrize("shape", [(2, 3), (1, 2, 2), (4,), ()])
+    def test_non_square_input_rejected_with_its_shape(self, shape):
+        with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+            clifford_level_test(np.ones(shape))
+
+    def test_dimension_above_the_cap_rejected_before_the_unitarity_check(self, monkeypatch):
+        def no_unitarity_check(u):
+            raise AssertionError("is_unitary ran")
+        monkeypatch.setattr(hierarchy, "is_unitary", no_unitarity_check)
+        dim = 2 ** (MAX_QUBITS + 1)
+        with pytest.raises(CapacityError, match=f"dimension {dim}"):
+            clifford_level_test(np.eye(dim))
+
     def test_invalid_mode_rejected(self):
         with pytest.raises(ValueError):
             clifford_level_test(X, mode="bogus")
@@ -307,6 +355,26 @@ class TestLevelBound:
         assert report.diagonal_level == 4
         assert report.measurement_level.level <= 4
 
+    def test_n5_regular_hit_at_level_six(self):
+        # the first hit of `search --n 5 --m 2 --sample 40000 --seed 1`
+        f = parse_polynomial(
+            "z1 z2 z3 + 2 z1 z2 z3 z4 + z1 z2 z3 z4 z5 + z1 z2 z3 z5 + 2 z1 z2 z4 z5"
+            " + 2 z1 z3 + 2 z1 z4 + 2 z1 z4 z5 + z2 z3 + 3 z2 z3 z4 + 3 z2 z3 z4 z5"
+            " + 3 z2 z3 z5 + 3 z2 z4 z5 + 2 z2 z5 + 3 z3 z4 + 3 z3 z4 z5 + 2 z4 z5", 5, 2)
+        assert evaluate_polynomial_candidate(f).geometry.all_regular
+        assert diagonal_clifford_level(f) == 6
+        assert clifford_level_test(orbit_unitary(f), mode="full").level == 6
+
+    @pytest.mark.longrun
+    @pytest.mark.skipif(not os.environ.get("TETRABASIS_LONGRUN"),
+                        reason="opt-in long-running check (set TETRABASIS_LONGRUN=1)")
+    def test_every_n4_class_representative(self):
+        records = group_into_classes(search_regular(SearchConfig(4, 2)))
+        assert len(records) == 4_674
+        failed = [r.representatives[0].to_text() for r in records
+                  if not verify_level_bound(r.representatives[0]).ok]
+        assert failed == []
+
 
 class TestLevelPaulis:
     def test_generators_are_x_then_z_per_qubit(self):
@@ -352,6 +420,7 @@ class ScalarLevelEngine:
         self.gen_mats = [pauli_matrix(n, a, b) for a, b in _generator_masks(n)]
         self.full_mats = [pauli_matrix(n, a, b) for a, b in _string_masks(n)]
         self.memo = {}
+        self.expanded = 0  # nodes that computed their children
 
     def level(self, u, budget, depth):
         if scalar_is_pauli_like(u, self.tol):
@@ -366,6 +435,7 @@ class ScalarLevelEngine:
                 return cached if cached <= budget else None
             if -cached >= budget:
                 return None
+        self.expanded += 1
         paulis = self.full_mats if depth < self.full_layers else self.gen_mats
         worst = 1
         udag = u.conj().T
@@ -502,3 +572,113 @@ class TestStackedPauliKernel:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert pauli_like(stack).tolist() == [False, False, True]
+
+
+def pauli_kernel(u):
+    """Reference: the masks (a, b) of the non-identity Paulis R with U R U^dag a phased Pauli."""
+    n = num_qubits(u.shape[0])
+    return [(a, b) for a, b in _string_masks(n)
+            if is_pauli_like(u @ pauli_matrix(n, a, b) @ u.conj().T)]
+
+
+class CountingEngine(_LevelEngine):
+    """The level engine, recording (depth, memo hit, level, matrix) per _expand call on return."""
+
+    def __init__(self, n, full_layers):
+        super().__init__(n, full_layers)
+        self.calls = []
+
+    def _expand(self, u, budget, depth, key):
+        hit = key in self.memo
+        sub = super()._expand(u, budget, depth, key)
+        self.calls.append((depth, hit, sub, u))
+        return sub
+
+    def expansions(self):
+        return sum(not hit for _, hit, _, _ in self.calls)
+
+    def root_children(self):
+        return [(sub, v) for depth, _, sub, v in self.calls if depth == 1]
+
+
+def root_coset_cover(u, engine):
+    """Per non-Pauli child of the root u, the number of expanded children in its coset of K_U.
+
+    U P U^dag and U Q U^dag are in one coset when U P Q U^dag, their
+    product up to phase, is a phased Pauli.
+    """
+    n = num_qubits(u.shape[0])
+    expanded = [v for _, v in engine.root_children()]
+    children = [u @ pauli_matrix(n, a, b) @ u.conj().T for a, b in _string_masks(n)]
+    return [sum(is_pauli_like(v.conj().T @ child) for v in expanded)
+            for child in children if not is_pauli_like(child)]
+
+
+def dressed_diagonal_gates(seed):
+    """(n, C1 D_f C2) for seeded random f and seeded random H, S, CNOT Cliffords C1, C2."""
+    rng = np.random.default_rng(seed)
+    for n, m, count in ((2, 3, 3), (3, 2, 3), (3, 3, 2), (4, 2, 1)):
+        monos = canonical_monomials(n, 1)
+        for _ in range(count):
+            coeffs = tuple(int(c) for c in rng.integers(0, 2**m, len(monos)))
+            d = diagonal_gate(polynomial_from_coeffs(n, m, monos, coeffs))
+            yield n, random_cnot_clifford(n, rng) @ d @ random_cnot_clifford(n, rng)
+
+
+class TestCosetSkip:
+    """A full layer skips the children in the coset of an expanded one, and keeps the levels."""
+
+    def test_clifford_dressed_diagonal_gates(self):
+        reference = ScalarReference()
+        several = 0
+        for n, u in dressed_diagonal_gates(44):
+            kernel = pauli_kernel(u)
+            # K_U is nontrivial, and is not the Z strings of a diagonal gate
+            assert any(a for a, _ in kernel)
+            reference.assert_matches(u, layers=(1, 2) if n < 4 else (1,))
+            engine = CountingEngine(n, 1)
+            assert engine.level(u, DEFAULT_CAP) == reference.level(u, DEFAULT_CAP, "full", 1)
+            # no coset is left out; one can get a second child when the product
+            # of tested Paulis that links the two was not yet tested itself
+            cover = root_coset_cover(u, engine)
+            assert cover and 0 not in cover
+            several += max(cover) > 1
+        assert several >= 3
+
+    def test_root_expands_one_child_per_non_pauli_coset(self):
+        u = orbit_unitary(parse_polynomial(APPD_EXAMPLE1, 4, 2))
+        kernel_size = len(pauli_kernel(u)) + 1
+        assert kernel_size == 16
+        engine = CountingEngine(4, 1)
+        assert engine.level(u, DEFAULT_CAP) == 5
+        assert set(root_coset_cover(u, engine)) == {1}
+        assert len(engine.root_children()) == 4**4 // kernel_size - 1 == 15
+        # the scalar recursion expands more nodes for the same level
+        reference = ScalarLevelEngine(4, "full", 1e-9, 1)
+        assert reference.level(u, DEFAULT_CAP, 0) == 5
+        assert engine.expansions() < reference.expanded
+
+    def test_generator_layers_skip_nothing(self):
+        u = orbit_unitary(parse_polynomial(APPD_EXAMPLE1, 4, 2))
+        engine = CountingEngine(4, 0)
+        reference = ScalarLevelEngine(4, "generator", 1e-9, 0)
+        assert engine.level(u, DEFAULT_CAP) == reference.level(u, DEFAULT_CAP, 0) == 5
+        assert engine.expansions() == reference.expanded
+
+    def test_cap_miss_stops_at_the_first_over_budget_child(self):
+        example = orbit_unitary(parse_polynomial(APPD_EXAMPLE1, 4, 2))
+        cases = [(4, example, 4, 1), (4, example, 4, 2), (4, example, 3, 1)]
+        for n, u in dressed_diagonal_gates(45):
+            level = ScalarReference().level(u, DEFAULT_CAP, "full", 1)
+            # at cap 2 the root fails on its first non-Pauli child, expanding none
+            if n < 4 and level > 3:
+                cases.append((n, u, level - 1, 2))
+        assert len(cases) >= 5
+        for n, u, cap, layers in cases:
+            engine = CountingEngine(n, layers)
+            assert engine.level(u, cap) is None
+            children = [sub for sub, _ in engine.root_children()]
+            assert children[-1] is None and None not in children[:-1]
+            reference = ScalarLevelEngine(n, "full", 1e-9, layers)
+            assert reference.level(u, cap, 0) is None
+            assert engine.expansions() <= reference.expanded
