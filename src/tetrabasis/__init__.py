@@ -6,6 +6,7 @@ from .fiducial import (
     build_fiducial,
     diagonal_gate,
     evaluate_polynomial,
+    fiducial_circuit,
     parse_polynomial,
     staircase_circuit,
 )
@@ -44,6 +45,7 @@ from .hierarchy import (
     clifford_level_test,
     diagonal_clifford_level,
     is_pauli_like,
+    measurement_level,
     verify_level_bound,
 )
 from .search import (

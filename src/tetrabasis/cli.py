@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .basisgen import build_tetra_group, check_orthonormal, measurement_unitary, orbit_basis
+from .basisgen import build_tetra_group, check_orthonormal, orbit_basis
 from .entanglement import invariant_fingerprint
 from .fiducial import PolynomialParseError, build_fiducial, parse_polynomial
 from .geometry import (
@@ -26,7 +26,7 @@ from .geometry import (
     classify_geometry,
     orbit_bloch_table,
 )
-from .hierarchy import DEFAULT_CAP, check_cap, clifford_level_test, diagonal_clifford_level
+from .hierarchy import DEFAULT_CAP, check_cap, diagonal_clifford_level, measurement_level
 from .qcore import EPS_NORM, CapacityError
 from .reproduce import SUITE_NAMES, reproduce_suite
 from .search import (
@@ -186,8 +186,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_level = sub("level", help="Clifford-hierarchy level of the diagonal gate")
     add_common(p_level)
     p_level.add_argument("--matrix", action="store_true",
-                         help="also run the recursive membership test on M_psi")
-    p_level.add_argument("--mode", choices=["generator", "full"], default="generator")
+                         help="also give the level of M_psi, certified by its identity with "
+                              "the fiducial circuit S(n) H_n D_f H^(x n)")
+    p_level.add_argument("--mode", choices=["generator", "full"], default="generator",
+                         help="echoed in the output; both modes give the certified level")
     p_level.add_argument("--cap", type=int, default=DEFAULT_CAP)
 
     def add_search(name, summary, formats):
@@ -333,9 +335,7 @@ def cmd_level(args) -> int:
     check_cap(args.cap)
     payload = {"polynomial": f.to_text(), "formula_level": diagonal_clifford_level(f)}
     if args.matrix:
-        result = clifford_level_test(measurement_unitary(_basis(args)),
-                                     cap=args.cap, mode=args.mode)
-        payload["matrix"] = result.to_json_dict()
+        payload["matrix"] = measurement_level(f, args.cap, args.mode).to_json_dict()
     if args.format == "text":
         print(payload["formula_level"])
         if args.matrix:

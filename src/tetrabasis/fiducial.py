@@ -219,3 +219,17 @@ def build_fiducials(values: np.ndarray, n: int, m: int) -> np.ndarray:
 def build_fiducial(f: PhasePolynomial) -> np.ndarray:
     """Fiducial state of one polynomial: the one-row case of ``build_fiducials``."""
     return build_fiducials(polynomial_values(f)[None], f.n, f.m)[0]
+
+
+def fiducial_circuit(f: PhasePolynomial) -> np.ndarray:
+    """The dense circuit S(n) H_n D_f H^(x n); column 0 is ``build_fiducial(f)``.
+
+    H^(x n)|c> = 2^(-n/2) sum_x (-1)^(c.x) |x> and -1 = exp(2 pi i 2^(m-1) / 2^m),
+    so column c is the fiducial of f + 2^(m-1) sum_{i in c} z_i: one
+    ``build_fiducials`` call over the 2^n shifted value rows.
+    """
+    check_capacity(2**f.n)
+    x = np.arange(2**f.n)
+    parities = (np.bitwise_count(x[:, None] & x) & 1).astype(np.int64)  # c.x mod 2, row c
+    values = polynomial_values(f) + 2 ** (f.m - 1) * parities
+    return build_fiducials(values % 2**f.m, f.n, f.m).T

@@ -1,11 +1,26 @@
 """Clifford-hierarchy levels: closed form for diagonal gates, recursive test for matrices.
 
 The closed-form level of a diagonal gate is max over monomials of
-(degree + m - 1 - v2(coefficient)); the recursive test decides membership
-from the definition (U is at level k when every conjugated Pauli sits at
-level k-1).  Conjugating by generators alone is exact for deciding levels
-up to 3 because the Clifford group is closed under products; deciding level
-k >= 4 soundly needs the full Pauli set at the outer layer, which is what
+(degree + m - 1 - v2(coefficient)) (Cui, Gottesman & Krishna, PRA 95,
+012329, 2017).  It also gives the level of every measurement unitary.
+M_psi of f's orbit basis is the fiducial circuit S(n) H_n D_f H^(x n)
+entrywise: column g is U_g|psi>, S(n) H_n carries U_g onto the Z string
+Z^g (the label order makes this the identity map on labels), Z^g commutes
+with D_f, and Z^g H^(x n)|0> = H^(x n)|g>.  For k >= 2, level k is closed
+under multiplication by Cliffords C on either side.  On the right,
+(U C) P (U C)^dag = U (C P C^dag) U^dag, with C P C^dag a Pauli up to
+phase.  On the left, (C U) P (C U)^dag = C (U P U^dag) C^dag, and level
+k-1 is closed under Clifford conjugation, by induction from the Paulis.
+M_psi is no Pauli: H_n leaves its column 0, the fiducial, with 2^(n-1) >= 2
+pairs of amplitudes, at least one nonzero in each.  So
+level(M_psi) = max(level(D_f), 2), which ``measurement_level`` returns
+after checking the identity on M_psi itself.
+
+The recursive test decides membership of any matrix from the definition
+(U is at level k when every conjugated Pauli sits at level k-1).
+Conjugating by generators alone is exact for deciding levels up to 3
+because the Clifford group is closed under products; deciding level k >= 4
+soundly needs the full Pauli set at the outer layer, which is what
 mode='full' adds.  The recursion bottoms out in a direct O(4^n) test of
 whether a matrix is a phased Pauli string, read off its permutation support
 and signs, with no Pauli expansion.
@@ -39,8 +54,9 @@ from itertools import product
 import numpy as np
 
 from .basisgen import build_tetra_group, measurement_unitary, orbit_basis
-from .fiducial import PhasePolynomial, build_fiducial
+from .fiducial import PhasePolynomial, build_fiducial, fiducial_circuit
 from .qcore import (
+    EPS_NORM,
     check_capacity,
     is_unitary,
     num_qubits,
@@ -301,17 +317,44 @@ class LevelBoundReport:
         }
 
 
+def _orbit_unitary(f: PhasePolynomial) -> np.ndarray:
+    """M_psi of f's orbit basis, through the orthonormality check of ``measurement_unitary``."""
+    return measurement_unitary(orbit_basis(build_fiducial(f), build_tetra_group(f.n), f))
+
+
+def measurement_level(f: PhasePolynomial, cap: int = DEFAULT_CAP,
+                      mode: str = "generator") -> LevelResult:
+    """Level of M_psi on f's orbit basis, certified by the fiducial-circuit identity.
+
+    M_psi must equal ``fiducial_circuit(f)`` entrywise within EPS_NORM, or an
+    AssertionError names f; its level is then max(level(D_f), 2) (see the
+    module docstring), with no recursion.  Both modes give this level, and
+    ``mode`` is only checked and echoed.  ``verify_level_bound`` runs the
+    recursive test that checks the certificate.
+    """
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}")
+    check_cap(cap)
+    deviation = float(np.max(np.abs(_orbit_unitary(f) - fiducial_circuit(f))))
+    if not deviation <= EPS_NORM:
+        raise AssertionError(f"measurement unitary of {f.to_text()!r} is not its fiducial "
+                             f"circuit (deviation {deviation:.3e})")
+    level = max(diagonal_clifford_level(f), 2)
+    return LevelResult(level if level <= cap else None, cap, mode)
+
+
 def verify_level_bound(f: PhasePolynomial, cap: int = DEFAULT_CAP, mode: str = "full",
                        full_layers: int = 1) -> LevelBoundReport:
-    """Check level(M_psi) <= level(D_f) on the orbit basis of f.
+    """Check level(M_psi) <= max(level(D_f), 2) on the orbit basis of f, by the recursive test.
 
-    The implication holds for levels k >= 2 (the hierarchy statement starts
-    at the Clifford group), so a Pauli diagonal gate still only promises a
-    Clifford measurement unitary.
+    The bound is an equality: M_psi is S(n) H_n D_f H^(x n), and levels
+    k >= 2 are closed under Clifford multiplication on either side (see the
+    module docstring), so a Pauli diagonal gate gives a Clifford measurement
+    unitary and every other D_f gives M_psi its own level.  The recursion
+    makes this an independent check of ``measurement_level``.
     """
-    basis = orbit_basis(build_fiducial(f), build_tetra_group(f.n), f)
     k_diag = diagonal_clifford_level(f)
-    result = clifford_level_test(measurement_unitary(basis), cap=cap, mode=mode,
+    result = clifford_level_test(_orbit_unitary(f), cap=cap, mode=mode,
                                  full_layers=full_layers)
     ok = result.level is not None and result.level <= max(k_diag, 2)
     return LevelBoundReport(f, k_diag, result, ok)

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -109,8 +109,9 @@ class SearchHit:
     fiducial: np.ndarray = field(compare=False, repr=False)  # (2^n,) row; the basis is its orbit
     fingerprint: InvariantFingerprint = field(compare=False, repr=False)
 
-    @property
+    @cached_property
     def key(self) -> str:
+        """The polynomial's text, built on first read: grouping and output read it often."""
         return self.polynomial.to_text()
 
 
@@ -509,8 +510,9 @@ class ClassRecord:
     witness_links: dict[str, Witness] = field(default_factory=dict)
     conjugate_partner: str | None = None
 
-    @property
+    @cached_property
     def key(self) -> str:
+        """The first representative's text; representatives only grow at the end."""
         return self.representatives[0].to_text()
 
     def to_json_dict(self) -> dict:

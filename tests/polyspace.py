@@ -1,6 +1,8 @@
-"""Test helpers that enumerate the phase-polynomial space one polynomial at a time."""
+"""Test helpers that enumerate or sample the phase-polynomial space one polynomial at a time."""
 
 from itertools import product
+
+import numpy as np
 
 from tetrabasis.qcore import CapacityError
 from tetrabasis.search import canonical_monomials, polynomial_from_coeffs
@@ -17,3 +19,11 @@ def enumerate_polynomials(n: int, m: int, min_degree: int = 2):
 
 def polynomial_space_size(n: int, m: int, min_degree: int = 2) -> int:
     return (2**m) ** len(canonical_monomials(n, min_degree))
+
+
+def seeded_polynomials(n: int, m: int, count: int, seed: int, min_degree: int = 2):
+    """count polynomials with coefficients drawn uniformly from Z_(2^m), seeded by (seed, n, m)."""
+    rng = np.random.default_rng([seed, n, m])
+    monos = canonical_monomials(n, min_degree)
+    draws = rng.integers(0, 2**m, (count, len(monos))).tolist()
+    return [polynomial_from_coeffs(n, m, monos, coeffs) for coeffs in draws]

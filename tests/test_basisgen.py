@@ -14,13 +14,13 @@ from tetrabasis.basisgen import (
     measurement_unitary,
     orbit_basis,
 )
-from tetrabasis.fiducial import HADAMARD, parse_polynomial, build_fiducial, staircase_circuit
+from tetrabasis.fiducial import build_fiducial, fiducial_circuit, parse_polynomial
 from tetrabasis.geometry import bloch_vector
 from tetrabasis.qcore import PAULI_MATS, CapacityError, pauli_matrix
 from tetrabasis.reproduce import EJM_MATRIX
 from tetrabasis.search import canonical_monomials, polynomial_from_coeffs
 
-from polyspace import enumerate_polynomials
+from polyspace import enumerate_polynomials, seeded_polynomials
 
 KET00 = np.eye(4, dtype=complex)[0]
 
@@ -92,19 +92,17 @@ class TestTetraGroup:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_fiducial_circuit_conjugates_the_group_to_the_z_strings(self, n):
         # W = S(n) H_n carries D_f H^(x n)|0..0> to the fiducial, and W^dag U_g W
-        # is exactly one Z string per label.  D_f H^(x n)|0..0> has flat moduli,
-        # so <psi|U_g|psi> = 2^-n sum_x (-1)^(c.x) = 0 for g >= 1: every orbit
-        # is orthonormal by construction, for every polynomial
-        w = staircase_circuit(n) @ np.kron(np.eye(2 ** (n - 1)), HADAMARD)
+        # is exactly the Z string Z^g: it commutes with D_f, and H^(x n) turns it
+        # into X^g, so the fiducial circuit W D_f H^(x n) conjugates U_g to X^g,
+        # label for label, whatever f.  D_f H^(x n)|0..0> has flat moduli, so
+        # <psi|U_g|psi> = 2^-n sum_x (-1)^(g.x) = 0 for g >= 1: every orbit is
+        # orthonormal by construction, for every polynomial
         group = build_tetra_group(n)
-        strings = []
-        for a, b in zip(group.x_masks, group.z_masks):
-            conjugated = w.conj().T @ pauli_matrix(n, a, b) @ w
-            c = next(c for c in range(2**n)
-                     if np.allclose(conjugated, pauli_matrix(n, 0, c), atol=1e-12))
-            strings.append(c)
-        assert sorted(strings) == list(range(2**n))
-        assert strings[0] == 0
+        for f in seeded_polynomials(n, 3, 2, 8, min_degree=1):
+            circuit = fiducial_circuit(f)
+            for g, (a, b) in enumerate(zip(group.x_masks, group.z_masks)):
+                conjugated = circuit.conj().T @ pauli_matrix(n, a, b) @ circuit
+                np.testing.assert_allclose(conjugated, pauli_matrix(n, g, 0), rtol=0, atol=1e-12)
 
     def test_small_n_rejected(self):
         with pytest.raises(ValueError):
@@ -185,6 +183,15 @@ class TestMeasurementUnitary:
     def test_rejects_non_orthonormal(self):
         with pytest.raises(NonOrthonormalBasisError):
             measurement_unitary(orbit_basis(KET00, build_tetra_group(2)))
+
+    @pytest.mark.parametrize("n, m", [(n, m) for n in range(2, 7) for m in range(1, 5)]
+                             + [(2, 62), (3, 62)])
+    def test_is_the_fiducial_circuit(self, n, m):
+        # M_psi = S(n) H_n D_f H^(x n) entrywise, which fixes its hierarchy level
+        for f in seeded_polynomials(n, m, 6, 9, min_degree=1):
+            u = measurement_unitary(orbit_basis(build_fiducial(f), build_tetra_group(n), f))
+            np.testing.assert_allclose(u, fiducial_circuit(f), rtol=0, atol=1e-12,
+                                       err_msg=f.to_text())
 
 
 class TestBlochState:

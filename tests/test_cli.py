@@ -7,10 +7,15 @@ import re
 import numpy as np
 import pytest
 
-from tetrabasis import cli
+from tetrabasis import cli, hierarchy
+from tetrabasis.basisgen import build_tetra_group, measurement_unitary, orbit_basis
 from tetrabasis.cli import CSV_COLUMNS, fmt_number, main
+from tetrabasis.fiducial import build_fiducial
+from tetrabasis.hierarchy import DEFAULT_CAP, MODES, clifford_level_test
 from tetrabasis.reproduce import SUITE_NAMES
 from tetrabasis.search import SearchConfig, group_into_classes, search_regular
+
+from polyspace import enumerate_polynomials, seeded_polynomials
 
 
 def run_cli(capsys, *argv):
@@ -180,6 +185,81 @@ class TestLevel:
         assert code == 2
         assert captured.out == ""
         assert "cap must lie in 1..6" in captured.err
+
+
+def orbit_unitary(f):
+    return measurement_unitary(orbit_basis(build_fiducial(f), build_tetra_group(f.n), f))
+
+
+def assert_matrix_level_is_the_recursive_level(capsys, polys, caps):
+    """`level --matrix` prints clifford_level_test's result on M_psi, in both modes."""
+    for f in polys:
+        u = orbit_unitary(f)
+        for mode in MODES:
+            for cap in caps:
+                code, out = run_cli(capsys, "level", "--n", str(f.n), "--m", str(f.m),
+                                    "--poly", f.to_text(), "--matrix", "--mode", mode,
+                                    "--cap", str(cap))
+                assert code == 0
+                expected = clifford_level_test(u, cap=cap, mode=mode).to_json_dict()
+                assert json.loads(out)["matrix"] == expected, (f.to_text(), mode, cap)
+
+
+class TestLevelMatrixOracle:
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_every_n2_polynomial_at_caps_1_to_6(self, capsys, m):
+        polys = list(enumerate_polynomials(2, m, min_degree=1))
+        assert_matrix_level_is_the_recursive_level(capsys, polys, range(1, DEFAULT_CAP + 1))
+
+    def test_every_n3_m2_polynomial(self, capsys):
+        assert_matrix_level_is_the_recursive_level(capsys, enumerate_polynomials(3, 2), (6, 2))
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_seeded_n4_sample(self, capsys, m):
+        assert_matrix_level_is_the_recursive_level(capsys, seeded_polynomials(4, m, 6, 21),
+                                                   (6, 3))
+
+
+def swap_columns(u):
+    return u[:, [1, 0] + list(range(2, len(u)))]
+
+
+def phase_one_entry(u):
+    u = u.copy()
+    u[np.unravel_index(np.argmax(np.abs(u)), u.shape)] *= 1j
+    return u
+
+
+class TestLevelMatrixGuard:
+    @pytest.mark.parametrize("corrupt", [swap_columns, phase_one_entry])
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_corrupted_measurement_unitary_raises(self, capsys, monkeypatch, corrupt, fmt):
+        built = hierarchy.measurement_unitary
+        monkeypatch.setattr(hierarchy, "measurement_unitary", lambda basis: corrupt(built(basis)))
+        with pytest.raises(AssertionError,
+                           match="measurement unitary of 'z1 z2' is not its fiducial circuit"):
+            main(["level", "--n", "2", "--poly", "z1 z2", "--matrix", "--format", fmt])
+        assert capsys.readouterr().out == ""
+
+    def test_runs_no_recursion(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the recursive level test ran")
+        monkeypatch.setattr(hierarchy, "clifford_level_test", refuse)
+        code, out = run_cli(capsys, "level", "--n", "4", "--poly", "z1 z2 z3 + 3 z1 z4",
+                            "--matrix", "--mode", "full")
+        assert code == 0
+        assert json.loads(out)["matrix"] == {"level": 4, "cap": 6, "mode": "full"}
+
+    @pytest.mark.parametrize("argv, message", [
+        (("--n", "1", "--poly", "z1"), "error: tetrahedral group needs n >= 2\n"),
+        (("--n", "7", "--poly", "z1"), "error: dimension 128 exceeds cap 2**6\n"),
+        (("--n", "2", "--poly", "z1 z2", "--cap", "0"), "error: cap must lie in 1..6, got 0\n"),
+        (("--n", "2", "--poly", "z1 z2", "--cap", "7"), "error: cap must lie in 1..6, got 7\n"),
+    ])
+    def test_error_paths_exit_2(self, capsys, argv, message):
+        code = main(["level", *argv, "--matrix", "--mode", "full"])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (2, "", message)
 
 
 class TestSearch:

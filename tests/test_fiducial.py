@@ -12,14 +12,14 @@ from tetrabasis.fiducial import (
     build_fiducials,
     diagonal_gate,
     evaluate_polynomial,
+    fiducial_circuit,
     parse_polynomial,
     polynomial_values,
     staircase_circuit,
 )
 from tetrabasis.qcore import apply_on_qubit
-from tetrabasis.search import canonical_monomials, polynomial_from_coeffs
 
-from polyspace import enumerate_polynomials
+from polyspace import enumerate_polynomials, seeded_polynomials
 
 APPA_FIDUCIAL = np.array([1, (1 - 1j) / 2, (1 + 1j) / 2, 0], dtype=complex) / np.sqrt(2)
 APPC_FIDUCIAL = 0.5 * np.array(
@@ -186,13 +186,31 @@ class TestBuildFiducial:
 
     def test_matches_explicit_circuit(self):
         # fiducial equals the dense circuit S(n) H_n D_f H^(xn) |0>
-        h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
         for text, n in [("z1 z2", 2), ("3 z1 z3 + z2 z3 + 3 z1 z2 z3", 3)]:
             f = parse_polynomial(text, n, 2)
-            hn = np.kron(np.eye(2 ** (n - 1)), h)
-            circuit = staircase_circuit(n) @ hn @ diagonal_gate(f) @ reduce(np.kron, [h] * n)
-            psi = circuit @ np.eye(2**n)[:, 0]
-            np.testing.assert_allclose(build_fiducial(f), psi, atol=1e-13)
+            np.testing.assert_allclose(build_fiducial(f), gate_product(f)[:, 0], atol=1e-13)
+
+
+def gate_product(f):
+    """Reference: S(n) H_n D_f H^(xn) as a product of dense gates."""
+    h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+    hn = np.kron(np.eye(2 ** (f.n - 1)), h)
+    return staircase_circuit(f.n) @ hn @ diagonal_gate(f) @ reduce(np.kron, [h] * f.n)
+
+
+class TestFiducialCircuit:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 62])
+    def test_is_the_dense_gate_product(self, n, m):
+        for f in seeded_polynomials(n, m, 3, 5, min_degree=1):
+            np.testing.assert_allclose(fiducial_circuit(f), gate_product(f), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 62])
+    def test_column_zero_is_the_build_fiducials_row_bitwise(self, n, m):
+        for f in seeded_polynomials(n, m, 5, 6, min_degree=1):
+            row = build_fiducials(polynomial_values(f)[None], n, m)[0]
+            assert fiducial_circuit(f)[:, 0].tobytes() == row.tobytes(), f.to_text()
 
 
 def scalar_fiducial(f):
@@ -213,13 +231,6 @@ def dense_cnot(n, control, target):
         return reduce(np.kron, [ops.get(q, np.eye(2)) for q in range(1, n + 1)])
     x = np.array([[0, 1], [1, 0]])
     return kron({control: np.diag([1, 0])}) + kron({control: np.diag([0, 1]), target: x})
-
-
-def seeded_polynomials(n, m, count, seed):
-    rng = np.random.default_rng([seed, n, m])
-    monos = canonical_monomials(n)
-    draws = rng.integers(0, 2**m, (count, len(monos))).tolist()
-    return [polynomial_from_coeffs(n, m, monos, coeffs) for coeffs in draws]
 
 
 class TestBuildFiducials:

@@ -18,12 +18,14 @@ from tetrabasis import hierarchy
 from tetrabasis.hierarchy import (
     DEFAULT_CAP,
     MODES,
+    LevelResult,
     _LevelEngine,
     _generator_masks,
     _string_masks,
     clifford_level_test,
     diagonal_clifford_level,
     is_pauli_like,
+    measurement_level,
     pauli_like,
     two_adic_valuation,
     verify_level_bound,
@@ -364,6 +366,16 @@ class TestLevelBound:
         assert evaluate_polynomial_candidate(f).geometry.all_regular
         assert diagonal_clifford_level(f) == 6
         assert clifford_level_test(orbit_unitary(f), mode="full").level == 6
+        assert measurement_level(f, mode="full") == LevelResult(6, DEFAULT_CAP, "full")
+        assert measurement_level(f, cap=5, mode="generator") == LevelResult(None, 5, "generator")
+
+    def test_measurement_level_checks_mode_and_cap(self):
+        f = parse_polynomial("z1 z2", 2, 2)
+        with pytest.raises(ValueError, match="mode must be one of"):
+            measurement_level(f, mode="bogus")
+        for cap in (0, DEFAULT_CAP + 1):
+            with pytest.raises(ValueError, match="cap must lie in"):
+                measurement_level(f, cap=cap)
 
     @pytest.mark.longrun
     @pytest.mark.skipif(not os.environ.get("TETRABASIS_LONGRUN"),
@@ -371,8 +383,14 @@ class TestLevelBound:
     def test_every_n4_class_representative(self):
         records = group_into_classes(search_regular(SearchConfig(4, 2)))
         assert len(records) == 4_674
-        failed = [r.representatives[0].to_text() for r in records
-                  if not verify_level_bound(r.representatives[0]).ok]
+        failed = []
+        for record in records:
+            f = record.representatives[0]
+            report = verify_level_bound(f)
+            # the recursion stays an independent check of the certified level
+            if not (report.ok and measurement_level(f).level == max(report.diagonal_level, 2)
+                    == report.measurement_level.level):
+                failed.append(f.to_text())
         assert failed == []
 
 
