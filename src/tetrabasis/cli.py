@@ -235,20 +235,29 @@ def _apply_config_defaults(parser, argv):
     one that no subcommand has is passed on, so parsing rejects it.  Keys in
     a [name] section apply only when subcommand name runs, and override
     top-level keys.  The key of a store_true flag takes true (pass the flag)
-    or false (omit it).
+    or false (omit it).  Only the tokens before the subcommand, where parsing
+    accepts --config, are read; the last --config wins, and one followed by
+    nothing or by a token starting with - is left for parsing to reject.
     """
-    probe = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
-    probe.add_argument("--config")
-    known, rest = probe.parse_known_args(argv)
-    if not known.config:
+    path = command = None
+    tokens = iter(argv)
+    for token in tokens:
+        if token == "--config":
+            path = next(tokens, None)
+            if path is None or path.startswith("-"):
+                return argv
+        elif token.startswith("--config="):
+            path = token.partition("=")[2]
+        elif not token.startswith("-"):
+            command = token
+            break
+    if not path:
         return argv
-    sections = _load_config(known.config)
+    sections = _load_config(path)
     commands = _subcommands(parser)
     for name in sections:
         if name is not None and name not in commands:
             raise ValueError(f"config section [{name}] names no subcommand")
-    # only --config may precede the subcommand, so it is the first bare word left
-    command = next((a for a in rest if not a.startswith("-")), None)
     own = _options(commands[command]) if command in commands else {}
     anywhere = {opt for sub in commands.values() for opt in _options(sub)}
     values = {key: value for key, value in sections[None].items()

@@ -20,7 +20,8 @@ only the Clifford tuples whose cube rotations carry each qubit's Bloch
 vector onto the target column's.  It takes their prefixes as stacked array
 blocks, one matmul per block against the target columns with the last
 qubit's 24 Cliffords folded in, and recomputes only the winning tuple's
-phase with one qubit's operator at a time.
+phase with one qubit's operator at a time.  The conjugate partner of f
+is -f, looked up by polynomial (``conjugate_partner_key``).
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .basisgen import Basis, TetraGroup, build_tetra_group, orbit_basis, orbit_columns
+from .basisgen import Basis, TetraGroup, build_tetra_group, orbit_basis
 from .entanglement import InvariantFingerprint, invariant_fingerprints
 from .fiducial import HADAMARD, MAX_PRECISION, PhasePolynomial, build_fiducial, build_fiducials
 from .geometry import (
@@ -60,7 +61,6 @@ from .qcore import (
 FULL_ENUMERATION_LIMIT = 2**23
 SCREEN_BATCH = 4096  # candidates per array pass of the pre-screen
 SCREEN_SLACK = 1e-9  # margin around EPS_GEO for the float error of the screen's Bloch vectors
-PARTNER_BATCH = 256  # hits per phase_canonical_keys call when pairing; bounds its temporaries
 KEY_HITS = 1024  # rows per Bloch-frame pass of lc_canonical_keys
 KEY_IMAGES = 4096  # frame-fixed images per array pass of lc_canonical_keys; bounds its temporaries
 WITNESS_FIRST_BLOCK = 8  # live prefixes in the witness scan's first stacked pass; early hits stay cheap
@@ -603,29 +603,15 @@ def _block_lc_keys(states: np.ndarray) -> tuple[list[bytes], np.ndarray, np.ndar
 def conjugate_partner_key(hits: list[SearchHit], among: list[SearchHit]) -> list[str | None]:
     """Per hit, the key of the first hit in ``among`` whose basis holds its conjugated fiducial.
 
-    The group's Paulis Z^b X^a are real, so conjugation commutes with them:
-    hit j's basis holds conj(psi_i) exactly when psi_j is, up to phase, a
-    column of conj(basis_i), the orbit of conj(psi_i).  The fiducials of
-    ``among`` are indexed by ``phase_canonical_key`` (the first of equal keys
-    wins) and the orbit columns of the hits' conjugated fiducials are looked
-    up, PARTNER_BATCH hits at a time; the partner is the smallest index found.
+    ``hits`` and ``among`` come from one search: one n, one m, canonical
+    (degree >= 2) polynomials.  Only -f's basis then holds conj(psi_f): H and
+    S(n) are real, so conj(psi_f) = psi_(-f); column g of h's basis is the
+    fiducial of h + 2^(m-1) sum_(i in g) z_i (``fiducial.fiducial_circuit``);
+    and with no constant term, two fiducials are equal up to phase only when
+    their polynomials are.  So the partner is looked up by -f, exactly.
     """
-    index: dict[bytes, int] = {}
-    if among:
-        for i, key in enumerate(phase_canonical_keys(np.array([h.fiducial for h in among]))):
-            index.setdefault(key, i)
-    partners = []
-    for start in range(0, len(hits), PARTNER_BATCH):
-        batch = hits[start:start + PARTNER_BATCH]
-        fiducials = np.array([hit.fiducial for hit in batch])
-        size = fiducials.shape[1]
-        group = build_tetra_group(num_qubits(size))
-        columns = orbit_columns(fiducials.conj(), group)  # (B, 2^n, 2^n), column g of row b
-        keys = phase_canonical_keys(columns.transpose(0, 2, 1).reshape(-1, size))
-        for j in range(len(batch)):
-            found = [index[k] for k in keys[j * size:(j + 1) * size] if k in index]
-            partners.append(among[min(found)].key if found else None)
-    return partners
+    keys = {other.polynomial: other.key for other in reversed(among)}  # the first one wins
+    return [keys.get(hit.polynomial.negated()) for hit in hits]
 
 
 def group_into_classes(hits: list[SearchHit]) -> list[ClassRecord]:
@@ -640,8 +626,8 @@ def group_into_classes(hits: list[SearchHit]) -> list[ClassRecord]:
     target; every later hit with that key is linked to it by the witness
     ``lc_equivalence_witness`` would find, derived from the canonical frames
     (``_derived_witness``) without a scan.  A class's conjugation partner is
-    the class of the first member whose basis holds the representative's
-    conjugated fiducial (``conjugate_partner_key``).
+    the class of the group member that negates the representative's
+    polynomial (``conjugate_partner_key``); one in another group is not found.
     """
     keys, tuples, offsets = _lc_keys_and_frames(np.array([hit.fiducial for hit in hits]))
     groups: dict[tuple, list[int]] = {}

@@ -621,6 +621,34 @@ class TestConfigFile:
         assert err.value.code == 2
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("argv", [("--config",), ("--config", "--n", "2", "build"),
+                                      ("--config", "a.cfg", "--config")])
+    def test_bare_config_flag_rejected_by_the_parser(self, capsys, argv):
+        with pytest.raises(SystemExit) as err:
+            main(list(argv))
+        assert err.value.code == 2
+        err_text = capsys.readouterr().err
+        assert err_text.startswith("usage: tetrabasis [-h] [--config CONFIG]")
+        assert "argument --config: expected one argument" in err_text
+
+    def test_equals_form_and_last_config_wins(self, tmp_path, capsys):
+        first, last = tmp_path / "first.cfg", tmp_path / "last.cfg"
+        first.write_text("n = 2\npoly = z1 z2\n")
+        last.write_text("n = 2\npoly = 3 z1 z2\n")
+        for argv in (("--config", str(first), f"--config={last}", "build"),
+                     (f"--config={first}", "--config", str(last), "build")):
+            code, out = run_cli(capsys, *argv)
+            assert code == 0 and json.loads(out)["polynomial"] == "3 z1 z2"
+
+    def test_config_after_the_subcommand_is_a_usage_error(self, tmp_path, capsys):
+        # only the tokens before the subcommand are read for --config
+        with pytest.raises(SystemExit) as err:
+            main(["build", "--config", str(tmp_path / "missing.cfg"), "--n", "2",
+                  "--poly", "z1z2"])
+        assert err.value.code == 2
+        err_text = capsys.readouterr().err
+        assert "unrecognized arguments: --config" in err_text and "config error" not in err_text
+
     def test_unknown_section_rejected(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"
         config.write_text("n = 2\n[levle]\nmatrix = true\n")

@@ -184,6 +184,15 @@ class TestBuildFiducial:
             psi = build_fiducial(PhasePolynomial(n, m, terms))
             assert abs(np.linalg.norm(psi) - 1) < 1e-12
 
+    def test_conjugate_is_the_negated_polynomial(self):
+        # H and S(n) are real, so conj(S(n) H_n D_f H^(xn)|0>) = S(n) H_n D_(-f) H^(xn)|0>
+        polys = list(enumerate_polynomials(3, 2)) + seeded_polynomials(3, 3, 200, 8)
+        for n, m in ((4, 2), (4, 3), (5, 2), (5, 3)):
+            polys += seeded_polynomials(n, m, 100, 8)
+        for f in polys:
+            np.testing.assert_allclose(build_fiducial(f).conj(), build_fiducial(f.negated()),
+                                       rtol=0, atol=1e-15, err_msg=f.to_text())
+
     def test_matches_explicit_circuit(self):
         # fiducial equals the dense circuit S(n) H_n D_f H^(xn) |0>
         for text, n in [("z1 z2", 2), ("3 z1 z3 + z2 z3 + 3 z1 z2 z3", 3)]:

@@ -4,7 +4,6 @@ import os
 import re
 from dataclasses import replace
 from itertools import islice, product
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,7 +11,13 @@ import pytest
 from tetrabasis.basisgen import build_tetra_group, ejm_reference_basis, orbit_basis, orbit_columns
 from tetrabasis.fiducial import parse_polynomial, build_fiducial
 from tetrabasis.geometry import bloch_vector, bloch_vectors, conjugate_state, orbit_bloch_table
-from tetrabasis.qcore import PAULI_MATS, CapacityError, apply_on_qubit, num_qubits
+from tetrabasis.qcore import (
+    PAULI_MATS,
+    CapacityError,
+    apply_on_qubit,
+    num_qubits,
+    phase_canonical_keys,
+)
 from tetrabasis.search import (
     WITNESS_BLOCK,
     WITNESS_FIRST_BLOCK,
@@ -677,25 +682,11 @@ class TestConjugatePartnerIndex:
                             (n3_hits[5:], n3_hits[:5])):
             assert conjugate_partner_key(hits, among) == scan_partner_keys(hits, among)
 
-    def test_first_of_equal_fiducials_wins(self, n3_hits, n3_m3_hits):
-        # the m = 3 hits are the doubled m = 2 polynomials: same fiducials, other keys
-        doubled = {h.polynomial.to_text() for h in n3_m3_hits}
-        for among, keys in ((n3_m3_hits + n3_hits, doubled),
-                            (n3_hits + n3_m3_hits, {h.key for h in n3_hits})):
-            partners = conjugate_partner_key(n3_hits, among)
-            assert partners == scan_partner_keys(n3_hits, among)
-            assert set(partners) <= keys
-
-    def test_smallest_index_among_several_matches(self, n3_hits):
-        # each conjugated column opens the same orbit, so every basis below holds conj(psi)
-        hit = n3_hits[0]
-        conjugated = orbit_of(hit.polynomial).columns.conj().T
-        among = [SimpleNamespace(key=f"column {g}", fiducial=col)
-                 for g, col in reversed(list(enumerate(conjugated)))]
-        target = conjugate_state(hit.fiducial)
-        assert all(holds(orbit_basis(other.fiducial, build_tetra_group(3)), target)
-                   for other in among)
-        assert conjugate_partner_key([hit], among) == ["column 7"]
+    def test_unfiltered_nonzero_n3_hits(self):
+        # non-regular hits too: the negation is the partner whatever the geometry
+        hits = search_regular(SearchConfig(3, 2, require_regular=False, require_nonzero=True))
+        assert len(hits) == 128
+        assert conjugate_partner_key(hits, hits) == scan_partner_keys(hits, hits)
 
 
 class TestClassGrouping:
@@ -727,39 +718,37 @@ class TestClassGrouping:
             assert record.fingerprint.conjugate_flag is (partner.key < record.key)
         assert sum(r.fingerprint.conjugate_flag for r in records) == 4
 
-    def test_orbit_columns_built_only_for_pairing_and_class_targets(self, monkeypatch):
-        # the search builds no orbit columns; the pairing builds them for at
-        # most PARTNER_BATCH conjugated fiducials per call, and grouping one
-        # orbit basis (through basisgen's binding) per class
+    def test_orbit_columns_built_only_for_class_targets(self, monkeypatch):
+        # the search and the pairing build no orbit columns and the pairing no
+        # state keys; grouping builds one orbit basis (through basisgen's
+        # binding) per class
         from tetrabasis import basisgen, search
         from tetrabasis.cli import hits_csv
-        calls = {"search": [], "basisgen": []}
+        columns, keys = [], []
 
-        def counting(module):
-            def orbit_columns_counted(states, group):
-                calls[module].append(states)
-                return orbit_columns(states, group)
-            return orbit_columns_counted
+        def orbit_columns_counted(states, group):
+            columns.append(states)
+            return orbit_columns(states, group)
 
-        monkeypatch.setattr(search, "orbit_columns", counting("search"))
-        monkeypatch.setattr(basisgen, "orbit_columns", counting("basisgen"))
+        def phase_canonical_keys_counted(states):
+            keys.append(states)
+            return phase_canonical_keys(states)
+
+        monkeypatch.setattr(basisgen, "orbit_columns", orbit_columns_counted)
+        monkeypatch.setattr(search, "phase_canonical_keys", phase_canonical_keys_counted)
         for cfg in (SearchConfig(4, 2, sample=300, seed=1), SearchConfig(3, 2)):
-            for recorded in calls.values():
-                recorded.clear()
+            columns.clear()
             hits = search_regular(cfg)
-            assert len(hits) >= 4 and calls == {"search": [], "basisgen": []}
+            assert len(hits) >= 4 and columns == []
+            hits_csv(hits)
+            present = {h.key for h in hits}
+            negations = [h.polynomial.negated().to_text() for h in hits]
+            assert conjugate_partner_key(hits, hits) == [
+                key if key in present else None for key in negations]
+            assert columns == [] and keys == []
             records = group_into_classes(hits)
-            assert [len(states) for states in calls["basisgen"]] == [1] * len(records)
-            assert sum(len(states) for states in calls["search"]) == len(records)
-            expected = hits_csv(hits)
-            calls["search"].clear()
-            with monkeypatch.context() as patch:
-                patch.setattr(search, "PARTNER_BATCH", 3)
-                assert hits_csv(hits) == expected  # batches of 3; the 40 n=3 hits end unevenly
-            assert [len(states) for states in calls["search"]] == [
-                min(3, len(hits) - i) for i in range(0, len(hits), 3)]
-            conjugated = np.array([h.fiducial.conj() for h in hits])
-            assert np.concatenate(calls["search"]).tobytes() == conjugated.tobytes()
+            assert [len(states) for states in columns] == [1] * len(records)
+            keys.clear()
 
     def test_hit_fiducial_is_the_orbit_fiducial(self):
         hits = search_regular(SearchConfig(3, 2)) + search_regular(
