@@ -26,7 +26,13 @@ from .geometry import (
     classify_geometry,
     orbit_bloch_table,
 )
-from .hierarchy import DEFAULT_CAP, check_cap, diagonal_clifford_level, measurement_level
+from .hierarchy import (
+    DEFAULT_CAP,
+    LevelResult,
+    check_cap,
+    diagonal_clifford_level,
+    measurement_level,
+)
 from .qcore import EPS_NORM, CapacityError
 from .reproduce import SUITE_NAMES, reproduce_suite
 from .search import (
@@ -344,7 +350,8 @@ def cmd_level(args) -> int:
     check_cap(args.cap)
     payload = {"polynomial": f.to_text(), "formula_level": diagonal_clifford_level(f)}
     if args.matrix:
-        payload["matrix"] = measurement_level(f, args.cap, args.mode).to_json_dict()
+        level = measurement_level(f, args.cap)
+        payload["matrix"] = LevelResult(level, args.cap, args.mode).to_json_dict()
     if args.format == "text":
         print(payload["formula_level"])
         if args.matrix:

@@ -16,14 +16,20 @@ pairs of amplitudes, at least one nonzero in each.  So
 level(M_psi) = max(level(D_f), 2), which ``measurement_level`` returns
 after checking the identity on M_psi itself.
 
-The recursive test decides membership of any matrix from the definition
-(U is at level k when every conjugated Pauli sits at level k-1).
-Conjugating by generators alone is exact for deciding levels up to 3
-because the Clifford group is closed under products; deciding level k >= 4
-soundly needs the full Pauli set at the outer layer, which is what
-mode='full' adds.  The recursion bottoms out in a direct O(4^n) test of
-whether a matrix is a phased Pauli string, read off its permutation support
-and signs, with no Pauli expansion.
+The recursive test decides membership of any matrix from the definition:
+a non-Pauli U is at level 1 + max over Paulis P of level(U P U^dag).  Its
+outermost ``full_layers`` layers conjugate by every Pauli string, the
+layers below by the 2n X/Z generators.  Testing fewer children can only
+lower a level, so every returned level is a lower bound, and
+``exceeds_cap`` always means the level exceeds the cap.  A generator layer
+never reports a level <= 3 wrongly: if every generator's child U g U^dag
+lies in C_j for j in {1, 2}, so does every Pauli's child, a product of
+them up to phase, because C_1 and C_2 are groups (C_3 is not).  Each full
+layer adds one, as it tests every Pauli's child.  So a returned level
+<= full_layers + 3 is exact and a larger one a lower bound: one full layer
+certifies levels up to 4, and level 5 needs two.  The recursion bottoms
+out in a direct O(4^n) test of whether a matrix is a phased Pauli string,
+read off its permutation support and signs, with no Pauli expansion.
 
 Each expanded node handles its children as array blocks of up to
 CHILD_BLOCK Paulis.  U P is a column gather times a sign vector, so a
@@ -66,25 +72,22 @@ from .qcore import (
 )
 
 DEFAULT_CAP = 6
-MODES = ("generator", "full")
 CHILD_BLOCK = 16  # children conjugated, Pauli-tested and keyed per array pass
 PAULI_TOL = 1e-9  # entrywise tolerance of the Pauli test
 
 
-def two_adic_valuation(c: int, m: int) -> int:
-    """v2(c) for 0 < c < 2^m."""
-    v = 0
-    while c % 2 == 0:
-        c //= 2
-        v += 1
-    return v
+def two_adic_valuation(c: int) -> int:
+    """v2(c), the exponent of the largest power of 2 dividing c > 0."""
+    if c <= 0:
+        raise ValueError(f"2-adic valuation needs a positive integer, got {c}")
+    return (c & -c).bit_length() - 1
 
 
 def diagonal_clifford_level(f: PhasePolynomial) -> int:
     """Hierarchy level of D_f: max over terms of |S| + m - 1 - v2(coeff), at least 1."""
     level = 1
     for mono, coeff in f.terms.items():
-        level = max(level, len(mono) + f.m - 1 - two_adic_valuation(coeff, f.m))
+        level = max(level, len(mono) + f.m - 1 - two_adic_valuation(coeff))
     return level
 
 
@@ -277,13 +280,14 @@ def check_cap(cap: int) -> None:
         raise ValueError(f"cap must lie in 1..{DEFAULT_CAP}, got {cap}")
 
 
-def clifford_level_test(u: np.ndarray, cap: int = DEFAULT_CAP, mode: str = "generator",
-                        full_layers: int = 1) -> LevelResult:
+def clifford_level_test(u: np.ndarray, cap: int = DEFAULT_CAP,
+                        full_layers: int = 0) -> LevelResult:
     """Recursive hierarchy-membership test up to a level cap.
 
-    mode='generator' conjugates single-qubit X/Z generators at every layer;
-    mode='full' uses all Pauli strings for the outermost ``full_layers``
-    recursion layers (default 1) and generators below.
+    The outermost ``full_layers`` layers conjugate by every Pauli string, the
+    layers below by the X/Z generators; the result's mode reads 'full' when
+    full_layers >= 1.  A level <= full_layers + 3 is exact, a larger one a
+    lower bound (see the module docstring).
     """
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
@@ -292,13 +296,11 @@ def clifford_level_test(u: np.ndarray, cap: int = DEFAULT_CAP, mode: str = "gene
     check_capacity(u.shape[0])
     if not is_unitary(u):
         raise ValueError("input is not unitary")
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}")
-    if mode == "full" and full_layers < 1:
-        raise ValueError(f"full_layers must be at least 1, got {full_layers}")
+    if full_layers < 0:
+        raise ValueError(f"full_layers must be at least 0, got {full_layers}")
     check_cap(cap)
-    engine = _LevelEngine(n, full_layers if mode == "full" else 0)
-    return LevelResult(engine.level(u, cap), cap, mode)
+    mode = "full" if full_layers else "generator"
+    return LevelResult(_LevelEngine(n, full_layers).level(u, cap), cap, mode)
 
 
 @dataclass(frozen=True)
@@ -308,53 +310,42 @@ class LevelBoundReport:
     measurement_level: LevelResult
     ok: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "polynomial": self.polynomial.to_text(),
-            "diagonal_level": self.diagonal_level,
-            "measurement_level": self.measurement_level.to_json_dict(),
-            "ok": self.ok,
-        }
-
 
 def _orbit_unitary(f: PhasePolynomial) -> np.ndarray:
     """M_psi of f's orbit basis, through the orthonormality check of ``measurement_unitary``."""
     return measurement_unitary(orbit_basis(build_fiducial(f), build_tetra_group(f.n), f))
 
 
-def measurement_level(f: PhasePolynomial, cap: int = DEFAULT_CAP,
-                      mode: str = "generator") -> LevelResult:
+def measurement_level(f: PhasePolynomial, cap: int = DEFAULT_CAP) -> int | None:
     """Level of M_psi on f's orbit basis, certified by the fiducial-circuit identity.
 
     M_psi must equal ``fiducial_circuit(f)`` entrywise within EPS_NORM, or an
     AssertionError names f; its level is then max(level(D_f), 2) (see the
-    module docstring), with no recursion.  Both modes give this level, and
-    ``mode`` is only checked and echoed.  ``verify_level_bound`` runs the
-    recursive test that checks the certificate.
+    module docstring), with no recursion.  Returns None when that level
+    exceeds cap.  ``verify_level_bound`` runs the recursive test that checks
+    the certificate.
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}")
     check_cap(cap)
     deviation = float(np.max(np.abs(_orbit_unitary(f) - fiducial_circuit(f))))
     if not deviation <= EPS_NORM:
         raise AssertionError(f"measurement unitary of {f.to_text()!r} is not its fiducial "
                              f"circuit (deviation {deviation:.3e})")
     level = max(diagonal_clifford_level(f), 2)
-    return LevelResult(level if level <= cap else None, cap, mode)
+    return level if level <= cap else None
 
 
-def verify_level_bound(f: PhasePolynomial, cap: int = DEFAULT_CAP, mode: str = "full",
-                       full_layers: int = 1) -> LevelBoundReport:
+def verify_level_bound(f: PhasePolynomial) -> LevelBoundReport:
     """Check level(M_psi) <= max(level(D_f), 2) on the orbit basis of f, by the recursive test.
 
     The bound is an equality: M_psi is S(n) H_n D_f H^(x n), and levels
     k >= 2 are closed under Clifford multiplication on either side (see the
     module docstring), so a Pauli diagonal gate gives a Clifford measurement
-    unitary and every other D_f gives M_psi its own level.  The recursion
-    makes this an independent check of ``measurement_level``.
+    unitary and every other D_f gives M_psi its own level.  The recursion,
+    one full layer at cap DEFAULT_CAP, checks ``measurement_level``
+    independently but certifies levels up to 4 only: at 5 or 6, ``ok`` shows
+    that it found nothing above the bound, not that the bound holds.
     """
     k_diag = diagonal_clifford_level(f)
-    result = clifford_level_test(_orbit_unitary(f), cap=cap, mode=mode,
-                                 full_layers=full_layers)
+    result = clifford_level_test(_orbit_unitary(f), full_layers=1)
     ok = result.level is not None and result.level <= max(k_diag, 2)
     return LevelBoundReport(f, k_diag, result, ok)

@@ -63,8 +63,7 @@ SCREEN_BATCH = 4096  # candidates per array pass of the pre-screen
 SCREEN_SLACK = 1e-9  # margin around EPS_GEO for the float error of the screen's Bloch vectors
 KEY_HITS = 1024  # rows per Bloch-frame pass of lc_canonical_keys
 KEY_IMAGES = 4096  # frame-fixed images per array pass of lc_canonical_keys; bounds its temporaries
-WITNESS_FIRST_BLOCK = 8  # live prefixes in the witness scan's first stacked pass; early hits stay cheap
-WITNESS_BLOCK = 64  # live prefixes per later pass; bounds the stacked states and overlaps
+WITNESS_BLOCK = 64  # live prefixes per stacked pass; bounds the stacked states and overlaps
 WITNESS_TOL = 1e-9  # a witness maps onto a column with overlap modulus at least 1 - WITNESS_TOL
 
 
@@ -418,12 +417,12 @@ def lc_equivalence_witness(psi1: np.ndarray, basis2: Basis, allow_conjugation: b
     Cliffords are folded into the target columns once, so one matmul gives
     a block of live prefixes' overlaps with every (last Clifford, column)
     pair, and the first hit in C order is the first tuple in lexicographic
-    order.  Blocks hold WITNESS_FIRST_BLOCK prefixes, then WITNESS_BLOCK, so
-    early hits stay cheap.  The hit test reads the stacked overlaps, whose
-    last bits can differ from a one-prefix scan's, so only an overlap within
-    rounding of 1 - tol could be decided differently.  The winner's phase
-    is recomputed from that prefix alone with one qubit's operator at a time
-    (``_witness_phase``), so its float bits do not depend on the block.
+    order.  Blocks hold WITNESS_BLOCK prefixes.  The hit test reads the
+    stacked overlaps, whose last bits can differ from a one-prefix scan's,
+    so only an overlap within rounding of 1 - tol could be decided
+    differently.  The winner's phase is recomputed from that prefix alone
+    with one qubit's operator at a time (``_witness_phase``), so its float
+    bits do not depend on the block.
     """
     psi1 = np.asarray(psi1, dtype=complex)
     n = num_qubits(psi1.shape[0])
@@ -458,9 +457,8 @@ def lc_equivalence_witness(psi1: np.ndarray, basis2: Basis, allow_conjugation: b
             reach = reach[..., None] & bits[l]
         live = np.flatnonzero(reach)  # lexicographic order
         digits = [live // 24 ** (n - 2 - l) % 24 for l in range(n - 1)]  # qubit l+1's Clifford
-        start, step = 0, WITNESS_FIRST_BLOCK
-        while start < len(live):
-            block = [d[start:start + step] for d in digits]
+        for start in range(0, len(live), WITNESS_BLOCK):
+            block = [d[start:start + WITNESS_BLOCK] for d in digits]
             psi = base[None]
             for l in range(n - 1):
                 psi = _apply_rowwise(stack[block[l]], psi, l)
@@ -470,7 +468,6 @@ def lc_equivalence_witness(psi1: np.ndarray, basis2: Basis, allow_conjugation: b
                 prefix = tuple(int(d[row]) for d in block)
                 phase = _witness_phase(base, prefix, last, column, cols_dag, stack)
                 return Witness(prefix + (last,), conjugated, column, phase)
-            start, step = start + step, WITNESS_BLOCK
     return None
 
 

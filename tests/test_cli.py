@@ -3,6 +3,8 @@ import csv
 import io
 import json
 import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,8 +13,8 @@ from tetrabasis import cli, hierarchy
 from tetrabasis.basisgen import build_tetra_group, measurement_unitary, orbit_basis
 from tetrabasis.cli import CSV_COLUMNS, fmt_number, main
 from tetrabasis.fiducial import build_fiducial
-from tetrabasis.hierarchy import DEFAULT_CAP, MODES, clifford_level_test
-from tetrabasis.reproduce import SUITE_NAMES
+from tetrabasis.hierarchy import DEFAULT_CAP, clifford_level_test
+from tetrabasis.reproduce import SUITE_NAMES, reproduce_suite
 from tetrabasis.search import SearchConfig, group_into_classes, search_regular
 
 from polyspace import enumerate_polynomials, seeded_polynomials
@@ -195,13 +197,14 @@ def assert_matrix_level_is_the_recursive_level(capsys, polys, caps):
     """`level --matrix` prints clifford_level_test's result on M_psi, in both modes."""
     for f in polys:
         u = orbit_unitary(f)
-        for mode in MODES:
+        for mode in ("generator", "full"):
             for cap in caps:
                 code, out = run_cli(capsys, "level", "--n", str(f.n), "--m", str(f.m),
                                     "--poly", f.to_text(), "--matrix", "--mode", mode,
                                     "--cap", str(cap))
                 assert code == 0
-                expected = clifford_level_test(u, cap=cap, mode=mode).to_json_dict()
+                full_layers = int(mode == "full")
+                expected = clifford_level_test(u, cap=cap, full_layers=full_layers).to_json_dict()
                 assert json.loads(out)["matrix"] == expected, (f.to_text(), mode, cap)
 
 
@@ -399,8 +402,18 @@ class TestWitness:
         assert run_cli(capsys, *args, "--conjugation") == (
             0, "witness: cliffords (0, 0, 0) conjugated=True column=0\n")
 
+    def test_more_than_four_qubits_exit_2(self, capsys):
+        code = main(["witness", "--n", "5", "--m", "2", "--poly", "z1 z2", "--target", "z1 z3"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == "error: witness search supported for n <= 4\n"
+
 
 class TestReproduce:
+    def test_unknown_suite_rejected(self):
+        with pytest.raises(ValueError, match="unknown suite 'bogus'"):
+            reproduce_suite("bogus")
+
     def test_appA_passes(self, capsys):
         code, out = run_cli(capsys, "reproduce", "appA")
         assert code == 0
@@ -508,6 +521,15 @@ class TestUsageErrors:
     def test_malformed_polynomial(self, capsys):
         code = main(["build", "--n", "2", "--m", "2", "--poly", "z1 +"])
         assert code == 2
+
+    @pytest.mark.parametrize("poly, message", [
+        ("", "polynomial error: empty polynomial text (at position 0)\n"),
+        ("z1 z2 3 z3", "polynomial error: expected '+', got '3' (at position 6)\n"),
+    ])
+    def test_polynomial_parse_errors_exit_2(self, capsys, poly, message):
+        code = main(["build", "--n", "3", "--m", "2", "--poly", poly])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (2, "", message)
 
     def test_out_of_range_index(self, capsys):
         code = main(["build", "--n", "2", "--m", "2", "--poly", "z1 z7"])
@@ -698,6 +720,26 @@ class TestSharedParser:
         # the config file's switch and mode applied to its call alone
         assert "matrix" in json.loads(shared[1][1]) and "matrix" not in json.loads(shared[0][1])
         assert shared[0] == shared[-1]
+
+
+def readme_commands():
+    """Every `tetrabasis ...` line of README's sh blocks, continuations joined, comments cut."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = "".join(re.findall(r"```sh\n(.*?)```", text, re.S)).replace("\\\n", " ")
+    return [shlex.split(line, comments=True) for line in lines.splitlines()
+            if line.startswith("tetrabasis ")]
+
+
+class TestReadmeExamples:
+    def test_every_command_line_parses(self):
+        commands = readme_commands()
+        # the CLI block shows every subcommand
+        assert {argv[1] for argv in commands} == {
+            "build", "verify", "geometry", "invariants", "level", "search", "classify",
+            "witness", "reproduce"}
+        parser = cli.build_parser()
+        for argv in commands:
+            parser.parse_args(argv[1:])
 
 
 class TestRenderJson:

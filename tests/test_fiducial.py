@@ -64,6 +64,16 @@ class TestParse:
         with pytest.raises(PolynomialParseError):
             parse_polynomial("z", 2, 2)
 
+    @pytest.mark.parametrize("n, terms, message", [
+        (0, {}, "need at least one variable"),
+        (2, {frozenset(): 1}, "constant terms are not allowed"),
+        (2, {frozenset({1, 3}): 1}, r"monomial \[1, 3\] outside variables 1..2"),
+        (2, {frozenset({0}): 1}, r"monomial \[0\] outside variables 1..2"),
+    ])
+    def test_constructor_rejects(self, n, terms, message):
+        with pytest.raises(ValueError, match=message):
+            PhasePolynomial(n, 2, terms)
+
     def test_zero_polynomial(self):
         assert parse_polynomial("0", 3, 2).terms == {}
 

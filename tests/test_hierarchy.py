@@ -17,7 +17,6 @@ from tetrabasis.fiducial import PhasePolynomial, parse_polynomial, build_fiducia
 from tetrabasis import hierarchy
 from tetrabasis.hierarchy import (
     DEFAULT_CAP,
-    MODES,
     LevelResult,
     _LevelEngine,
     _generator_masks,
@@ -176,10 +175,19 @@ class TestDiagonalLevelFormula:
             assert diagonal_clifford_level(doubled) == diagonal_clifford_level(f)
 
     def test_two_adic_valuation(self):
-        assert two_adic_valuation(1, 3) == 0
-        assert two_adic_valuation(2, 3) == 1
-        assert two_adic_valuation(4, 3) == 2
-        assert two_adic_valuation(6, 3) == 1
+        def by_division(c):
+            v = 0
+            while c % 2 == 0:
+                c //= 2
+                v += 1
+            return v
+        assert [two_adic_valuation(c) for c in (1, 2, 4, 6)] == [0, 1, 2, 1]
+        assert all(two_adic_valuation(c) == by_division(c) for c in range(1, 4097))
+
+    @pytest.mark.parametrize("c", [0, -2])
+    def test_two_adic_valuation_rejects_non_positive(self, c):
+        with pytest.raises(ValueError, match="positive integer"):
+            two_adic_valuation(c)
 
 
 class TestPauliExpansion:
@@ -261,8 +269,8 @@ class TestRecursiveLevelTest:
     def test_ejm_measurement_level_three(self):
         f = parse_polynomial("z1 z2", 2, 2)
         m = measurement_unitary(orbit_basis(build_fiducial(f), build_tetra_group(2), f))
-        assert clifford_level_test(m, mode="generator").level == 3
-        assert clifford_level_test(m, mode="full").level == 3
+        assert clifford_level_test(m, full_layers=0).level == 3
+        assert clifford_level_test(m, full_layers=1).level == 3
 
     def test_cap_exceeded(self):
         result = clifford_level_test(T, cap=2)
@@ -286,18 +294,17 @@ class TestRecursiveLevelTest:
         with pytest.raises(CapacityError, match=f"dimension {dim}"):
             clifford_level_test(np.eye(dim))
 
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(ValueError):
-            clifford_level_test(X, mode="bogus")
+    @pytest.mark.parametrize("layers", [-1, -3])
+    def test_negative_full_layers_rejected(self, layers):
+        with pytest.raises(ValueError, match="full_layers must be at least 0"):
+            clifford_level_test(np.kron(T, T), full_layers=layers)
 
-    @pytest.mark.parametrize("layers", [0, -3])
-    def test_full_mode_needs_a_full_layer(self, layers):
-        # mode 'full' needs at least one full layer; mode 'generator' ignores the value
-        with pytest.raises(ValueError, match="full_layers"):
-            clifford_level_test(np.kron(T, T), mode="full", full_layers=layers)
-        with pytest.raises(ValueError, match="full_layers"):
-            verify_level_bound(parse_polynomial("z1 z2", 2, 2), full_layers=layers)
-        assert clifford_level_test(T, mode="generator", full_layers=layers).level == 3
+    def test_mode_names_the_layer_count(self):
+        # LevelResult keeps the printed 'generator' / 'full' of the CLI's two modes
+        assert clifford_level_test(T) == LevelResult(3, DEFAULT_CAP, "generator")
+        for layers in (1, 2):
+            result = clifford_level_test(T, full_layers=layers)
+            assert result == LevelResult(3, DEFAULT_CAP, "full")
 
     def test_global_phase_and_pauli_invariance(self):
         rng = np.random.default_rng(5)
@@ -318,7 +325,7 @@ class TestFormulaVsRecursive:
     def test_n2_canonical_exhaustive(self):
         for coeff in range(4):
             f = PhasePolynomial(2, 2, {frozenset({1, 2}): coeff})
-            result = clifford_level_test(diagonal_gate(f), mode="full")
+            result = clifford_level_test(diagonal_gate(f), full_layers=1)
             assert result.level == diagonal_clifford_level(f)
 
     def test_n3_canonical_exhaustive(self):
@@ -326,7 +333,7 @@ class TestFormulaVsRecursive:
                  frozenset({1, 2, 3})]
         for coeffs in product(range(4), repeat=4):
             f = PhasePolynomial(3, 2, dict(zip(monos, coeffs)))
-            result = clifford_level_test(diagonal_gate(f), cap=6, mode="full")
+            result = clifford_level_test(diagonal_gate(f), cap=6, full_layers=1)
             assert result.level == diagonal_clifford_level(f), f.to_text()
 
 
@@ -365,14 +372,14 @@ class TestLevelBound:
             " + 3 z2 z3 z5 + 3 z2 z4 z5 + 2 z2 z5 + 3 z3 z4 + 3 z3 z4 z5 + 2 z4 z5", 5, 2)
         assert evaluate_polynomial_candidate(f).geometry.all_regular
         assert diagonal_clifford_level(f) == 6
-        assert clifford_level_test(orbit_unitary(f), mode="full").level == 6
-        assert measurement_level(f, mode="full") == LevelResult(6, DEFAULT_CAP, "full")
-        assert measurement_level(f, cap=5, mode="generator") == LevelResult(None, 5, "generator")
+        # one full layer certifies levels up to 4: this 6 is a lower bound,
+        # which the certified level meets
+        assert clifford_level_test(orbit_unitary(f), full_layers=1).level == 6
+        assert measurement_level(f) == 6
+        assert measurement_level(f, cap=5) is None
 
-    def test_measurement_level_checks_mode_and_cap(self):
+    def test_measurement_level_checks_cap(self):
         f = parse_polynomial("z1 z2", 2, 2)
-        with pytest.raises(ValueError, match="mode must be one of"):
-            measurement_level(f, mode="bogus")
         for cap in (0, DEFAULT_CAP + 1):
             with pytest.raises(ValueError, match="cap must lie in"):
                 measurement_level(f, cap=cap)
@@ -387,8 +394,9 @@ class TestLevelBound:
         for record in records:
             f = record.representatives[0]
             report = verify_level_bound(f)
-            # the recursion stays an independent check of the certified level
-            if not (report.ok and measurement_level(f).level == max(report.diagonal_level, 2)
+            # the recursion stays an independent check of the certified level;
+            # one full layer certifies only levels up to 4, a 5 is a lower bound
+            if not (report.ok and measurement_level(f) == max(report.diagonal_level, 2)
                     == report.measurement_level.level):
                 failed.append(f.to_text())
         assert failed == []
@@ -432,9 +440,9 @@ def scalar_is_pauli_like(u, tol=1e-9):
 class ScalarLevelEngine:
     """Reference: the recursion with one dense conjugation, Pauli test and key per child."""
 
-    def __init__(self, n, mode, tol, full_layers):
+    def __init__(self, n, tol, full_layers):
         self.tol = tol
-        self.full_layers = full_layers if mode == "full" else 0
+        self.full_layers = full_layers
         self.gen_mats = [pauli_matrix(n, a, b) for a, b in _generator_masks(n)]
         self.full_mats = [pauli_matrix(n, a, b) for a, b in _string_masks(n)]
         self.memo = {}
@@ -491,7 +499,7 @@ def sampled_unitaries(n, m, count, seed, regular=None):
 
 
 class ScalarReference:
-    """Scalar engines per (mode, full_layers), each shared by every call of one test.
+    """Scalar engines per (n, full_layers), each shared by every call of one test.
 
     A memo entry states a matrix's exact level, or that it exceeds a budget,
     for a layer class; that holds whatever root or cap reached the matrix,
@@ -501,21 +509,20 @@ class ScalarReference:
     def __init__(self):
         self.engines = {}
 
-    def level(self, u, cap, mode, full_layers):
+    def level(self, u, cap, full_layers):
         u = np.asarray(u, dtype=complex)
-        key = (num_qubits(u.shape[0]), mode, full_layers)
+        key = (num_qubits(u.shape[0]), full_layers)
         if key not in self.engines:
-            self.engines[key] = ScalarLevelEngine(key[0], mode, 1e-9, full_layers)
+            self.engines[key] = ScalarLevelEngine(key[0], 1e-9, full_layers)
         return self.engines[key].level(u, cap, 0)
 
     def assert_matches(self, u, layers=(1,)):
-        """clifford_level_test equals the scalar level in both modes at caps 1..6."""
-        for mode in MODES:
-            for full_layers in layers if mode == "full" else (1,):
-                for cap in range(1, DEFAULT_CAP + 1):
-                    expected = self.level(u, cap, mode, full_layers)
-                    result = clifford_level_test(u, cap=cap, mode=mode, full_layers=full_layers)
-                    assert result.level == expected, (mode, full_layers, cap)
+        """clifford_level_test equals the scalar level at caps 1..6, for 0 and each layer count."""
+        for full_layers in (0, *layers):
+            for cap in range(1, DEFAULT_CAP + 1):
+                expected = self.level(u, cap, full_layers)
+                result = clifford_level_test(u, cap=cap, full_layers=full_layers)
+                assert result.level == expected, (full_layers, cap)
 
 
 class TestStackedLevelEngine:
@@ -632,15 +639,41 @@ def root_coset_cover(u, engine):
             for child in children if not is_pauli_like(child)]
 
 
-def dressed_diagonal_gates(seed):
-    """(n, C1 D_f C2) for seeded random f and seeded random H, S, CNOT Cliffords C1, C2."""
+def dressed_diagonal_gates(seed, counts=((2, 3, 3), (3, 2, 3), (3, 3, 2), (4, 2, 1))):
+    """(n, f, C1 D_f C2) for seeded random f and seeded random H, S, CNOT Cliffords C1, C2.
+
+    counts lists (n, m, number of gates).
+    """
     rng = np.random.default_rng(seed)
-    for n, m, count in ((2, 3, 3), (3, 2, 3), (3, 3, 2), (4, 2, 1)):
+    for n, m, count in counts:
         monos = canonical_monomials(n, 1)
         for _ in range(count):
             coeffs = tuple(int(c) for c in rng.integers(0, 2**m, len(monos)))
-            d = diagonal_gate(polynomial_from_coeffs(n, m, monos, coeffs))
-            yield n, random_cnot_clifford(n, rng) @ d @ random_cnot_clifford(n, rng)
+            f = polynomial_from_coeffs(n, m, monos, coeffs)
+            d = diagonal_gate(f)
+            yield n, f, random_cnot_clifford(n, rng) @ d @ random_cnot_clifford(n, rng)
+
+
+class TestLayerCountCertificate:
+    """A returned level <= full_layers + 3 is exact, a larger one a lower bound.
+
+    The oracle runs no recursion: levels k >= 2 are closed under Clifford
+    multiplication on either side, so C1 D_f C2 has level max(level(D_f), 2)
+    unless it is a Pauli, and level(D_f) is the closed form.
+    """
+
+    def test_clifford_dressed_diagonal_gates(self):
+        outcomes = set()
+        gates = dressed_diagonal_gates(46, ((2, 3, 60), (3, 2, 40), (3, 3, 40), (4, 2, 40)))
+        for _, f, u in gates:
+            true = 1 if is_pauli_like_reference(u) else max(diagonal_clifford_level(f), 2)
+            for full_layers in (0, 1):
+                level = clifford_level_test(u, full_layers=full_layers).level
+                certified = level <= full_layers + 3
+                assert level == true if certified else level <= true, (f.to_text(), full_layers)
+                outcomes.add((full_layers, certified))
+        # both layer counts return certified levels and lower bounds
+        assert outcomes == {(0, True), (0, False), (1, True), (1, False)}
 
 
 class TestCosetSkip:
@@ -649,13 +682,13 @@ class TestCosetSkip:
     def test_clifford_dressed_diagonal_gates(self):
         reference = ScalarReference()
         several = 0
-        for n, u in dressed_diagonal_gates(44):
+        for n, _, u in dressed_diagonal_gates(44):
             kernel = pauli_kernel(u)
             # K_U is nontrivial, and is not the Z strings of a diagonal gate
             assert any(a for a, _ in kernel)
             reference.assert_matches(u, layers=(1, 2) if n < 4 else (1,))
             engine = CountingEngine(n, 1)
-            assert engine.level(u, DEFAULT_CAP) == reference.level(u, DEFAULT_CAP, "full", 1)
+            assert engine.level(u, DEFAULT_CAP) == reference.level(u, DEFAULT_CAP, 1)
             # no coset is left out; one can get a second child when the product
             # of tested Paulis that links the two was not yet tested itself
             cover = root_coset_cover(u, engine)
@@ -672,22 +705,22 @@ class TestCosetSkip:
         assert set(root_coset_cover(u, engine)) == {1}
         assert len(engine.root_children()) == 4**4 // kernel_size - 1 == 15
         # the scalar recursion expands more nodes for the same level
-        reference = ScalarLevelEngine(4, "full", 1e-9, 1)
+        reference = ScalarLevelEngine(4, 1e-9, 1)
         assert reference.level(u, DEFAULT_CAP, 0) == 5
         assert engine.expansions() < reference.expanded
 
     def test_generator_layers_skip_nothing(self):
         u = orbit_unitary(parse_polynomial(APPD_EXAMPLE1, 4, 2))
         engine = CountingEngine(4, 0)
-        reference = ScalarLevelEngine(4, "generator", 1e-9, 0)
+        reference = ScalarLevelEngine(4, 1e-9, 0)
         assert engine.level(u, DEFAULT_CAP) == reference.level(u, DEFAULT_CAP, 0) == 5
         assert engine.expansions() == reference.expanded
 
     def test_cap_miss_stops_at_the_first_over_budget_child(self):
         example = orbit_unitary(parse_polynomial(APPD_EXAMPLE1, 4, 2))
         cases = [(4, example, 4, 1), (4, example, 4, 2), (4, example, 3, 1)]
-        for n, u in dressed_diagonal_gates(45):
-            level = ScalarReference().level(u, DEFAULT_CAP, "full", 1)
+        for n, _, u in dressed_diagonal_gates(45):
+            level = ScalarReference().level(u, DEFAULT_CAP, 1)
             # at cap 2 the root fails on its first non-Pauli child, expanding none
             if n < 4 and level > 3:
                 cases.append((n, u, level - 1, 2))
@@ -697,6 +730,6 @@ class TestCosetSkip:
             assert engine.level(u, cap) is None
             children = [sub for sub, _ in engine.root_children()]
             assert children[-1] is None and None not in children[:-1]
-            reference = ScalarLevelEngine(n, "full", 1e-9, layers)
+            reference = ScalarLevelEngine(n, 1e-9, layers)
             assert reference.level(u, cap, 0) is None
             assert engine.expansions() <= reference.expanded

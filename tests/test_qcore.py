@@ -9,6 +9,7 @@ from tetrabasis.qcore import (
     CapacityError,
     PAULI_MATS,
     hermitian_eig,
+    num_qubits,
     partial_trace,
     pauli_matrix,
     phase_canonical_key,
@@ -95,6 +96,16 @@ class TestHermitianEig:
         np.testing.assert_allclose((vecs * vals) @ vecs.conj().T, hm, atol=1e-10)
         np.testing.assert_allclose(vecs.conj().T @ vecs, np.eye(8), atol=1e-10)
         assert abs(vals.sum() - np.trace(hm).real) < 1e-10
+
+
+class TestNumQubits:
+    def test_powers_of_two(self):
+        assert [num_qubits(2**n) for n in range(7)] == list(range(7))
+
+    @pytest.mark.parametrize("dim", [12, 0, -4])
+    def test_other_dimensions_rejected(self, dim):
+        with pytest.raises(ValueError, match=f"dimension {dim} is not a power of two"):
+            num_qubits(dim)
 
 
 class TestPauliStrings:

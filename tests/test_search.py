@@ -20,7 +20,6 @@ from tetrabasis.qcore import (
 )
 from tetrabasis.search import (
     WITNESS_BLOCK,
-    WITNESS_FIRST_BLOCK,
     ClassRecord,
     SearchConfig,
     Witness,
@@ -383,6 +382,12 @@ class TestWitness:
         assert witness.clifford_indices == (0, 0)
         assert witness.column == 0 and not witness.conjugated
 
+    def test_different_qubit_counts_rejected(self):
+        f, g = parse_polynomial("z1 z2", 2, 2), parse_polynomial("z1 z2 z3", 3, 2)
+        target = orbit_basis(build_fiducial(g), build_tetra_group(3), g)
+        with pytest.raises(ValueError, match="different qubit counts"):
+            lc_equivalence_witness(build_fiducial(f), target)
+
     def test_table1_row_requires_conjugation(self):
         group = build_tetra_group(3)
         f1 = parse_polynomial("z1 z3 + 3 z2 z3 + z1 z2 z3", 3, 2)
@@ -600,32 +605,33 @@ class TestPrunedWitness:
         witness = lc_equivalence_witness(build_fiducial(f), orbit_of(f))
         assert witness.clifford_indices == (0, 0, 0) and witness.column == 0
 
-    # the stacked scan takes WITNESS_FIRST_BLOCK live prefixes, then
-    # WITNESS_BLOCK at a time; each case asserts where its prefixes fall
+    # the stacked scan takes WITNESS_BLOCK live prefixes at a time; each
+    # case asserts where its prefixes fall
     GHZ3 = np.array([1, 0, 0, 0, 0, 0, 0, 1], dtype=complex) / np.sqrt(2)
 
-    def test_hit_in_the_second_block(self):
+    def test_hit_inside_a_full_first_block(self):
         psi = build_fiducial(parse_polynomial("2 z1 z3 + z2 z3", 3, 2))
         target = orbit_of(parse_polynomial("2 z1 z3 + 3 z2 z3", 3, 2))
         assert assert_matches_exhaustive(psi, target) >= 1
         live = live_prefixes(psi, target)
         rank = live.index(lc_equivalence_witness(psi, target).clifford_indices[:-1])
-        assert WITNESS_FIRST_BLOCK <= rank < WITNESS_FIRST_BLOCK + WITNESS_BLOCK
-        assert (rank, len(live)) == (16, 64)
+        assert 0 < rank < WITNESS_BLOCK == len(live)
+        assert rank == 16
 
-    def test_all_zero_bloch_hit_in_the_third_block(self):
+    def test_all_zero_bloch_hit_in_the_second_block(self):
         # every qubit of both has a zero Bloch vector, so all 24^2 prefixes are live
         target = orbit_of(parse_polynomial("2 z1 z2 + 2 z1 z3", 3, 2))
         assert assert_matches_exhaustive(self.GHZ3, target) >= 1
         live = live_prefixes(self.GHZ3, target)
         assert len(live) == 24**2
         rank = live.index(lc_equivalence_witness(self.GHZ3, target).clifford_indices[:-1])
-        assert WITNESS_FIRST_BLOCK + WITNESS_BLOCK <= rank == 100
+        assert WITNESS_BLOCK <= rank < 2 * WITNESS_BLOCK
+        assert rank == 100
 
     def test_miss_over_many_blocks(self):
         psi = build_fiducial(parse_polynomial("2 z1 z3", 3, 2))
         target = orbit_of(parse_polynomial("3 z1 z2 + 2 z1 z3", 3, 2))
-        assert len(live_prefixes(psi, target)) == 24**2 > WITNESS_FIRST_BLOCK + 2 * WITNESS_BLOCK
+        assert len(live_prefixes(psi, target)) == 24**2 > 8 * WITNESS_BLOCK
         assert lc_equivalence_witness(psi, target) is None
         assert_matches_exhaustive(psi, target)
 
