@@ -209,11 +209,13 @@ def suite_table1() -> ReproductionSuite:
     checks = []
     group = build_tetra_group(3)
     r_expected = np.sqrt(3) / 4
+    entries = []  # (fiducial, orbit basis) of each entry, row by row
     for row, (poly1, poly2, tau) in enumerate(TABLE1_ROWS, start=1):
         for text in (poly1, poly2):
             f = parse_polynomial(text, 3, 2)
             psi = build_fiducial(f)
             basis = orbit_basis(psi, group, f)
+            entries.append((psi, basis))
             checks.append(_num_check(
                 f"row {row} [{text}] orthonormality violation", 0.0,
                 check_orthonormal(basis).max_violation, 1e-10))
@@ -230,16 +232,13 @@ def suite_table1() -> ReproductionSuite:
                                      c2_expected, c2[0], 1e-9))
             checks.append(_num_check(f"row {row} [{text}] C^2 spread over pairs",
                                      0.0, max(c2) - min(c2), 1e-10))
-        psi1 = build_fiducial(parse_polynomial(poly1, 3, 2))
-        f2 = parse_polynomial(poly2, 3, 2)
-        basis2 = orbit_basis(build_fiducial(f2), group, f2)
         # the conjugation scan runs the pure pass first, so a pure witness would win it
-        conj = lc_equivalence_witness(psi1, basis2, allow_conjugation=True)
+        conj = lc_equivalence_witness(entries[-2][0], entries[-1][1], allow_conjugation=True)
         checks.append(_bool_check(f"row {row} entries have no pure local-Clifford witness",
                                   conj is None or conj.conjugated))
         checks.append(_bool_check(f"row {row} entries linked by a conjugation witness",
                                   conj is not None and conj.conjugated))
-    stab = permutation_stabilizer_order(build_fiducial(parse_polynomial(TABLE1_ROWS[0][0], 3, 2)))
+    stab = permutation_stabilizer_order(entries[0][0])
     checks.append(_num_check("row 1 entry 1 permutation stabilizer order", 6, stab, 0))
     return ReproductionSuite("table1", tuple(checks))
 

@@ -15,13 +15,17 @@ Clifford tuples is kept).  Each later member of a class is linked to the
 class's first by an explicit witness, derived from the tuples that reach
 the two fiducials' minimal images with a table of Clifford products, so
 grouping makes no witness scan.  The scan, ``lc_equivalence_witness``,
-serves the ``witness`` command and the reproduction suites.  It visits
-only the Clifford tuples whose cube rotations carry each qubit's Bloch
-vector onto the target column's.  It takes their prefixes as stacked array
-blocks, one matmul per block against the target columns with the last
-qubit's 24 Cliffords folded in, and recomputes only the winning tuple's
-phase with one qubit's operator at a time.  The conjugate partner of f
-is -f, looked up by polynomial (``conjugate_partner_key``).
+serves the ``witness`` command and the reproduction suites.  Column c of
+an orbit basis is P_c psi_A, so it scans onto column 0 alone and derives
+every other column's witness from its Pauli with the same product table
+(``_smallest_column_image``).  It visits only the Clifford tuples whose
+cube rotations carry each qubit's Bloch vector onto psi_A's, takes their
+prefixes as stacked array blocks, one matmul per block against column 0
+with the last qubit's 24 Cliffords folded in, in the order of the
+smallest tuple any column can give them, and stops once no later block
+can beat the best witness found.  Only the winning tuple's phase is
+recomputed, with one qubit's operator at a time.  The conjugate partner
+of f is -f, looked up by polynomial (``conjugate_partner_key``).
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .basisgen import Basis, TetraGroup, build_tetra_group, orbit_basis
+from .basisgen import Basis, TetraGroup, build_tetra_group, orbit_basis, orbit_columns
 from .entanglement import InvariantFingerprint, invariant_fingerprints
 from .fiducial import HADAMARD, MAX_PRECISION, PhasePolynomial, build_fiducial, build_fiducials
 from .geometry import (
@@ -43,7 +47,6 @@ from .geometry import (
     bloch_vectors,
     classify_geometries,
     conjugate_state,
-    orbit_bloch_table,
     orbit_bloch_tables,
 )
 from .hierarchy import diagonal_clifford_level
@@ -63,7 +66,7 @@ SCREEN_BATCH = 4096  # candidates per array pass of the pre-screen
 SCREEN_SLACK = 1e-9  # margin around EPS_GEO for the float error of the screen's Bloch vectors
 KEY_HITS = 1024  # rows per Bloch-frame pass of lc_canonical_keys
 KEY_IMAGES = 4096  # frame-fixed images per array pass of lc_canonical_keys; bounds its temporaries
-WITNESS_BLOCK = 64  # live prefixes per stacked pass; bounds the stacked states and overlaps
+WITNESS_BLOCK = 64  # live prefixes in a scan's first stacked block; block k holds k times as many
 WITNESS_TOL = 1e-9  # a witness maps onto a column with overlap modulus at least 1 - WITNESS_TOL
 
 
@@ -321,13 +324,19 @@ def single_qubit_cliffords() -> tuple[np.ndarray, ...]:
 
 
 @lru_cache(maxsize=1)
+def _clifford_stack() -> np.ndarray:
+    """(24, 2, 2) ``single_qubit_cliffords`` as one array."""
+    return np.stack(single_qubit_cliffords())
+
+
+@lru_cache(maxsize=1)
 def clifford_bloch_rotations() -> np.ndarray:
     """(24, 3, 3) Bloch rotations R[k]_ij = tr(s_i C_k s_j C_k^dag) / 2, Cliffords in order.
 
     Each is a signed permutation matrix, so the rounding is exact.
     """
     sigma = np.stack([PAULI_MATS[p] for p in "XYZ"])
-    stack = np.stack(single_qubit_cliffords())
+    stack = _clifford_stack()
     table = np.einsum("iab,kbc,jcd,kad->kij", sigma, stack, sigma, stack.conj()).real / 2
     return np.rint(table)
 
@@ -400,29 +409,46 @@ def lc_equivalence_witness(psi1: np.ndarray, basis2: Basis, allow_conjugation: b
 
     The result is that of scanning all 24^n tuples in lexicographic index
     order (non-conjugated pass first), so absence of a witness is a definite
-    result for that search space; psi1 must be a unit vector.  Only tuples that
-    can reach some column are visited.  A Clifford acts on the Bloch sphere
-    as one of the 24 rotations of the cube (it permutes the Paulis up to
-    sign; Gottesman, arXiv:quant-ph/9807006), so it carries qubit l's Bloch
-    vector v_l to R_k v_l.  A hit |<c|phi>| >= 1 - tol puts the two pure
-    states within trace distance sqrt(1 - (1 - tol)^2), and partial traces
-    do not increase it, so every qubit's Bloch vectors then differ by at most
-    2 sqrt(1 - (1 - tol)^2).  A zero Bloch vector admits all 24 Cliffords, so
-    the pruning holds for any unit state and any basis, with or without a
-    group.
+    result for that search space; psi1 must be a unit vector.  A tuple that
+    reaches two columns (possible only for a loose tol) names the lower one.
 
-    The scan is stacked.  A (24,) * (n-1) array of column bitsets, the AND
-    of each qubit's allowed rotations, lists the prefixes on qubits 1..n-1
-    that can still reach some column; the last qubit is scanned whole.  Its 24
-    Cliffords are folded into the target columns once, so one matmul gives
-    a block of live prefixes' overlaps with every (last Clifford, column)
-    pair, and the first hit in C order is the first tuple in lexicographic
-    order.  Blocks hold WITNESS_BLOCK prefixes.  The hit test reads the
-    stacked overlaps, whose last bits can differ from a one-prefix scan's,
-    so only an overlap within rounding of 1 - tol could be decided
-    differently.  The winner's phase is recomputed from that prefix alone
-    with one qubit's operator at a time (``_witness_phase``), so its float
-    bits do not depend on the block.
+    An orbit basis is scanned onto its column 0, psi_A, alone: T carries psi1
+    onto column c exactly when S = P_c T carries it onto column 0
+    (``_smallest_column_image``), so the scan collects every such S and
+    returns the smallest P_c S over the columns c.  Its columns must be the
+    orbit of column 0 under its group, bit for bit, or the derivation would
+    name a wrong tuple; a basis that is not raises ``ValueError``.  A basis
+    without a group is scanned onto all its columns, and a hit is its own
+    witness.
+
+    Only tuples S that can reach a scanned column are visited.  A Clifford
+    acts on the Bloch sphere as one of the 24 rotations of the cube (it
+    permutes the Paulis up to sign; Gottesman, arXiv:quant-ph/9807006), so
+    it carries qubit l's Bloch vector v_l to R_k v_l.  A hit
+    |<c|phi>| >= 1 - tol puts the two pure states within trace distance
+    sqrt(1 - (1 - tol)^2), and partial traces do not increase it, so every
+    qubit's Bloch vectors then differ by at most 2 sqrt(1 - (1 - tol)^2).  A
+    zero Bloch vector admits all 24 Cliffords, so the pruning holds for any
+    unit state and any basis.  A (24,) * (n-1) array of column bitsets, the
+    AND of each qubit's allowed rotations, lists the live prefixes on qubits
+    1..n-1; the last qubit is scanned whole, its 24 Cliffords folded into
+    the scanned columns once, so one matmul gives a block of live prefixes'
+    overlaps with every (last Clifford, column) pair.  Qubit 1's 24 images
+    are computed once per pass and shared by the blocks.
+
+    Live prefixes are taken in the order of their floor, the smallest
+    prefix P_c S of any column c (``_prefix_floors``; a groupless basis's
+    prefixes are their own floors), and the scan stops once the best tuple
+    found lies below the next block's floor.  A regular n=4 pass has 27
+    live prefixes, one block, but zero Bloch vectors leave up to 24^(n-1),
+    and a late hit can follow thousands; so block k holds k * WITNESS_BLOCK
+    prefixes, which keeps an early hit's block small and a long scan's
+    blocks few.  The hit test reads the stacked overlaps with column 0,
+    whose last bits can differ from a one-tuple overlap with column c, so
+    only an overlap within rounding of 1 - tol could be decided
+    differently.  The winner's phase is recomputed from its tuple alone with
+    one qubit's operator at a time (``_witness_phase``), so its float bits
+    do not depend on the block.
     """
     psi1 = np.asarray(psi1, dtype=complex)
     n = num_qubits(psi1.shape[0])
@@ -434,41 +460,104 @@ def lc_equivalence_witness(psi1: np.ndarray, basis2: Basis, allow_conjugation: b
         raise ValueError(f"witness tolerance must lie in (0, 1), got {tol}")
     if abs(np.linalg.norm(psi1) - 1) > 1e-9:
         raise ValueError("witness search needs a unit state")  # the Bloch bound assumes one
-    stack = np.stack(single_qubit_cliffords())  # (24, 2, 2)
+    grouped = basis2.group is not None
+    if grouped and not np.array_equal(
+            basis2.columns, orbit_columns(basis2.columns[None, :, 0], basis2.group)[0]):
+        raise ValueError("witness target's columns are not the orbit of its column 0")
+    stack = _clifford_stack()
     rotations = clifford_bloch_rotations()
     cols_dag = basis2.columns.conj().T
-    size = len(cols_dag)
+    size = 1 if grouped else len(cols_dag)  # scanned columns: an orbit basis's column 0, else all
     # folded[(r, b), (k, c)] = sum_a <column c|_(r, a) C_k[a, b]: last qubit's Clifford k, column c
-    folded = (cols_dag.reshape(-1, 2) @ stack).reshape(24 * size, -1).T
-    targets = orbit_bloch_table(basis2) if basis2.group is not None else basis_bloch_table(basis2)
+    folded = (cols_dag[:size].reshape(-1, 2) @ stack).reshape(24 * size, -1).T
+    targets = (bloch_vectors(basis2.columns[None, :, 0]).transpose(1, 0, 2) if grouped
+               else basis_bloch_table(basis2))  # (n, size, 3)
     # slack in the overlap covers its float error; the margin covers the Bloch vectors'
     bound = 2 * np.sqrt(1 - (1 - tol - 1e-12) ** 2) + 1e-12
+    weights = 24 ** np.arange(n - 2, -1, -1)  # prefix (k_1, .., k_(n-1)) has index weights @ k
 
     for conjugated in ((False, True) if allow_conjugation else (False,)):
         base = conjugate_state(psi1) if conjugated else psi1
         vectors = bloch_vectors(base[None])[0]
         rotated = np.einsum("kij,lj->lki", rotations, vectors)  # (n, 24, 3)
         allowed = np.linalg.norm(
-            rotated[:, :, None, :] - targets[:, None, :, :], axis=-1) <= bound  # (n, 24, cols)
+            rotated[:, :, None, :] - targets[:, None, :, :], axis=-1) <= bound  # (n, 24, size)
         # bit c of reach[k_1, .., k_l] is set when the prefix can still reach column c
         bits = np.where(allowed, np.uint64(1) << np.arange(size, dtype=np.uint64), 0).sum(axis=2)
         reach = np.bitwise_and.reduce(np.bitwise_or.reduce(bits, axis=1))
         for l in range(n - 1):
             reach = reach[..., None] & bits[l]
-        live = np.flatnonzero(reach)  # lexicographic order
-        digits = [live // 24 ** (n - 2 - l) % 24 for l in range(n - 1)]  # qubit l+1's Clifford
-        for start in range(0, len(live), WITNESS_BLOCK):
-            block = [d[start:start + WITNESS_BLOCK] for d in digits]
-            psi = base[None]
-            for l in range(n - 1):
+        if grouped:
+            order, floors = _prefix_floors(n)
+            kept = reach.ravel()[order] != 0
+            live, floors = order[kept], floors[kept]
+        else:
+            live = floors = np.flatnonzero(reach)  # lexicographic order
+        heads = _apply_rowwise(stack, base[None], 0)  # qubit 1's 24 images, shared by the blocks
+        best = None  # (tuple, column) of the smallest witness found so far
+        start, width = 0, WITNESS_BLOCK
+        while start < len(live) and (best is None or weights @ best[0][:-1] >= floors[start]):
+            block = [live[start:start + width] // w % 24 for w in weights]
+            start, width = start + width, width + WITNESS_BLOCK
+            psi = heads[block[0]]
+            for l in range(1, n - 1):
                 psi = _apply_rowwise(stack[block[l]], psi, l)
-            hits = np.flatnonzero(np.abs(psi @ folded) >= 1 - tol)
-            if hits.size:
-                row, last, column = map(int, np.unravel_index(hits[0], (len(psi), 24, size)))
-                prefix = tuple(int(d[row]) for d in block)
-                phase = _witness_phase(base, prefix, last, column, cols_dag, stack)
-                return Witness(prefix + (last,), conjugated, column, phase)
+            hit = np.abs(psi @ folded) >= 1 - tol
+            if hit.any():  # in C order, the first hit is the block's smallest tuple, then column
+                rows, last, column = np.nonzero(hit.reshape(len(psi), 24, size))
+                tuples = np.stack([d[rows] for d in block] + [last], axis=1)
+                found = (_smallest_column_image(tuples) if grouped
+                         else (tuple(int(k) for k in tuples[0]), int(column[0])))
+                best = found if best is None else min(best, found)
+        if best is not None:
+            clifford_indices, column = best
+            phase = _witness_phase(base, clifford_indices[:-1], clifford_indices[-1], column,
+                                   cols_dag, stack)
+            return Witness(clifford_indices, conjugated, column, phase)
     return None
+
+
+@lru_cache(maxsize=None)
+def _prefix_floors(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every prefix S on qubits 1..n-1, as its lexicographic index, in scan order, and its floor.
+
+    The floor of S is the smallest index of the prefix of P_c S over the
+    columns c: a tuple that extends S and carries a state onto column 0
+    gives the witness P_c S for column c, whose prefix is no smaller.
+    Prefixes are sorted by floor, stably, so those with one floor stay in
+    index order.
+    """
+    products = clifford_tables()[0]
+    floors = np.full(24 ** (n - 1), 24 ** (n - 1))
+    for paulis in _column_paulis(n)[:, :-1]:  # one column at a time bounds the temporaries
+        index = np.zeros((), dtype=np.int64)
+        for p in paulis:
+            index = index[..., None] * 24 + products[p]  # the prefix's index of P_c S
+        floors = np.minimum(floors, index.ravel())
+    order = np.argsort(floors, kind="stable")
+    return order, floors[order]
+
+
+def _smallest_column_image(tuples: np.ndarray) -> tuple[tuple[int, ...], int]:
+    """The smallest tuple T = P_c S over the rows S of (M, n) tuples and the columns c, and c.
+
+    Every caller's target is an orbit basis: column c is P_c psi_A, the
+    Pauli string whose per-qubit Clifford indices are ``_column_paulis(n)[c]``,
+    and each row S carries a state psi onto psi_A up to phase.  A Pauli is
+    its own inverse up to phase, so T = P_c S carries psi onto column c, and
+    a tuple T reaches column c exactly when P_c T is such an S.  Given every
+    such S, the tuples that reach some column are the T = P_c S, and the
+    first that a lexicographic scan over all tuples meets is the smallest;
+    a tuple that reaches two columns (only under a loose tolerance) comes
+    with the lower one first, as in that scan's C order.  Products are read
+    from ``clifford_tables`` qubit by qubit.
+    """
+    products = clifford_tables()[0]
+    n = tuples.shape[1]
+    images = products[_column_paulis(n)[:, None, :], tuples]  # (2^n, M, n)
+    smallest = int(np.argmin(images @ 24 ** np.arange(n - 1, -1, -1)))
+    column, row = divmod(smallest, len(tuples))
+    return tuple(int(k) for k in images[column, row]), column
 
 
 def _witness_phase(base: np.ndarray, prefix: tuple[int, ...], last: int, column: int,
@@ -570,7 +659,7 @@ def _block_lc_keys(states: np.ndarray) -> tuple[list[bytes], np.ndarray, np.ndar
     choices = np.argsort(~kept, axis=2, kind="stable")  # kept Cliffords first, ascending
     sizes = counts.prod(axis=1)
     ends = np.cumsum(sizes)
-    stack = np.stack(single_qubit_cliffords())
+    stack = _clifford_stack()
     best: list[bytes | None] = [None] * len(states)
     frames: list[np.ndarray | None] = [None] * len(states)
     for first in range(0, int(ends[-1]), KEY_IMAGES):
@@ -630,7 +719,7 @@ def group_into_classes(hits: list[SearchHit]) -> list[ClassRecord]:
     groups: dict[tuple, list[int]] = {}
     for i, hit in enumerate(hits):
         groups.setdefault(hit.fingerprint.class_key(), []).append(i)
-    stack = np.stack(single_qubit_cliffords())
+    stack = _clifford_stack()
 
     records: list[ClassRecord] = []
     for key in sorted(groups, key=repr):
@@ -676,21 +765,15 @@ def _derived_witness(psi: np.ndarray, frame: np.ndarray, frames: np.ndarray,
     The target is the orbit basis of the class's first fiducial psi_A; its
     columns come as the scan takes them, cols_dag = columns.conj().T.  frame
     carries psi, and each tuple f of frames carries psi_A, onto the same
-    canonical state up to phase.  Any tuple T carrying psi onto column
-    c = P_c psi_A composes with frame's inverse into a frame-fixing tuple of
-    minimal image, so T = P_c f^-1 frame for some f.  Columns are
-    orthogonal, so each T reaches one column, and the scan's first hit is
-    the smallest of these tuples over every c and f, computed qubit by qubit
-    from ``clifford_tables``.  The phase is the scan's own ``_witness_phase``,
-    bit for bit; the caller checks its modulus.
+    canonical state up to phase.  A tuple S carrying psi onto psi_A makes
+    frame S^-1 a frame-fixing tuple of psi_A with minimal image, so
+    S = f^-1 frame for some f, and the scan's witness is the smallest P_c S
+    over these S and the columns c (``_smallest_column_image``).  The phase
+    is the scan's own ``_witness_phase``, bit for bit; the caller checks its
+    modulus.
     """
     products, inverse, _ = clifford_tables()
-    n = len(frame)
-    tuples = products[_column_paulis(n)[:, None, :],
-                      products[inverse[frames], frame]]  # (2^n, M, n)
-    smallest = int(np.argmin(tuples @ 24 ** np.arange(n - 1, -1, -1)))
-    column, row = divmod(smallest, tuples.shape[1])
-    clifford_indices = tuple(int(k) for k in tuples[column, row])
+    clifford_indices, column = _smallest_column_image(products[inverse[frames], frame])
     phase = _witness_phase(np.asarray(psi, dtype=complex), clifford_indices[:-1],
                            clifford_indices[-1], column, cols_dag, stack)
     return Witness(clifford_indices, False, column, phase)

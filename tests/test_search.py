@@ -16,6 +16,7 @@ from tetrabasis.qcore import (
     CapacityError,
     apply_on_qubit,
     num_qubits,
+    phase_canonical_key,
     phase_canonical_keys,
 )
 from tetrabasis.search import (
@@ -37,7 +38,7 @@ from tetrabasis.search import (
     single_qubit_cliffords,
 )
 
-from polyspace import enumerate_polynomials, polynomial_space_size
+from polyspace import enumerate_polynomials, polynomial_space_size, seeded_polynomials
 
 
 class TestEnumeration:
@@ -468,17 +469,66 @@ def orbit_of(f):
     return orbit_basis(build_fiducial(f), build_tetra_group(f.n), f)
 
 
+def pauli_products(basis):
+    """(2^n, n, 24) Clifford index of P_c C_k on qubit l, P_c = Z^b X^a from column c's masks.
+
+    Built from the matrices and looked up up to phase, apart from ``clifford_tables``.
+    """
+    n, group = basis.n, basis.group
+    cliffs = single_qubit_cliffords()
+    index = {phase_canonical_key(c): k for k, c in enumerate(cliffs)}
+    table = np.empty((2**n, n, 24), dtype=int)
+    for c, l in product(range(2**n), range(n)):
+        a, b = (mask >> (n - 1 - l) & 1 for mask in (group.x_masks[c], group.z_masks[c]))
+        z, x = (np.linalg.matrix_power(PAULI_MATS[p], e) for p, e in (("Z", b), ("X", a)))
+        pauli = z @ x
+        table[c, l] = [index[phase_canonical_key(pauli @ cliff)] for cliff in cliffs]
+    return table
+
+
+def column_image(basis, column, cliffords):
+    """The tuple P_c C on the qubits of cliffords, c = column."""
+    table = pauli_products(basis)[column]
+    return tuple(int(table[l, k]) for l, k in enumerate(cliffords))
+
+
 def live_prefixes(psi, basis, tol=1e-9):
-    """Reference: the Bloch-pruned prefixes on qubits 1..n-1, listed per column and sorted."""
+    """Reference: the Bloch-pruned prefixes on qubits 1..n-1 that reach column 0, in scan order.
+
+    The scan takes them by their floor, the smallest prefix P_c S over the
+    columns c, and prefixes with one floor in index order.
+    """
     n = basis.n
     rotated = np.einsum("kij,lj->lki", clifford_bloch_rotations(), bloch_vectors(psi[None])[0])
     bound = 2 * np.sqrt(1 - (1 - tol - 1e-12) ** 2) + 1e-12
-    allowed = np.linalg.norm(rotated[:, :, None] - orbit_bloch_table(basis)[:, None],
-                             axis=-1) <= bound
-    reachable = allowed.any(axis=1).all(axis=0)
-    return sorted({prefix for c in np.flatnonzero(reachable)
-                   for prefix in product(*(np.flatnonzero(allowed[l, :, c]).tolist()
-                                           for l in range(n - 1)))})
+    allowed = np.linalg.norm(rotated - orbit_bloch_table(basis)[:, None, 0], axis=-1) <= bound
+    if not allowed[-1].any():
+        return []
+    table = pauli_products(basis)[:, :n - 1].tolist()
+    prefixes = product(*(np.flatnonzero(allowed[l]).tolist() for l in range(n - 1)))
+    return sorted(prefixes, key=lambda prefix: min(
+        [row[k] for row, k in zip(rows, prefix)] for rows in table))
+
+
+def applied_prefixes(monkeypatch):
+    """Per pass of the next scans, the number of prefixes the scan applies to the state.
+
+    A block applies qubit 2's Cliffords to its prefixes after qubit 1's shared
+    images, so the calls on qubit 2 count them; the counts need n >= 3.
+    """
+    from tetrabasis import search
+    counts = []
+    apply_rowwise = search._apply_rowwise
+
+    def spy(u, psi, l):
+        if l == 0:
+            counts.append(0)  # qubit 1's images open each pass
+        elif l == 1:
+            counts[-1] += len(u)
+        return apply_rowwise(u, psi, l)
+
+    monkeypatch.setattr(search, "_apply_rowwise", spy)
+    return counts
 
 
 def assert_matches_exhaustive(psi, basis, tol=1e-9):
@@ -605,35 +655,111 @@ class TestPrunedWitness:
         witness = lc_equivalence_witness(build_fiducial(f), orbit_of(f))
         assert witness.clifford_indices == (0, 0, 0) and witness.column == 0
 
-    # the stacked scan takes WITNESS_BLOCK live prefixes at a time; each
-    # case asserts where its prefixes fall
+    # the stacked scan's block k takes k * WITNESS_BLOCK live prefixes, in
+    # the order of live_prefixes; each case asserts where its prefixes fall
     GHZ3 = np.array([1, 0, 0, 0, 0, 0, 0, 1], dtype=complex) / np.sqrt(2)
 
-    def test_hit_inside_a_full_first_block(self):
+    def test_hit_inside_the_first_block(self, monkeypatch):
         psi = build_fiducial(parse_polynomial("2 z1 z3 + z2 z3", 3, 2))
         target = orbit_of(parse_polynomial("2 z1 z3 + 3 z2 z3", 3, 2))
         assert assert_matches_exhaustive(psi, target) >= 1
         live = live_prefixes(psi, target)
-        rank = live.index(lc_equivalence_witness(psi, target).clifford_indices[:-1])
-        assert 0 < rank < WITNESS_BLOCK == len(live)
-        assert rank == 16
+        witness = lc_equivalence_witness(psi, target)
+        assert witness.column == 1
+        rank = live.index(column_image(target, witness.column, witness.clifford_indices)[:-1])
+        assert 0 < rank < len(live) == 8 < WITNESS_BLOCK
+        assert rank == 4
+        counts = applied_prefixes(monkeypatch)
+        lc_equivalence_witness(psi, target)
+        assert counts == [8]
 
-    def test_all_zero_bloch_hit_in_the_second_block(self):
-        # every qubit of both has a zero Bloch vector, so all 24^2 prefixes are live
+    def test_all_zero_bloch_hit_in_the_third_block(self, monkeypatch):
+        # every qubit of both has a zero Bloch vector, so all 24^2 prefixes are
+        # live; blocks hold 64, 128 and 192 of them, and the scan stops after
+        # the block that holds its hit
         target = orbit_of(parse_polynomial("2 z1 z2 + 2 z1 z3", 3, 2))
         assert assert_matches_exhaustive(self.GHZ3, target) >= 1
         live = live_prefixes(self.GHZ3, target)
         assert len(live) == 24**2
-        rank = live.index(lc_equivalence_witness(self.GHZ3, target).clifford_indices[:-1])
-        assert WITNESS_BLOCK <= rank < 2 * WITNESS_BLOCK
-        assert rank == 100
+        witness = lc_equivalence_witness(self.GHZ3, target)
+        rank = live.index(column_image(target, witness.column, witness.clifford_indices)[:-1])
+        assert 3 * WITNESS_BLOCK <= rank < 6 * WITNESS_BLOCK
+        assert rank == 314
+        counts = applied_prefixes(monkeypatch)
+        lc_equivalence_witness(self.GHZ3, target)
+        assert counts == [6 * WITNESS_BLOCK]
 
-    def test_miss_over_many_blocks(self):
+    def test_miss_over_many_blocks(self, monkeypatch):
         psi = build_fiducial(parse_polynomial("2 z1 z3", 3, 2))
         target = orbit_of(parse_polynomial("3 z1 z2 + 2 z1 z3", 3, 2))
-        assert len(live_prefixes(psi, target)) == 24**2 > 8 * WITNESS_BLOCK
+        assert len(live_prefixes(psi, target)) == 24**2 > 6 * WITNESS_BLOCK
         assert lc_equivalence_witness(psi, target) is None
         assert_matches_exhaustive(psi, target)
+        counts = applied_prefixes(monkeypatch)
+        lc_equivalence_witness(psi, target)
+        assert counts == [24**2]  # a miss visits every live prefix
+
+    def test_regular_n4_pass_applies_at_most_27_prefixes(self, monkeypatch):
+        # a regular qubit admits 3 Cliffords onto one column's Bloch vector, so
+        # 3^3 prefixes are live per pass, where all 16 columns would give 432
+        hits = regular_hits(seeded_polynomials(4, 2, 400, seed=25))
+        key = hits[0].fingerprint.class_key()
+        first = hits[0].polynomial
+        second = next(h.polynomial for h in hits if h.fingerprint.class_key() != key)
+        psi = build_fiducial(first)
+        counts = applied_prefixes(monkeypatch)
+        assert lc_equivalence_witness(psi, orbit_of(first.negated()), allow_conjugation=True)
+        assert lc_equivalence_witness(psi, orbit_of(second), allow_conjugation=True) is None
+        assert len(counts) == 4 and max(counts) <= 27
+        assert counts[0] == 27  # the pure pass of the negation scans its whole live list
+
+    def test_columns_not_the_orbit_of_column_0_rejected(self):
+        f = parse_polynomial("z1 z2 + z1 z3 + z2 z3 + 3 z1 z2 z3", 3, 2)
+        basis = orbit_of(f)
+        swapped = replace(basis, columns=basis.columns[:, [0, 2, 1, 3, 4, 5, 6, 7]])
+        with pytest.raises(ValueError, match="not the orbit of its column 0"):
+            lc_equivalence_witness(build_fiducial(f), swapped)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_all_n2_polynomial_pairs(self, m):
+        polys = list(enumerate_polynomials(2, m))
+        for f, g in product(polys, repeat=2):
+            psi, target = build_fiducial(f), orbit_of(g)
+            for conjugation in (False, True):
+                assert (lc_equivalence_witness(psi, target, allow_conjugation=conjugation)
+                        == exhaustive_witness(psi, target, allow_conjugation=conjugation))
+
+    @pytest.mark.parametrize("columns", [(2, 5), (6, 1), (0, 7)])
+    def test_loose_tolerance_tuple_reaching_two_columns(self, columns):
+        # an equal superposition of two columns has overlap 1/sqrt(2) >= 1 - 0.5
+        # with both, so the identity reaches two columns and the lower one wins
+        target = orbit_of(parse_polynomial("z1 z2 + z1 z3 + z2 z3 + 3 z1 z2 z3", 3, 2))
+        psi = (target.column(columns[0]) + target.column(columns[1])) / np.sqrt(2)
+        witness = lc_equivalence_witness(psi, target, tol=0.5)
+        assert witness == exhaustive_witness(psi, target, tol=0.5)
+        assert witness.clifford_indices == (0, 0, 0) and witness.column == min(columns)
+
+    @pytest.mark.parametrize("text, live, rank, applied", [
+        ("2 z1 z2 + 2 z3 z4", 24**2 * 4, 39, 1),
+        ("2 z1 z4 + 2 z2 z3", 24**3, 4678, 78),
+    ])
+    def test_zero_bloch_n4_stops_early(self, monkeypatch, text, live, rank, applied):
+        # zero Bloch vectors on qubits 1 and 2 (first case) or on every qubit
+        # leave up to 24^3 live prefixes; the self-witness stops after the
+        # first block, and an LC image's after the block that holds its hit
+        target = orbit_of(parse_polynomial(text, 4, 2))
+        image = target.column(11)
+        for qubit, index in enumerate((5, 17, 2, 9), start=1):
+            image = apply_on_qubit(single_qubit_cliffords()[index], image, qubit)
+        counts = applied_prefixes(monkeypatch)
+        for psi in (target.fiducial, image):
+            assert lc_equivalence_witness(psi, target) == exhaustive_witness(psi, target)
+        witness = lc_equivalence_witness(image, target)
+        prefixes = live_prefixes(image, target)
+        assert len(prefixes) == live
+        assert prefixes.index(column_image(target, witness.column,
+                                           witness.clifford_indices)[:-1]) == rank
+        assert counts[:2] == [WITNESS_BLOCK, applied * WITNESS_BLOCK] and counts[1] < 24**3
 
     @pytest.mark.longrun
     @pytest.mark.skipif(not os.environ.get("TETRABASIS_LONGRUN"),
@@ -936,7 +1062,7 @@ class TestKeyedGrouping:
         # 24 Cliffords on a qubit
         hits = search_regular(cfg)
         records = group_into_classes(hits)
-        assert_links_equal_the_scan(hits, records)
+        assert_links_equal_the_scan(hits, records, exhaustive=cfg.n == 3)
         assert sum(len(r.witness_links) for r in records) >= (20 if cfg.n == 4 else 30)
 
     @pytest.mark.longrun
@@ -960,13 +1086,19 @@ class TestKeyedGrouping:
         assert_links_equal_the_scan(hits, records)
 
 
-def assert_links_equal_the_scan(hits, records):
-    """Every derived witness link is the one the scan returns, phase bits included."""
+def assert_links_equal_the_scan(hits, records, exhaustive=False):
+    """Every derived witness link is the one the scan returns, phase bits included.
+
+    The scan and the derivation share their composition step, so with
+    exhaustive each link is also compared with ``exhaustive_witness``.
+    """
     fiducials = {h.key: h.fiducial for h in hits}
     for record in records:
         target = orbit_of(record.representatives[0])
         for key, witness in record.witness_links.items():
             assert witness == lc_equivalence_witness(fiducials[key], target)
+            if exhaustive:
+                assert witness == exhaustive_witness(fiducials[key], target)
 
 
 class TestConfig:
