@@ -5,7 +5,11 @@ They arrive as (B, K) int64 array blocks, read from an index range for the
 full space or drawn in bulk for a sample.  ``fiducial.build_fiducials``
 builds a block's fiducial rows, every row's orbit must pass the
 orthonormality guard, and ``screen_block`` drops the rows whose Bloch
-vectors provably fail the filters.  The survivors' geometry and
+vectors provably fail the filters.  Both read Pauli expectations off the
+block with a few matmuls: the guard one per X mask of the group (two for
+``build_tetra_group``), each against a cached sign matrix of that mask's
+labels, and the screen one, |psi|^2 times (-1)^x_l, for all qubits' <Z>.
+The survivors' geometry and
 fingerprints are built in further array passes, and those that pass the
 filters are the hits; a hit keeps its fiducial row, and orbit columns are
 built only where they are read.  Hits are grouped into local-Clifford
@@ -160,25 +164,44 @@ def _monomial_indicator(n: int, monos: tuple[tuple[int, ...], ...]) -> np.ndarra
     return np.array([(idx & mask) == mask for mask in masks], dtype=np.int64)
 
 
+@lru_cache(maxsize=None)
+def _guard_tables(group: TetraGroup) -> tuple[tuple[int, np.ndarray, np.ndarray], ...]:
+    """Per distinct X mask a of the labels g >= 1: a, the gather x xor a, and the signs.
+
+    The signs are the (labels, 2^n) matrix (-1)^popcount(b_g & x) of that
+    mask's labels, so signs @ (conj(psi) psi[x xor a]) is their <psi|U_g|psi>.
+    """
+    x = np.arange(2**group.n)
+    labels = range(1, 2**group.n)
+    tables = []
+    for a in dict.fromkeys(group.x_masks[g] for g in labels):
+        z = np.array([group.z_masks[g] for g in labels if group.x_masks[g] == a])
+        tables.append((a, x ^ a, parity_sign(z[:, None] & x).astype(float)))
+    return tuple(tables)
+
+
 def _orbit_violations(psi: np.ndarray, group: TetraGroup) -> np.ndarray:
     """Per row, the largest of |norm - 1| and |<psi|U_g|psi>| over the labels g >= 1.
 
     This is ``check_orthonormal``'s violation of the orbit basis, but not bit
     for bit: the values can differ from its, and with the block size, by
-    about 1e-16, so only the decision against EPS_NORM is shared.  Labels
-    are taken one at a time so no temporary outgrows the block.
+    about 1e-16, so only the decision against EPS_NORM is shared.  U_g is
+    Z^b X^a, so the labels are grouped by their X mask a, and one product
+    conj(psi) psi[x xor a] times the mask's signs (``_guard_tables``) gives
+    all of its labels; for a = 0 that product is |psi|^2, which also gives
+    the norm.  ``build_tetra_group`` has only the masks 0 and 2^n - 1.
 
     S(n) H_n conjugates the group onto the 2^n Z strings, and the state it
     acts on, D_f H^(x n)|0..0>, has flat moduli, so every orbit is
     orthonormal by construction: the guard catches only a fault in the
     fiducial builder or the group.
     """
-    x = np.arange(2**group.n)
-    conj = psi.conj()
-    violation = np.abs(np.linalg.norm(psi, axis=1) - 1)
-    for a, b in zip(group.x_masks[1:], group.z_masks[1:]):
-        overlap = np.einsum("bx,bx->b", conj, psi[:, x ^ a] * parity_sign(x & b))
-        violation = np.maximum(violation, np.abs(overlap))
+    weights = psi.real**2 + psi.imag**2
+    violation = np.abs(np.sqrt(weights.sum(axis=1)) - 1)
+    for a, gather, signs in _guard_tables(group):
+        product = weights if a == 0 else psi.conj() * psi[:, gather]
+        # (labels, B), so the largest modulus is an elementwise maximum over rows
+        violation = np.maximum(violation, np.abs(signs @ product.T).max(axis=0))
     return violation
 
 
@@ -194,23 +217,30 @@ def _require_orthonormal(states: np.ndarray, group: TetraGroup, poly_of) -> None
         raise _non_orthonormal(poly_of(row), _orbit_violations(states[row:row + 1], group)[0])
 
 
+@lru_cache(maxsize=None)
+def _z_signs(n: int) -> np.ndarray:
+    """(2^n, n) signs (-1)^x_l, qubit 1 the most significant bit: |psi|^2 @ it is each <Z_l>."""
+    bits = np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)
+    return 1.0 - 2 * (bits & 1)
+
+
 def _bloch_vectors(psi: np.ndarray, n: int) -> np.ndarray:
-    """(B, n, 3) Bloch vectors of each row's qubits: (2 Re r01, -2 Im r01, r00 - r11).
+    """(B, n, 3) Bloch vectors of each row's qubits: (2 Re r01, -2 Im r01, <Z>).
 
     The screen's own kernel, kept apart from ``geometry.bloch_vectors``: that
     one measured about 3 to 6 times slower on n=4 screen blocks, and its bits
     are fixed by the partial-trace formula the reports print.  The screen
     needs only its decisions, and the two kernels differ by at most about
-    2e-16, far inside SCREEN_SLACK.
+    2e-16, far inside SCREEN_SLACK.  r01 comes from each qubit's two halves
+    of the row, and every <Z> from one product |psi|^2 @ ``_z_signs(n)``.
     """
     vectors = np.empty((len(psi), n, 3))
     for l in range(n):
         split = psi.reshape(len(psi), 2**l, 2, -1)
-        upper, lower = split[:, :, 0], split[:, :, 1]
-        rho01 = np.einsum("bij,bij->b", upper, lower.conj())
+        rho01 = np.einsum("bij,bij->b", split[:, :, 0], split[:, :, 1].conj())
         vectors[:, l, 0] = 2 * rho01.real
         vectors[:, l, 1] = -2 * rho01.imag
-        vectors[:, l, 2] = np.sum(np.abs(upper) ** 2 - np.abs(lower) ** 2, axis=(1, 2))
+    vectors[:, :, 2] = (psi.real**2 + psi.imag**2) @ _z_signs(n)
     return vectors
 
 
@@ -221,16 +251,18 @@ def screen_block(states: np.ndarray, cfg: SearchConfig) -> np.ndarray:
     Bloch vector exceeds EPS_GEO in modulus and the moduli spread by at most
     EPS_GEO; nonzero components need that lower bound on every qubit.  Both
     tests are widened by SCREEN_SLACK, so only candidates that provably fail
-    are dropped.  Lengths are never compared across qubits.
+    are dropped.  Lengths are never compared across qubits.  The smallest
+    and largest modulus are taken elementwise over the three components.
     """
-    mags = np.abs(_bloch_vectors(states, cfg.n))
-    keep = np.ones(len(mags), dtype=bool)
+    x, y, z = np.moveaxis(np.abs(_bloch_vectors(states, cfg.n)), 2, 0)
+    low = np.minimum(np.minimum(x, y), z)
+    above = low > EPS_GEO - SCREEN_SLACK
+    keep = np.ones(len(states), dtype=bool)
     if cfg.require_regular:
-        regular = ((mags.min(axis=2) > EPS_GEO - SCREEN_SLACK)
-                   & (np.ptp(mags, axis=2) <= EPS_GEO + SCREEN_SLACK))
-        keep &= regular.all(axis=1)
+        spread = np.maximum(np.maximum(x, y), z) - low
+        keep &= (above & (spread <= EPS_GEO + SCREEN_SLACK)).all(axis=1)
     if cfg.require_nonzero:
-        keep &= mags.min(axis=(1, 2)) > EPS_GEO - SCREEN_SLACK
+        keep &= above.all(axis=1)
     return keep
 
 

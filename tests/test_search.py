@@ -8,10 +8,17 @@ from itertools import islice, product
 import numpy as np
 import pytest
 
-from tetrabasis.basisgen import build_tetra_group, ejm_reference_basis, orbit_basis, orbit_columns
+from tetrabasis.basisgen import (
+    build_tetra_group,
+    check_orthonormal,
+    ejm_reference_basis,
+    orbit_basis,
+    orbit_columns,
+)
 from tetrabasis.fiducial import parse_polynomial, build_fiducial
 from tetrabasis.geometry import bloch_vector, bloch_vectors, conjugate_state, orbit_bloch_table
 from tetrabasis.qcore import (
+    EPS_NORM,
     PAULI_MATS,
     CapacityError,
     apply_on_qubit,
@@ -249,6 +256,85 @@ class TestBatchedScreen:
             messages.append(str(caught.value))
         assert messages[0].startswith(f"orbit of {bad.to_text()!r} unexpectedly non-orthonormal")
         assert messages == [messages[0]] * 3
+
+
+def fiducial_rows(cfg):
+    """The (B, 2^n) fiducial rows of cfg's candidates, built as search_regular builds a block."""
+    from tetrabasis import search
+    coeffs = np.array(candidate_coeffs(cfg), dtype=np.int64)
+    indicator = search._monomial_indicator(cfg.n, tuple(canonical_monomials(cfg.n)))
+    return search.build_fiducials((coeffs @ indicator) % 2**cfg.m, cfg.n, cfg.m)
+
+
+GUARD_SPACES = ([SearchConfig(n, m) for n in (2, 3) for m in (1, 2, 3)]
+                + [SearchConfig(n, m, sample=300, seed=n + m) for n in (4, 5, 6) for m in (2, 3)])
+
+
+def reference_violations(states, group):
+    return np.array([check_orthonormal(orbit_basis(psi, group)).max_violation for psi in states])
+
+
+class TestOrthonormalityGuard:
+    @pytest.mark.parametrize("cfg", GUARD_SPACES, ids=lambda c: f"n{c.n}-m{c.m}-{c.sample}")
+    def test_violations_equal_check_orthonormal(self, cfg):
+        from tetrabasis.search import _orbit_violations
+        group = build_tetra_group(cfg.n)
+        states = fiducial_rows(cfg)
+        reference = reference_violations(states, group)
+        for block in (states, states[:1]):
+            guard = _orbit_violations(block, group)
+            np.testing.assert_allclose(guard, reference[:len(block)], rtol=0, atol=1e-15)
+            assert np.array_equal(guard > EPS_NORM, reference[:len(block)] > EPS_NORM)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_corrupted_rows_either_side_of_eps_norm(self, n):
+        # psi + t U_g psi, normalised, has <psi'|U_g|psi'> = 2t / (1 + t^2) and
+        # no other overlap, since U_g is Hermitian and the group is abelian
+        from tetrabasis.search import _orbit_violations
+        group = build_tetra_group(n)
+        states = fiducial_rows(SearchConfig(n, 2, sample=2**n, seed=n))
+        columns = orbit_columns(states, group)
+        rows, expected = [], []
+        for g in range(1, 2**n):
+            for target, ok in ((EPS_NORM * (1 - 1e-3), True), (EPS_NORM * (1 + 1e-3), False)):
+                row = states[g] + target / 2 * columns[g, :, g]
+                rows.append(row / np.linalg.norm(row))
+                expected.append(ok)
+        block = np.concatenate([states, rows])
+        reference = reference_violations(block, group)
+        assert (reference[len(states):] <= EPS_NORM).tolist() == expected
+        guard = _orbit_violations(block, group)
+        np.testing.assert_allclose(guard, reference, rtol=0, atol=1e-15)
+        assert np.array_equal(guard > EPS_NORM, reference > EPS_NORM)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_label_with_a_third_x_mask_is_guarded(self, monkeypatch, n):
+        # label 1 becomes X on qubit 1 alone, an X mask that is neither 0 nor
+        # all-ones; the first candidate it fails must be named
+        from tetrabasis import search
+        from tetrabasis.basisgen import TetraGroup
+        group = build_tetra_group(n)
+        patched = TetraGroup(n, (0, 1 << (n - 1)) + group.x_masks[2:], (0, 0) + group.z_masks[2:])
+        assert len({a for a, _gather, _signs in search._guard_tables(patched)}) == 3
+        first = next(f for f in enumerate_polynomials(n, 2)
+                     if not check_orthonormal(orbit_basis(build_fiducial(f), patched)).ok)
+        violation = check_orthonormal(orbit_basis(build_fiducial(first), patched)).max_violation
+        monkeypatch.setattr(search, "build_tetra_group", lambda k: patched)
+        message = (f"orbit of {first.to_text()!r} unexpectedly non-orthonormal "
+                   f"(violation {violation:.3e})")
+        with pytest.raises(AssertionError, match=re.escape(message)):
+            search_regular(SearchConfig(n, 2))
+
+
+class TestScreenKernel:
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_bloch_vectors_equal_the_partial_trace_formula(self, n, m):
+        from tetrabasis.search import _bloch_vectors
+        cfg = SearchConfig(n, m, sample=200, seed=10 * n + m)
+        states = fiducial_rows(cfg)
+        np.testing.assert_allclose(_bloch_vectors(states, n), bloch_vectors(states),
+                                   rtol=0, atol=1e-15)
 
 
 def block_rows(cfg, monkeypatch, batch):
