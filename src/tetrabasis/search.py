@@ -21,15 +21,20 @@ the two fiducials' minimal images with a table of Clifford products, so
 grouping makes no witness scan.  The scan, ``lc_equivalence_witness``,
 serves the ``witness`` command and the reproduction suites.  Column c of
 an orbit basis is P_c psi_A, so it scans onto column 0 alone and derives
-every other column's witness from its Pauli with the same product table
-(``_smallest_column_image``).  It visits only the Clifford tuples whose
-cube rotations carry each qubit's Bloch vector onto psi_A's, takes their
-prefixes as stacked array blocks, one matmul per block against column 0
-with the last qubit's 24 Cliffords folded in, in the order of the
-smallest tuple any column can give them, and stops once no later block
-can beat the best witness found.  Only the winning tuple's phase is
-recomputed, with one qubit's operator at a time.  The conjugate partner
-of f is -f, looked up by polynomial (``conjugate_partner_key``).
+every other column's witness from its Pauli with the same product table.
+It visits only the Clifford tuples whose cube rotations carry each
+qubit's Bloch vector onto psi_A's, takes their prefixes as stacked array
+blocks, one matmul per block against column 0 with the last qubit's 24
+Cliffords folded in, in the order of the smallest tuple any column can
+give them, and stops once no later block can beat the best witness found.
+The scan and the grouping share two kernels, each an array pass over
+rows: ``_smallest_column_image`` picks a witness tuple and column from
+each row's candidate tuples, and ``_witness_phase`` recomputes a winning
+tuple's phase with stacked copies of a one-tuple scan's operations, so
+its bits do not depend on the rows it is computed with.  The scan calls
+them with one row, and the grouping with up to LINK_CHUNK class links.
+The conjugate partner of f is -f, looked up by polynomial
+(``conjugate_partner_key``).
 """
 
 from __future__ import annotations
@@ -70,6 +75,7 @@ SCREEN_BATCH = 4096  # candidates per array pass of the pre-screen
 SCREEN_SLACK = 1e-9  # margin around EPS_GEO for the float error of the screen's Bloch vectors
 KEY_HITS = 1024  # rows per Bloch-frame pass of lc_canonical_keys
 KEY_IMAGES = 4096  # frame-fixed images per array pass of lc_canonical_keys; bounds its temporaries
+LINK_CHUNK = 64  # class links per array pass of group_into_classes; bounds its temporaries
 WITNESS_BLOCK = 64  # live prefixes in a scan's first stacked block; block k holds k times as many
 WITNESS_TOL = 1e-9  # a witness maps onto a column with overlap modulus at least 1 - WITNESS_TOL
 
@@ -445,9 +451,9 @@ def lc_equivalence_witness(psi1: np.ndarray, basis2: Basis, allow_conjugation: b
     reaches two columns (possible only for a loose tol) names the lower one.
 
     An orbit basis is scanned onto its column 0, psi_A, alone: T carries psi1
-    onto column c exactly when S = P_c T carries it onto column 0
-    (``_smallest_column_image``), so the scan collects every such S and
-    returns the smallest P_c S over the columns c.  Its columns must be the
+    onto column c exactly when S = P_c T carries it onto column 0, so the
+    scan collects every such S and returns the smallest P_c S over the
+    columns c (``_smallest_column_image``, one segment).  Its columns must be the
     orbit of column 0 under its group, bit for bit, or the derivation would
     name a wrong tuple; a basis that is not raises ``ValueError``.  A basis
     without a group is scanned onto all its columns, and a hit is its own
@@ -478,9 +484,10 @@ def lc_equivalence_witness(psi1: np.ndarray, basis2: Basis, allow_conjugation: b
     blocks few.  The hit test reads the stacked overlaps with column 0,
     whose last bits can differ from a one-tuple overlap with column c, so
     only an overlap within rounding of 1 - tol could be decided
-    differently.  The winner's phase is recomputed from its tuple alone with
-    one qubit's operator at a time (``_witness_phase``), so its float bits
-    do not depend on the block.
+    differently.  The winner's phase is recomputed from its tuple alone
+    (``_witness_phase``, one row), with the operations that grouping stacks
+    over its class links, so its float bits do not depend on the block, and
+    a derived link's phase is the scan's bit for bit.
     """
     psi1 = np.asarray(psi1, dtype=complex)
     n = num_qubits(psi1.shape[0])
@@ -538,14 +545,15 @@ def lc_equivalence_witness(psi1: np.ndarray, basis2: Basis, allow_conjugation: b
             if hit.any():  # in C order, the first hit is the block's smallest tuple, then column
                 rows, last, column = np.nonzero(hit.reshape(len(psi), 24, size))
                 tuples = np.stack([d[rows] for d in block] + [last], axis=1)
-                found = (_smallest_column_image(tuples) if grouped
-                         else (tuple(int(k) for k in tuples[0]), int(column[0])))
+                if grouped:
+                    tuples, column = _smallest_column_image(tuples, np.zeros(1, dtype=np.intp))
+                found = (tuple(tuples[0].tolist()), int(column[0]))
                 best = found if best is None else min(best, found)
         if best is not None:
             clifford_indices, column = best
-            phase = _witness_phase(base, clifford_indices[:-1], clifford_indices[-1], column,
-                                   cols_dag, stack)
-            return Witness(clifford_indices, conjugated, column, phase)
+            phase = _witness_phase(base[None], np.array([clifford_indices]), np.array([column]),
+                                   cols_dag[None])
+            return Witness(clifford_indices, conjugated, column, complex(phase[0]))
     return None
 
 
@@ -570,40 +578,58 @@ def _prefix_floors(n: int) -> tuple[np.ndarray, np.ndarray]:
     return order, floors[order]
 
 
-def _smallest_column_image(tuples: np.ndarray) -> tuple[tuple[int, ...], int]:
-    """The smallest tuple T = P_c S over the rows S of (M, n) tuples and the columns c, and c.
+def _smallest_column_image(tuples: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per segment of (M, n) tuples, the smallest tuple T = P_c S over its rows S and the columns c.
 
+    Segment i is the rows starts[i]:starts[i + 1] (the last runs to M), and
+    none is empty; the result is the (segments, n) tuples and their columns.
     Every caller's target is an orbit basis: column c is P_c psi_A, the
     Pauli string whose per-qubit Clifford indices are ``_column_paulis(n)[c]``,
-    and each row S carries a state psi onto psi_A up to phase.  A Pauli is
-    its own inverse up to phase, so T = P_c S carries psi onto column c, and
-    a tuple T reaches column c exactly when P_c T is such an S.  Given every
-    such S, the tuples that reach some column are the T = P_c S, and the
-    first that a lexicographic scan over all tuples meets is the smallest;
-    a tuple that reaches two columns (only under a loose tolerance) comes
-    with the lower one first, as in that scan's C order.  Products are read
-    from ``clifford_tables`` qubit by qubit.
+    and each row S of a segment carries that segment's state psi onto psi_A
+    up to phase.  A Pauli is its own inverse up to phase, so T = P_c S
+    carries psi onto column c, and a tuple T reaches column c exactly when
+    P_c T is such an S.  Given every such S, the tuples that reach some
+    column are the T = P_c S, and the first that a lexicographic scan over
+    all tuples meets is the smallest; a tuple that reaches two columns (only
+    under a loose tolerance) comes with the lower one first, as in that
+    scan's C order.  Products are read from ``clifford_tables`` qubit by
+    qubit.  Each (T, c) is coded as one integer, T's lexicographic index
+    times 2^n plus c, so the smallest code of a segment
+    (``np.minimum.reduceat``) is its smallest tuple with the lower column.
+    The codes are (2^n, M) int64, which the callers' chunks keep small.
     """
     products = clifford_tables()[0]
     n = tuples.shape[1]
-    images = products[_column_paulis(n)[:, None, :], tuples]  # (2^n, M, n)
-    smallest = int(np.argmin(images @ 24 ** np.arange(n - 1, -1, -1)))
-    column, row = divmod(smallest, len(tuples))
-    return tuple(int(k) for k in images[column, row]), column
+    paulis = _column_paulis(n)
+    codes = np.arange(2**n)[:, None]
+    for l in range(n):
+        codes = codes + products[paulis[:, l, None], tuples[:, l]] * 24 ** (n - 1 - l) * 2**n
+    smallest = np.minimum.reduceat(codes.min(axis=0), starts)
+    return (smallest[:, None] >> n) // 24 ** np.arange(n - 1, -1, -1) % 24, smallest % 2**n
 
 
-def _witness_phase(base: np.ndarray, prefix: tuple[int, ...], last: int, column: int,
-                   cols_dag: np.ndarray, stack: np.ndarray) -> complex:
-    """<column|mapped> for the tuple prefix + (last,), mapped state = phase * column.
+def _witness_phase(states: np.ndarray, tuples: np.ndarray, columns: np.ndarray,
+                   cols_dag: np.ndarray) -> np.ndarray:
+    """Per row, <column|mapped>: the (L, n) tuples carry the (L, 2^n) states to phase * column.
 
-    Computed with the operations of a scan that visits one prefix at a time,
-    so the phase, and the output that prints it, is bit for bit that scan's.
+    cols_dag[i] is row i's target columns as the scan takes them,
+    columns.conj().T.  Each row is computed with the operations of a scan
+    that visits one prefix at a time: per prefix qubit one 2x2 product on
+    the contiguous (2, 2^(n-1)) layout of ``apply_on_qubit``'s tensordot, the
+    last qubit's 24 Cliffords by einsum, and cols_dag @ batch.T, of which one
+    entry is read.  Stacked, each is the same call per row, so a row's phase,
+    and the output that prints it, is bit for bit that scan's and does not
+    depend on the rows it is computed with.
     """
-    state = base
-    for qubit, index in enumerate(prefix, start=1):
-        state = apply_on_qubit(stack[index], state, qubit)
-    batch = np.einsum("rb,kab->kra", state.reshape(-1, 2), stack).reshape(24, -1)
-    return complex((cols_dag @ batch.T)[column, last])
+    stack = _clifford_stack()
+    rows, dim = states.shape
+    state = states
+    for l in range(tuples.shape[1] - 1):
+        split = state.reshape(rows, 2**l, 2, -1).transpose(0, 2, 1, 3).reshape(rows, 2, -1)
+        out = stack[tuples[:, l]] @ split
+        state = out.reshape(rows, 2, 2**l, -1).transpose(0, 2, 1, 3).reshape(rows, dim)
+    batch = np.einsum("trb,kab->tkra", state.reshape(rows, -1, 2), stack).reshape(rows, 24, -1)
+    return (cols_dag @ batch.transpose(0, 2, 1))[np.arange(rows), columns, tuples[:, -1]]
 
 
 def _apply_rowwise(u: np.ndarray, psi: np.ndarray, l: int) -> np.ndarray:
@@ -743,39 +769,41 @@ def group_into_classes(hits: list[SearchHit]) -> list[ClassRecord]:
     a key opens its class, and its orbit basis becomes the class's witness
     target; every later hit with that key is linked to it by the witness
     ``lc_equivalence_witness`` would find, derived from the canonical frames
-    (``_derived_witness``) without a scan.  A class's conjugation partner is
-    the class of the group member that negates the representative's
-    polynomial (``conjugate_partner_key``); one in another group is not found.
+    without a scan.  The loop over members only collects these links, in
+    order, and each LINK_CHUNK of them is derived in two array passes
+    (``_derive_links``): tuples and columns, then phases, bit for bit the
+    scan's.  A class's conjugation partner is the class of the group member
+    that negates the representative's polynomial (``conjugate_partner_key``);
+    one in another group is not found.
     """
     keys, tuples, offsets = _lc_keys_and_frames(np.array([hit.fiducial for hit in hits]))
     groups: dict[tuple, list[int]] = {}
     for i, hit in enumerate(hits):
         groups.setdefault(hit.fingerprint.class_key(), []).append(i)
-    stack = _clifford_stack()
 
     records: list[ClassRecord] = []
+    links: list[tuple[ClassRecord, int, int, np.ndarray]] = []
     for key in sorted(groups, key=repr):
         members = groups[key]  # indices into hits
-        classes: dict[bytes, tuple[ClassRecord, np.ndarray, np.ndarray]] = {}
+        # per key: the class, its first member and that member's conjugated orbit columns
+        classes: dict[bytes, tuple[ClassRecord, int, np.ndarray]] = {}
         reps: list[SearchHit] = []
         member_class: dict[str, ClassRecord] = {}
         for i in members:
             hit, lc_key = hits[i], keys[i]
             if lc_key in classes:
-                record, cols_dag, frames = classes[lc_key]
-                witness = _derived_witness(hit.fiducial, tuples[offsets[i]], frames, cols_dag,
-                                           stack)
-                if abs(witness.phase) < 1 - WITNESS_TOL:
-                    raise _unlinked(hit.polynomial, record.representatives[0])
+                record, first, target = classes[lc_key]
                 record.representatives.append(hit.polynomial)
-                record.witness_links[hit.key] = witness
+                links.append((record, i, first, target))
+                if len(links) == LINK_CHUNK:  # derived as they fill, so few targets stay alive
+                    _derive_links(hits, tuples, offsets, links)
+                    links = []
             else:
                 record = ClassRecord(fingerprint=hit.fingerprint,
                                      representatives=[hit.polynomial])
                 basis = orbit_basis(hit.fiducial, build_tetra_group(hit.polynomial.n),
                                     hit.polynomial)
-                classes[lc_key] = (record, basis.columns.conj().T,
-                                   tuples[offsets[i]:offsets[i + 1]])
+                classes[lc_key] = (record, i, basis.columns.conj())
                 reps.append(hit)
             member_class[hit.key] = record
         opened = [record for record, _, _ in classes.values()]
@@ -787,28 +815,44 @@ def group_into_classes(hits: list[SearchHit]) -> list[ClassRecord]:
             flag = None if partner is None else partner < record.key
             record.fingerprint = replace(record.fingerprint, conjugate_flag=flag)
             records.append(record)
+    if links:
+        _derive_links(hits, tuples, offsets, links)
     return records
 
 
-def _derived_witness(psi: np.ndarray, frame: np.ndarray, frames: np.ndarray,
-                     cols_dag: np.ndarray, stack: np.ndarray) -> Witness:
-    """The witness ``lc_equivalence_witness`` returns for psi against a class's target.
+def _derive_links(hits: list[SearchHit], tuples: np.ndarray, offsets: np.ndarray,
+                  links: list[tuple[ClassRecord, int, int, np.ndarray]]) -> None:
+    """Add to each link's class the witness ``lc_equivalence_witness`` returns for its member.
 
-    The target is the orbit basis of the class's first fiducial psi_A; its
-    columns come as the scan takes them, cols_dag = columns.conj().T.  frame
-    carries psi, and each tuple f of frames carries psi_A, onto the same
-    canonical state up to phase.  A tuple S carrying psi onto psi_A makes
-    frame S^-1 a frame-fixing tuple of psi_A with minimal image, so
-    S = f^-1 frame for some f, and the scan's witness is the smallest P_c S
-    over these S and the columns c (``_smallest_column_image``).  The phase
-    is the scan's own ``_witness_phase``, bit for bit; the caller checks its
-    modulus.
+    A link is (class, member, the class's first member, target): the target
+    is the orbit basis of the first fiducial psi_A, as its conjugated
+    columns, and ``_lc_keys_and_frames`` gives the frames (tuples, offsets)
+    of both fiducials.  The member's first frame carries its fiducial psi,
+    and each frame f of psi_A carries psi_A, onto the same canonical state up
+    to phase.  A tuple S carrying psi onto psi_A makes frame S^-1 a
+    frame-fixing tuple of psi_A with minimal image, so S = f^-1 frame for
+    some f, and the scan's witness is the smallest P_c S over these S and
+    the columns c.  All links' candidates S form one ragged array, one
+    segment per link, for one ``_smallest_column_image``, and their phases
+    are one ``_witness_phase``, bit for bit the scan's.  A link whose phase
+    has modulus below 1 - WITNESS_TOL raises, the first in link order.
     """
     products, inverse, _ = clifford_tables()
-    clifford_indices, column = _smallest_column_image(products[inverse[frames], frame])
-    phase = _witness_phase(np.asarray(psi, dtype=complex), clifford_indices[:-1],
-                           clifford_indices[-1], column, cols_dag, stack)
-    return Witness(clifford_indices, False, column, phase)
+    members = np.array([link[1] for link in links])
+    firsts = np.array([link[2] for link in links])
+    counts = offsets[firsts + 1] - offsets[firsts]
+    starts = np.cumsum(counts) - counts
+    frames = tuples[np.arange(counts.sum()) + np.repeat(offsets[firsts] - starts, counts)]
+    candidates = products[inverse[frames], np.repeat(tuples[offsets[members]], counts, axis=0)]
+    images, columns = _smallest_column_image(candidates, starts)
+    cols_dag = np.stack([link[3] for link in links]).transpose(0, 2, 1)
+    states = np.array([hits[i].fiducial for i in members])
+    phases = _witness_phase(states, images, columns, cols_dag)
+    for (record, i, _, _), image, column, phase in zip(links, images.tolist(), columns.tolist(),
+                                                       phases.tolist()):
+        if abs(phase) < 1 - WITNESS_TOL:
+            raise _unlinked(hits[i].polynomial, record.representatives[0])
+        record.witness_links[hits[i].key] = Witness(tuple(image), False, column, phase)
 
 
 def _unlinked(f: PhasePolynomial, rep: PhasePolynomial) -> AssertionError:

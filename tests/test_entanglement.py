@@ -1,4 +1,4 @@
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import numpy as np
 import pytest
@@ -6,6 +6,7 @@ import pytest
 from tetrabasis.basisgen import build_tetra_group, ejm_reference_basis, orbit_basis
 from tetrabasis.entanglement import (
     _YY,
+    _three_tangles,
     InvariantFingerprint,
     invariant_fingerprint,
     invariant_fingerprints,
@@ -14,9 +15,16 @@ from tetrabasis.entanglement import (
     permutation_stabilizer_order,
     three_tangle,
 )
-from tetrabasis.fiducial import parse_polynomial, build_fiducial
-from tetrabasis.geometry import apply_local_unitaries, classify_geometry, orbit_bloch_table
+from tetrabasis.fiducial import parse_polynomial, build_fiducial, build_fiducials
+from tetrabasis.geometry import (
+    apply_local_unitaries,
+    classify_geometries,
+    classify_geometry,
+    orbit_bloch_table,
+    orbit_bloch_tables,
+)
 from tetrabasis.qcore import PAULI_MATS, partial_trace
+from tetrabasis.search import _monomial_indicator, canonical_monomials
 
 
 def basis_state(n, index):
@@ -78,6 +86,37 @@ class TestThreeTangle:
             psi = rng.normal(size=8) + 1j * rng.normal(size=8)
             psi /= np.linalg.norm(psi)
             assert abs(three_tangle(psi) - three_tangle(np.conj(psi))) < 1e-12
+
+
+def scalar_three_tangle(psi):
+    """Reference: the hyperdeterminant formula on one state's numpy scalars, as first written."""
+    a = psi.reshape(2, 2, 2)
+    b = (a[0, 0, 0] * a[1, 1, 1] + a[0, 1, 1] * a[1, 0, 0]
+         - a[0, 0, 1] * a[1, 1, 0] - a[0, 1, 0] * a[1, 0, 1])
+    return float(4 * abs(b**2 - 4 * np.linalg.det(a[0]) * np.linalg.det(a[1])))
+
+
+def n3_fiducials(m):
+    """Every canonical n=3 polynomial's fiducial at precision m, in enumeration order."""
+    monos = canonical_monomials(3)
+    coeffs = np.array(list(product(range(2**m), repeat=len(monos))))
+    return build_fiducials(coeffs @ _monomial_indicator(3, tuple(monos)) % 2**m, 3, m)
+
+
+class TestBatchedThreeTangle:
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_full_n3_space_equals_the_scalar_formula(self, m):
+        # the fingerprints keep round(tau, 10), and reproduce table1 prints tau
+        # unrounded, so the one-row call is compared bit for bit as well
+        states = n3_fiducials(m)
+        reference = np.array([scalar_three_tangle(psi) for psi in states])
+        tangles = _three_tangles(states)
+        assert np.abs(tangles - reference).max() <= 1e-15
+        assert tangles.view(np.int64).tolist() == reference.view(np.int64).tolist()
+        assert [three_tangle(psi) for psi in states[::97]] == reference[::97].tolist()
+        geometries = classify_geometries(orbit_bloch_tables(states, build_tetra_group(3)))
+        assert [fp.tangle for fp in invariant_fingerprints(states, geometries)] == [
+            round(tau, 10) for tau in reference.tolist()]
 
 
 class TestPairwiseConcurrence:

@@ -20,6 +20,10 @@ from tetrabasis.geometry import (
 from tetrabasis.qcore import PAULI_MATS, apply_on_qubit, pauli_matrix
 from tetrabasis.search import (
     SearchConfig,
+    _column_paulis,
+    _smallest_column_image,
+    _witness_phase,
+    clifford_tables,
     group_into_classes,
     lc_equivalence_witness,
     search_regular,
@@ -186,6 +190,79 @@ class TestDerivedWitness:
         [record] = group_into_classes([hit, image])
         assert record.witness_links == {
             label.to_text(): lc_equivalence_witness(image.fiducial, basis)}
+
+
+def scalar_witness_phase(state, tuple_, column, cols_dag):
+    """Reference: one row's phase with one qubit's operator at a time, as the scan once took it."""
+    stack = np.stack(single_qubit_cliffords())
+    for qubit, index in enumerate(tuple_[:-1], start=1):
+        state = apply_on_qubit(stack[index], state, qubit)
+    batch = np.einsum("rb,kab->kra", state.reshape(-1, 2), stack).reshape(24, -1)
+    return (cols_dag @ batch.T)[column, tuple_[-1]]
+
+
+@st.composite
+def phase_cases(draw):
+    """Seeded fiducials (or their conjugates), tuples, columns and orbit targets."""
+    n, m = draw(st.integers(2, 4)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = draw(st.integers(1, 6))
+
+    def fiducial():
+        f = PhasePolynomial(n, m, {frozenset(s): int(rng.integers(2**m))
+                                   for k in range(1, n + 1) for s in combinations(range(1, n + 1), k)})
+        return build_fiducial(f), f
+
+    states = [psi.conj() if rng.integers(2) else psi for psi, _ in
+              (fiducial() for _ in range(rows))]
+    targets = [orbit_basis(psi, build_tetra_group(n), f).columns.conj()
+               for psi, f in (fiducial() for _ in range(rows))]
+    return (np.array(states), rng.integers(0, 24, (rows, n)), rng.integers(0, 2**n, rows),
+            targets)
+
+
+@st.composite
+def segment_cases(draw):
+    """Seeded (M, n) tuples in segments, one keeping all 24 Cliffords on a qubit."""
+    n = draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    segments = [rng.integers(0, 24, (int(rng.integers(1, 10)), n))
+                for _ in range(draw(st.integers(0, 4)))]
+    zero_bloch = np.repeat(rng.integers(0, 24, (1, n)), 24, axis=0)
+    zero_bloch[:, int(rng.integers(n))] = np.arange(24)  # a zero Bloch vector keeps every Clifford
+    segments.insert(draw(st.integers(0, len(segments))), zero_bloch)
+    return segments
+
+
+class TestBatchedLinkKernels:
+    @settings(max_examples=60, deadline=None)
+    @given(phase_cases())
+    def test_phase_block_equals_its_rows(self, case):
+        # bits compared as int64 views, so a -0.0 component counts; the block
+        # takes the targets stacked, as grouping does, and a row as the scan does
+        states, tuples, columns, targets = case
+        block = _witness_phase(states, tuples, columns,
+                               np.stack(targets).transpose(0, 2, 1)).view(np.int64)
+        for i, target in enumerate(targets):
+            row = _witness_phase(states[i:i + 1], tuples[i:i + 1], columns[i:i + 1],
+                                 target.T[None])
+            reference = scalar_witness_phase(states[i], tuples[i], columns[i], target.T)
+            assert block[2 * i:2 * i + 2].tolist() == row.view(np.int64).tolist()
+            assert block[2 * i:2 * i + 2].tolist() == np.array([reference]).view(np.int64).tolist()
+
+    @settings(max_examples=60, deadline=None)
+    @given(segment_cases())
+    def test_column_image_segments_equal_one_segment_calls(self, segments):
+        products = clifford_tables()[0]
+        paulis = _column_paulis(segments[0].shape[1])
+        starts = np.cumsum([0] + [len(s) for s in segments[:-1]])
+        images, columns = _smallest_column_image(np.concatenate(segments), starts)
+        for segment, image, column in zip(segments, images.tolist(), columns.tolist()):
+            [one], [one_column] = _smallest_column_image(segment, np.zeros(1, dtype=np.intp))
+            assert (image, column) == (one.tolist(), one_column)
+            # the smallest P_c S with the lower column on a tie, by brute force
+            assert (image, column) == min((products[p, s].tolist(), c)
+                                          for s in segment for c, p in enumerate(paulis))
 
 
 class TestChiralityInvariance:

@@ -1151,6 +1151,28 @@ class TestKeyedGrouping:
         assert_links_equal_the_scan(hits, records, exhaustive=cfg.n == 3)
         assert sum(len(r.witness_links) for r in records) >= (20 if cfg.n == 4 else 30)
 
+    @pytest.mark.parametrize("cfg", [
+        SearchConfig(3, 2),
+        SearchConfig(3, 3),
+        SearchConfig(4, 2, sample=60000, seed=9),
+    ], ids=["n3m2", "n3m3", "n4-sample"])
+    def test_links_do_not_depend_on_the_chunk(self, monkeypatch, cfg):
+        # 1 derives every link alone and 3 leaves an uneven last chunk; the
+        # phases are compared as int64 views, so a -0.0 component counts
+        from tetrabasis import search
+        hits = search_regular(cfg)
+        runs = []
+        for chunk in (search.LINK_CHUNK, 1, 3):
+            monkeypatch.setattr(search, "LINK_CHUNK", chunk)
+            runs.append(group_into_classes(hits))
+        links = [[(key, w.clifford_indices, w.column,
+                   np.array([w.phase]).view(np.int64).tolist())
+                  for r in records for key, w in r.witness_links.items()] for records in runs]
+        assert len(links[0]) >= (20 if cfg.n == 4 else 30)
+        for records, derived in zip(runs[1:], links[1:]):
+            assert [r.to_json_dict() for r in records] == [r.to_json_dict() for r in runs[0]]
+            assert derived == links[0]
+
     @pytest.mark.longrun
     @pytest.mark.skipif(not os.environ.get("TETRABASIS_LONGRUN"),
                         reason="opt-in long-running check (set TETRABASIS_LONGRUN=1)")
