@@ -30,6 +30,7 @@ from .geometry import (
     classify_geometry,
     conjugate_state,
     orbit_bloch_table,
+    orbit_geometry,
     relational_chirality,
     tetra_product_decomposition,
 )

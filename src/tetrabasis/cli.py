@@ -23,8 +23,7 @@ from .geometry import (
     EPS_GEO,
     ChiralityInconsistencyError,
     DegenerateGeometryError,
-    classify_geometry,
-    orbit_bloch_table,
+    orbit_geometry,
 )
 from .hierarchy import (
     DEFAULT_CAP,
@@ -316,10 +315,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_geometry(args) -> int:
-    table = orbit_bloch_table(_basis(args))
+    basis = _basis(args)
     tol = _tolerance(args.tolerance, "geo", EPS_GEO)
     try:
-        report = classify_geometry(table, tol=tol)
+        report = orbit_geometry(basis, tol=tol)
     except (ChiralityInconsistencyError, DegenerateGeometryError) as exc:
         # a loose --tolerance can call qubits regular whose chirality is undefined
         print(f"error: {exc}", file=sys.stderr)

@@ -9,7 +9,7 @@ from itertools import combinations, permutations
 import numpy as np
 
 from .basisgen import Basis
-from .geometry import GeometryReport, basis_bloch_table, classify_geometry, orbit_bloch_table
+from .geometry import GeometryReport, basis_bloch_table, classify_geometry, orbit_geometry
 from .qcore import num_qubits, PAULI_MATS
 
 _YY = np.kron(PAULI_MATS["Y"], PAULI_MATS["Y"])
@@ -153,14 +153,19 @@ class InvariantFingerprint:
 def invariant_fingerprint(basis: Basis, geometry: GeometryReport | None = None) -> InvariantFingerprint:
     """Fingerprint of an orthonormal basis from its fiducial state."""
     if geometry is None:
-        table = orbit_bloch_table(basis) if basis.group is not None else basis_bloch_table(basis)
-        geometry = classify_geometry(table)
-    return invariant_fingerprints(basis.fiducial[None], [geometry])[0]
+        geometry = (orbit_geometry(basis) if basis.group is not None
+                    else classify_geometry(basis_bloch_table(basis)))
+    return invariant_fingerprints(basis.fiducial[None], [geometry.r],
+                                  [geometry.chirality_signature()])[0]
 
 
-def invariant_fingerprints(states: np.ndarray,
-                           geometries: list[GeometryReport]) -> list[InvariantFingerprint]:
-    """``invariant_fingerprint`` of each fiducial row of (B, 2^n) states with its geometry."""
+def invariant_fingerprints(states: np.ndarray, rs: list[float | None],
+                           signatures: list[str]) -> list[InvariantFingerprint]:
+    """``invariant_fingerprint`` of each fiducial row of (B, 2^n) states.
+
+    rs and signatures are each row's geometry r and ``chirality_signature``:
+    a report's, or ``geometry.GeometryArrays``' for a stack without reports.
+    """
     states = np.asarray(states, dtype=complex)
     n = num_qubits(states.shape[1])
     if n == 3:
@@ -174,9 +179,9 @@ def invariant_fingerprints(states: np.ndarray,
             n=n,
             tangle=tangle,
             concurrence_sq=tuple(sorted(round(c**2, 10) for c in conc)),
-            r=round(geometry.r, 10) if geometry.r is not None else None,
-            chirality_signature=geometry.chirality_signature(),
+            r=round(r, 10) if r is not None else None,
+            chirality_signature=signature,
             stabilizer_order=order,
         )
-        for tangle, conc, order, geometry in zip(tangles, concurrences, orders, geometries)
+        for tangle, conc, order, r, signature in zip(tangles, concurrences, orders, rs, signatures)
     ]

@@ -208,10 +208,16 @@ def build_fiducials(values: np.ndarray, n: int, m: int) -> np.ndarray:
     """Fiducial states S(n) H_n D_f H^(x n) |0..0> as (B, 2^n) rows.
 
     Row b of ``values`` is f_b over all 2^n inputs, in ``polynomial_values``
-    order; H_n acts on qubit n only.
+    order, reduced mod 2^m; H_n acts on qubit n only.  Each amplitude
+    2^(-n/2) exp(2 pi i v / 2^m) depends on v alone, so when the 2^m values
+    are no more than the entries, they are computed once, by the same
+    expression, and gathered.
     """
     check_capacity(2**n)
-    psi = 2 ** (-n / 2) * np.exp(2j * np.pi * values / 2**m)
+    if 2**m <= values.size:
+        psi = (2 ** (-n / 2) * np.exp(2j * np.pi * np.arange(2**m) / 2**m))[values]
+    else:
+        psi = 2 ** (-n / 2) * np.exp(2j * np.pi * values / 2**m)
     psi = (psi.reshape(-1, 2) @ HADAMARD.T).reshape(len(values), -1)  # H on qubit n
     return psi[:, _staircase_index(n)]
 

@@ -130,6 +130,40 @@ class GeometryReport:
         }
 
 
+@dataclass(frozen=True)
+class GeometryArrays:
+    """The fields of B ``GeometryReport``s but the lines, as arrays over the rows.
+
+    classes index GEOMETRY_CLASSES, r is NaN where the report's is None, and
+    chirality holds each pair's sign in ``combinations`` order, 0 where the
+    report has None.  units are column 0's vectors with the components
+    within tol of zero set to 0, normalized: the reports' lines are their
+    sign flips.
+    """
+
+    classes: np.ndarray    # (B, n) int
+    lengths: np.ndarray    # (B, n)
+    r: np.ndarray          # (B,)
+    nonzero: np.ndarray    # (B,) bool
+    chirality: np.ndarray  # (B, n (n - 1) / 2) int
+    units: np.ndarray      # (B, n, 3)
+
+    @property
+    def all_regular(self) -> np.ndarray:
+        return (self.classes == 0).all(axis=1)
+
+    def shared_lengths(self) -> list[float | None]:
+        """Per row, the report's r."""
+        return [None if r != r else r for r in self.r.tolist()]
+
+    def chirality_signatures(self) -> list[str]:
+        """Per row, the report's ``chirality_signature``: '+' sorts before '-' and '?'."""
+        plus = np.count_nonzero(self.chirality > 0, axis=1).tolist()
+        minus = np.count_nonzero(self.chirality < 0, axis=1).tolist()
+        pairs = self.chirality.shape[1]
+        return ["+" * p + "-" * m + "?" * (pairs - p - m) for p, m in zip(plus, minus)]
+
+
 def classify_geometry(table: np.ndarray, tol: float = EPS_GEO) -> GeometryReport:
     """Per-qubit geometry class, common length, direction lines, and pair chirality.
 
@@ -143,71 +177,125 @@ def classify_geometry(table: np.ndarray, tol: float = EPS_GEO) -> GeometryReport
 
 
 def classify_geometries(tables: np.ndarray, tol: float = EPS_GEO) -> list[GeometryReport]:
-    """``classify_geometry`` of each (n, 2^n, 3) table of a (B, n, 2^n, 3) stack.
+    """``classify_geometry`` of each (n, C, 3) table of a (B, n, C, 3) stack.
 
     The arithmetic runs in array passes over the whole stack; each report
     depends only on its own table.
     """
-    tables = np.asarray(tables, dtype=float)
-    count, n = tables.shape[:2]
+    return _reports(*_geometry_arrays(np.asarray(tables, dtype=float), tol))
+
+
+def orbit_geometries(states: np.ndarray, group: TetraGroup,
+                     tol: float = EPS_GEO) -> GeometryArrays:
+    """``classify_geometries(orbit_bloch_tables(states, group), tol)`` as arrays, for fiducial rows."""
+    return _geometry_arrays(_orbit_columns(states, group), tol)[0]
+
+
+def orbit_geometry_reports(states: np.ndarray, group: TetraGroup,
+                           tol: float = EPS_GEO) -> list[GeometryReport]:
+    """``classify_geometries(orbit_bloch_tables(states, group), tol)``, from the Bloch vectors."""
+    return classify_geometries(_orbit_columns(states, group), tol)
+
+
+def orbit_geometry(basis: Basis, tol: float = EPS_GEO) -> GeometryReport:
+    """``classify_geometry(orbit_bloch_table(basis), tol)`` of an orbit basis."""
+    if basis.group is None:
+        raise ValueError("the orbit geometry needs the basis's group")
+    return orbit_geometry_reports(basis.fiducial[None], basis.group, tol)[0]
+
+
+def _orbit_columns(states: np.ndarray, group: TetraGroup) -> np.ndarray:
+    """(B, n, 4, 3) compact orbit tables of fiducial rows, with their full tables' geometry.
+
+    Column g of a full table is v_l times the fixed signs
+    ``_orbit_flips(group)[l, g]``, so it equals, bit for bit, the column
+    of the compact table with the same signs (``_first_flips``).  The
+    classification reads column 0, the set of columns and their sign
+    patterns' order of first appearance, which both tables share.
+    """
+    return bloch_vectors(states)[:, :, None, :] * _first_flips(group)
+
+
+@lru_cache(maxsize=None)
+def _first_flips(group: TetraGroup) -> np.ndarray:
+    """(n, 4, 3) ``_orbit_flips``: per qubit, each distinct sign pattern in order of first
+    appearance over the columns, then column 0's repeated up to four."""
+    rows = []
+    for signs in _orbit_flips(group).tolist():
+        distinct = list(dict.fromkeys(map(tuple, signs)))
+        rows.append(distinct + distinct[:1] * (4 - len(distinct)))
+    return np.array(rows)
+
+
+def _geometry_arrays(tables: np.ndarray, tol: float) -> tuple[GeometryArrays, np.ndarray]:
+    """The arrays of ``classify_geometries`` of a (B, n, C, 3) stack, and its column labels.
+
+    The labels (B, n, C) index, per column, the sign flip of its row's
+    column 0 nearest to it.
+    """
+    n = tables.shape[1]
     firsts = tables[:, :, 0]
-    anchors = np.where(np.abs(firsts) <= tol, 0.0, firsts)  # (B, n, 3)
-    lengths = _norms(anchors)
-    zeros = np.count_nonzero(anchors == 0.0, axis=2)
     # distance of every column to each sign flip of its row's column 0
     dist = _norms(tables[:, :, :, None, :] - firsts[:, :, None, None, :] * _PAULI_FLIPS)
     on_orbit = dist.min(axis=3).max(axis=2) <= tol
-    # each qubit's flip labels in order of first appearance over the columns
-    seen = dist.argmin(axis=3)[..., None] == np.arange(len(_PAULI_FLIPS))  # (B, n, 2^n, 4)
-    present = seen.any(axis=2)
-    labels = np.where(present, seen.argmax(axis=2), seen.shape[2]).argsort(axis=2, kind="stable")
+    anchors = np.where(np.abs(firsts) <= tol, 0.0, firsts)  # (B, n, 3)
+    lengths = _norms(anchors)
+    zeros = (anchors == 0.0).sum(axis=2)
     magnitudes = np.abs(anchors)
     regular = magnitudes.max(axis=2) - magnitudes.min(axis=2) <= tol
+    classes = zeros + 1  # indices into GEOMETRY_CLASSES: 1, 2 or 3 zeros fix the class
+    classes[(zeros == 0) & regular] = 0
+    classes[~on_orbit] = 4
     with np.errstate(divide="ignore", invalid="ignore"):
         units = anchors / lengths[:, :, None]
+    spread = lengths.max(axis=1) - lengths.min(axis=1)
+    means = np.add.reduce(lengths, axis=1) / n  # np.mean, bit for bit
+    geometry = GeometryArrays(
+        classes=classes,
+        lengths=lengths,
+        r=np.where(spread <= max(tol, 1e-9), means, np.nan),
+        nonzero=np.abs(tables).min(axis=(1, 2, 3)) > tol,
+        chirality=_chirality_signs(tables, units, lengths, classes == 0, tol),
+        units=units,
+    )
+    return geometry, dist.argmin(axis=3)
+
+
+def _reports(geometry: GeometryArrays, column_labels: np.ndarray) -> list[GeometryReport]:
+    """The reports of ``GeometryArrays``, row by row.
+
+    column_labels (B, n, C) index, per column of each qubit's row, the sign
+    flip of column 0 that it lies on; their order of first appearance over
+    the columns orders each qubit's lines.
+    """
+    n = geometry.classes.shape[1]
+    seen = column_labels[..., None] == np.arange(len(_PAULI_FLIPS))  # (B, n, C, 4)
+    present = seen.any(axis=2)
+    labels = np.where(present, seen.argmax(axis=2), seen.shape[2]).argsort(axis=2, kind="stable")
+    units = geometry.units
     flips = units[:, :, None, :] * _PAULI_FLIPS  # (B, n, 4, 3)
     # each line keeps the sign of its first component above 1e-12 in modulus;
     # + 0.0 turns the -0.0 of a flipped zero component into 0.0
     big = np.abs(units[:, :, None, :]) > 1e-12
     lead = np.where(big[..., 0], flips[..., 0], np.where(big[..., 1], flips[..., 1], flips[..., 2]))
     flips = np.where((big.any(axis=3) & (lead < 0))[..., None], -flips, flips) + 0.0
-    spread = lengths.max(axis=1) - lengths.min(axis=1)
-    means = np.add.reduce(lengths, axis=1) / n  # np.mean, bit for bit
-    nonzero = np.abs(tables).min(axis=(1, 2, 3)) > tol
-    tetra = on_orbit & (zeros == 0) & regular
-    signs = _chirality_signs(tables, units, lengths, tetra, tol)
 
     pairs = list(combinations(range(1, n + 1), 2))
     flips, labels, counts = flips.tolist(), labels.tolist(), present.sum(axis=2).tolist()
-    lengths, on_orbit, zeros, regular = (
-        lengths.tolist(), on_orbit.tolist(), zeros.tolist(), regular.tolist())
+    classes, lengths = geometry.classes.tolist(), geometry.lengths.tolist()
+    chirality, nonzero = geometry.chirality.tolist(), geometry.nonzero.tolist()
     reports = []
-    for t in range(count):
-        classes = []
-        all_lines = []
-        for l in range(n):
-            if not on_orbit[t][l] or zeros[t][l] == 3:
-                classes.append("degenerate")
-                all_lines.append(())
-                continue
-            if zeros[t][l] == 0:
-                classes.append("regular_tetrahedron" if regular[t][l] else "disphenoid")
-            else:
-                classes.append("planar_rectangle" if zeros[t][l] == 1 else "collinear")
-            lines = flips[t][l]
-            all_lines.append(tuple(dict.fromkeys(
-                tuple(lines[j]) for j in labels[t][l][:counts[t][l]])))
-        chirality = {
-            (k, l): signs[t][k - 1][l - 1]
-            if classes[k - 1] == classes[l - 1] == "regular_tetrahedron" else None
-            for k, l in pairs
-        }
+    for t, r in enumerate(geometry.shared_lengths()):
+        all_lines = tuple(
+            () if classes[t][l] == 4 else tuple(dict.fromkeys(
+                tuple(flips[t][l][j]) for j in labels[t][l][:counts[t][l]]))
+            for l in range(n))
         reports.append(GeometryReport(
-            classes=tuple(classes),
+            classes=tuple(GEOMETRY_CLASSES[c] for c in classes[t]),
             lengths=tuple(lengths[t]),
-            r=float(means[t]) if spread[t] <= max(tol, 1e-9) else None,
-            lines=tuple(all_lines),
-            chirality=chirality,
+            r=r,
+            lines=all_lines,
+            chirality={pair: sign or None for pair, sign in zip(pairs, chirality[t])},
             nonzero_components=bool(nonzero[t]),
         ))
     return reports
@@ -219,27 +307,36 @@ def _norms(x: np.ndarray) -> np.ndarray:
 
 
 def _chirality_signs(tables: np.ndarray, units: np.ndarray, lengths: np.ndarray,
-                     tetra: np.ndarray, tol: float) -> list:
-    """signs[t][k][l]: ``relational_chirality`` sign of qubits k+1, l+1 of table t.
+                     tetra: np.ndarray, tol: float) -> np.ndarray:
+    """(B, pairs) signs: the ``relational_chirality`` sign of each pair of qubits of table t.
 
-    Only pairs of regular-tetrahedron qubits (``tetra``) are read.  Their
-    column-0 vectors have no component zeroed, so ``units`` and ``lengths``
-    are their normalized label-I vertices and lengths, and the sign is that
-    of prod(u_l / u_k).  A pair that fails one of ``relational_chirality``'s
-    checks is handed to that function, so it raises (or answers) exactly as
-    for a single table.
+    Pairs (k, l), k < l, come in ``combinations`` order, and only those of
+    two regular-tetrahedron qubits (``tetra``) get a sign; the others get 0.
+    Their column-0 vectors have no component zeroed, so ``units`` and
+    ``lengths`` are their normalized label-I vertices and lengths, and the
+    sign is that of prod(u_l / u_k).  A pair that fails one of
+    ``relational_chirality``'s checks is handed to that function with its
+    table, so it raises (or answers) exactly as for a single table.
     """
-    vanishing = lengths < max(tol, 1e-9)
+    k, l = _pairs(units.shape[1])
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = units[:, None, :, :] / units[:, :, None, :]  # (B, k, l, 3): u_l / u_k
-        suspect = (vanishing[:, :, None] | vanishing[:, None, :]
-                   | (np.abs(4 * np.prod(units, axis=2)) < 1e-9)[:, :, None]
-                   | ~(np.abs(ratio * ratio - 1).max(axis=3) <= 1e-6))
-        signs = np.where(np.prod(ratio, axis=3) > 0, 1, -1).tolist()
-    for t, k, l in zip(*np.nonzero(suspect & tetra[:, :, None] & tetra[:, None, :])):
-        if k < l:
-            signs[t][k][l] = relational_chirality(tables[t], k + 1, l + 1, tol)[0]
+        ratio = units[:, l] / units[:, k]  # (B, pairs, 3): u_l / u_k
+        vanishing = lengths < max(tol, 1e-9)
+        flat = np.abs(4 * np.multiply.reduce(units, axis=2)) < 1e-9  # I, X, Y span rank < 3
+        suspect = (vanishing[:, k] | vanishing[:, l] | flat[:, k]
+                   | ~(np.abs(ratio * ratio - 1).max(axis=2) <= 1e-6))
+        positive = np.multiply.reduce(ratio, axis=2) > 0
+    both = tetra[:, k] & tetra[:, l]
+    signs = np.where(both, np.where(positive, 1, -1), 0)
+    for t, p in zip(*np.nonzero(suspect & both)):
+        signs[t, p] = relational_chirality(tables[t], k[p] + 1, l[p] + 1, tol)[0]
     return signs
+
+
+@lru_cache(maxsize=None)
+def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The qubit pairs k < l, 0-based, in ``combinations`` order, as two index arrays."""
+    return np.triu_indices(n, 1)
 
 
 def _flip_labels(vectors: np.ndarray, tol: float) -> np.ndarray | None:

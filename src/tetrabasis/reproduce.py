@@ -29,8 +29,7 @@ from .fiducial import parse_polynomial, build_fiducial
 from .geometry import (
     apply_local_unitaries,
     bloch_vector,
-    classify_geometry,
-    orbit_bloch_table,
+    orbit_geometry,
     tetra_product_decomposition,
 )
 from .hierarchy import diagonal_clifford_level
@@ -219,7 +218,7 @@ def suite_table1() -> ReproductionSuite:
             checks.append(_num_check(
                 f"row {row} [{text}] orthonormality violation", 0.0,
                 check_orthonormal(basis).max_violation, 1e-10))
-            geometry = classify_geometry(orbit_bloch_table(basis))
+            geometry = orbit_geometry(basis)
             checks.append(_bool_check(f"row {row} [{text}] regular on all qubits",
                                       geometry.all_regular))
             checks.append(_num_check(f"row {row} [{text}] Bloch length r",
@@ -307,7 +306,7 @@ def suite_appD() -> ReproductionSuite:
     f1 = parse_polynomial(APPD_EXAMPLE1, 4, 2)
     psi1 = build_fiducial(f1)
     basis1 = orbit_basis(psi1, group, f1)
-    geometry1 = classify_geometry(orbit_bloch_table(basis1))
+    geometry1 = orbit_geometry(basis1)
     checks.append(_bool_check("example 1 regular on all qubits", geometry1.all_regular))
     for qubit in range(1, 5):
         checks.append(_vec_check(f"example 1 qubit-{qubit} Bloch vector",
@@ -326,7 +325,7 @@ def suite_appD() -> ReproductionSuite:
     f2 = parse_polynomial(APPD_EXAMPLE2, 4, 2)
     psi2 = build_fiducial(f2)
     basis2 = orbit_basis(psi2, group, f2)
-    geometry2 = classify_geometry(orbit_bloch_table(basis2))
+    geometry2 = orbit_geometry(basis2)
     checks.append(_bool_check("example 2 regular on all qubits", geometry2.all_regular))
     for qubit in range(1, 5):
         checks.append(_vec_check(f"example 2 qubit-{qubit} Bloch vector",
@@ -344,7 +343,7 @@ def suite_conjecture() -> ReproductionSuite:
     for n, text, r_expected, level_expected in CONJECTURE_REPRESENTATIVES:
         f = parse_polynomial(text, n, 2)
         basis = orbit_basis(build_fiducial(f), build_tetra_group(n), f)
-        geometry = classify_geometry(orbit_bloch_table(basis))
+        geometry = orbit_geometry(basis)
         checks.append(_bool_check(f"n={n} representative regular", geometry.all_regular))
         checks.append(_num_check(f"n={n} Bloch length sqrt(3)/2^(n-1)",
                                  r_expected, geometry.r, 1e-9))

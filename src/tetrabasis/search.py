@@ -9,10 +9,11 @@ vectors provably fail the filters.  Both read Pauli expectations off the
 block with a few matmuls: the guard one per X mask of the group (two for
 ``build_tetra_group``), each against a cached sign matrix of that mask's
 labels, and the screen one, |psi|^2 times (-1)^x_l, for all qubits' <Z>.
-The survivors' geometry and
-fingerprints are built in further array passes, and those that pass the
-filters are the hits; a hit keeps its fiducial row, and orbit columns are
-built only where they are read.  Hits are grouped into local-Clifford
+The survivors' geometry is read as arrays off their n Bloch vectors
+(``geometry.orbit_geometries``), their fingerprints are built in further
+array passes, and those that pass the filters are the hits.  A hit keeps
+its fiducial row; its geometry report and orbit columns are built only
+where they are read.  Hits are grouped into local-Clifford
 classes by a canonical key (``lc_canonical_keys``: each qubit's frame is
 fixed by its Bloch vector, and the smallest image over the frame-fixing
 Clifford tuples is kept).  Each later member of a class is linked to the
@@ -51,12 +52,13 @@ from .entanglement import InvariantFingerprint, invariant_fingerprints
 from .fiducial import HADAMARD, MAX_PRECISION, PhasePolynomial, build_fiducial, build_fiducials
 from .geometry import (
     EPS_GEO,
+    GeometryArrays,
     GeometryReport,
     basis_bloch_table,
     bloch_vectors,
-    classify_geometries,
     conjugate_state,
-    orbit_bloch_tables,
+    orbit_geometries,
+    orbit_geometry_reports,
 )
 from .hierarchy import diagonal_clifford_level
 from .qcore import (
@@ -116,7 +118,6 @@ class SearchConfig:
 @dataclass(frozen=True)
 class SearchHit:
     polynomial: PhasePolynomial
-    geometry: GeometryReport
     level: int
     fiducial: np.ndarray = field(compare=False, repr=False)  # (2^n,) row; the basis is its orbit
     fingerprint: InvariantFingerprint = field(compare=False, repr=False)
@@ -126,27 +127,43 @@ class SearchHit:
         """The polynomial's text, built on first read: grouping and output read it often."""
         return self.polynomial.to_text()
 
+    @cached_property
+    def geometry(self) -> GeometryReport:
+        """The orbit basis's geometry report, built on first read from the fiducial row.
+
+        A report depends only on its own row, so it equals the one a stack of
+        rows gives; the search itself reads only ``orbit_geometries`` arrays.
+        """
+        return orbit_geometry_reports(self.fiducial[None], build_tetra_group(self.polynomial.n))[0]
+
 
 def evaluate_polynomial_candidate(f: PhasePolynomial) -> SearchHit:
-    """Check the orbit of f's fiducial and compute geometry, level and fingerprint."""
+    """Check the orbit of f's fiducial and compute level and fingerprint; geometry on read."""
     states = build_fiducial(f)[None]
     _require_orthonormal(states, build_tetra_group(f.n), lambda i: f)
     return _evaluate_rows([f], states)[0]
 
 
-def _evaluate_rows(polys: list[PhasePolynomial], states: np.ndarray) -> list[SearchHit]:
-    """``evaluate_polynomial_candidate`` of each polynomial, given its fiducial row.
+def _evaluate_rows(polys: list[PhasePolynomial], states: np.ndarray,
+                   cfg: SearchConfig | None = None) -> list[SearchHit]:
+    """``evaluate_polynomial_candidate`` of each polynomial that passes cfg's filters.
 
-    The rows' orbits must already have passed ``_require_orthonormal``.
-    Geometry and fingerprints are computed in array passes over all rows;
-    what a row adds on its own is mostly the construction of its dataclasses.
+    The rows' orbits must already have passed ``_require_orthonormal``.  The
+    geometry is read as ``orbit_geometries`` arrays, which give the filters,
+    r and the chirality signatures in array passes over all rows, so no
+    report is built: a hit builds its own when ``SearchHit.geometry`` is
+    read.  Fingerprints are array passes too; what a row adds on its own is
+    its level and the construction of its dataclasses.  Without cfg every
+    row passes.
     """
     if not polys:
         return []
-    geometries = classify_geometries(orbit_bloch_tables(states, build_tetra_group(polys[0].n)))
-    fingerprints = invariant_fingerprints(states, geometries)
-    return [SearchHit(f, geometry, diagonal_clifford_level(f), psi, fingerprint)
-            for f, geometry, psi, fingerprint in zip(polys, geometries, states, fingerprints)]
+    geometry = orbit_geometries(states, build_tetra_group(polys[0].n))
+    passed = [True] * len(polys) if cfg is None else _passes_filters(geometry, cfg).tolist()
+    fingerprints = invariant_fingerprints(states, geometry.shared_lengths(),
+                                          geometry.chirality_signatures())
+    return [SearchHit(f, diagonal_clifford_level(f), psi, fingerprint)
+            for f, psi, fingerprint, ok in zip(polys, states, fingerprints, passed) if ok]
 
 
 def _non_orthonormal(f: PhasePolynomial, violation: float) -> AssertionError:
@@ -154,12 +171,14 @@ def _non_orthonormal(f: PhasePolynomial, violation: float) -> AssertionError:
         f"orbit of {f.to_text()!r} unexpectedly non-orthonormal (violation {violation:.3e})")
 
 
-def _passes_filters(hit: SearchHit, cfg: SearchConfig) -> bool:
-    if cfg.require_regular and not hit.geometry.all_regular:
-        return False
-    if cfg.require_nonzero and not hit.geometry.nonzero_components:
-        return False
-    return True
+def _passes_filters(geometry: GeometryArrays, cfg: SearchConfig) -> np.ndarray:
+    """Per row, whether its geometry passes cfg's regular and nonzero filters."""
+    passed = np.ones(len(geometry.r), dtype=bool)
+    if cfg.require_regular:
+        passed &= geometry.all_regular
+    if cfg.require_nonzero:
+        passed &= geometry.nonzero
+    return passed
 
 
 @lru_cache(maxsize=None)
@@ -238,7 +257,10 @@ def _bloch_vectors(psi: np.ndarray, n: int) -> np.ndarray:
     are fixed by the partial-trace formula the reports print.  The screen
     needs only its decisions, and the two kernels differ by at most about
     2e-16, far inside SCREEN_SLACK.  r01 comes from each qubit's two halves
-    of the row, and every <Z> from one product |psi|^2 @ ``_z_signs(n)``.
+    of the row, taken as views: one gather of all qubits' halves measured
+    faster, but its temporaries (about 400 kB on a 200-row n=4 block) made
+    some processes page-fault on every call.  Every <Z> comes from one
+    product |psi|^2 @ ``_z_signs(n)``.
     """
     vectors = np.empty((len(psi), n, 3))
     for l in range(n):
@@ -317,8 +339,9 @@ def search_regular(cfg: SearchConfig) -> list[SearchHit]:
     (``_candidate_blocks``) and are screened a block at a time.  Every
     candidate's orbit must be orthonormal, as in
     ``evaluate_polynomial_candidate``; only the candidates ``screen_block``
-    keeps become ``PhasePolynomial``s and have their geometry and
-    fingerprints built, all of a block's survivors together.
+    keeps become ``PhasePolynomial``s and have their geometry arrays and
+    fingerprints built, all of a block's survivors together
+    (``_evaluate_rows``).  A hit builds its geometry report only when read.
     """
     n, m = cfg.n, cfg.m
     monos = canonical_monomials(n)
@@ -331,7 +354,7 @@ def search_regular(cfg: SearchConfig) -> list[SearchHit]:
                              lambda i: polynomial_from_coeffs(n, m, monos, block[i].tolist()))
         kept = np.flatnonzero(screen_block(states, cfg))
         polys = [polynomial_from_coeffs(n, m, monos, block[i].tolist()) for i in kept]
-        hits += [hit for hit in _evaluate_rows(polys, states[kept]) if _passes_filters(hit, cfg)]
+        hits += _evaluate_rows(polys, states[kept], cfg)
     return hits
 
 
@@ -616,10 +639,14 @@ def _witness_phase(states: np.ndarray, tuples: np.ndarray, columns: np.ndarray,
     columns.conj().T.  Each row is computed with the operations of a scan
     that visits one prefix at a time: per prefix qubit one 2x2 product on
     the contiguous (2, 2^(n-1)) layout of ``apply_on_qubit``'s tensordot, the
-    last qubit's 24 Cliffords by einsum, and cols_dag @ batch.T, of which one
-    entry is read.  Stacked, each is the same call per row, so a row's phase,
-    and the output that prints it, is bit for bit that scan's and does not
-    depend on the rows it is computed with.
+    last qubit's 24 Cliffords as a (24, 2^n) batch of images, and
+    cols_dag @ batch.T, of which one entry is read.  Stacked, each is the
+    same call per row, so a row's phase, and the output that prints it, is
+    bit for bit that scan's and does not depend on the rows it is computed
+    with.  Of the 24 images only the one the row reads, its last Clifford's,
+    is computed, with the arithmetic of an einsum over all 24: each complex
+    product from its real parts, and the two products summed onto a zero.
+    The other 23 stay zero, so the matmul keeps its shape.
     """
     stack = _clifford_stack()
     rows, dim = states.shape
@@ -628,8 +655,17 @@ def _witness_phase(states: np.ndarray, tuples: np.ndarray, columns: np.ndarray,
         split = state.reshape(rows, 2**l, 2, -1).transpose(0, 2, 1, 3).reshape(rows, 2, -1)
         out = stack[tuples[:, l]] @ split
         state = out.reshape(rows, 2, 2**l, -1).transpose(0, 2, 1, 3).reshape(rows, dim)
-    batch = np.einsum("trb,kab->tkra", state.reshape(rows, -1, 2), stack).reshape(rows, 24, -1)
-    return (cols_dag @ batch.transpose(0, 2, 1))[np.arange(rows), columns, tuples[:, -1]]
+    last = tuples[:, -1]
+    x = state.reshape(rows, -1, 1, 2)  # [t, r, ., b]
+    c = stack[last][:, None]  # [t, ., a, b]
+    real = x.real * c.real - x.imag * c.imag
+    imag = x.real * c.imag + x.imag * c.real
+    image = np.empty((rows, dim // 2, 2), dtype=complex)  # [t, r, a]
+    image.real = real[..., 0] + 0.0 + real[..., 1]
+    image.imag = imag[..., 0] + 0.0 + imag[..., 1]
+    batch = np.zeros((rows, 24, dim), dtype=complex)
+    batch[np.arange(rows), last] = image.reshape(rows, dim)
+    return (cols_dag @ batch.transpose(0, 2, 1))[np.arange(rows), columns, last]
 
 
 def _apply_rowwise(u: np.ndarray, psi: np.ndarray, l: int) -> np.ndarray:

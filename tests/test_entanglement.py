@@ -115,7 +115,9 @@ class TestBatchedThreeTangle:
         assert tangles.view(np.int64).tolist() == reference.view(np.int64).tolist()
         assert [three_tangle(psi) for psi in states[::97]] == reference[::97].tolist()
         geometries = classify_geometries(orbit_bloch_tables(states, build_tetra_group(3)))
-        assert [fp.tangle for fp in invariant_fingerprints(states, geometries)] == [
+        fingerprints = invariant_fingerprints(states, [g.r for g in geometries],
+                                              [g.chirality_signature() for g in geometries])
+        assert [fp.tangle for fp in fingerprints] == [
             round(tau, 10) for tau in reference.tolist()]
 
 
@@ -291,7 +293,8 @@ class TestStackedFingerprints:
                    rng.standard_normal((5, 2**n)) + 1j * rng.standard_normal((5, 2**n))]
         geometries = [classify_geometry(orbit_bloch_table(orbit_basis(psi, group)))
                       for psi in states]
-        assert invariant_fingerprints(np.array(states), geometries) == [
+        rs, signatures = [g.r for g in geometries], [g.chirality_signature() for g in geometries]
+        assert invariant_fingerprints(np.array(states), rs, signatures) == [
             reference_fingerprint(psi, g) for psi, g in zip(states, geometries)]
 
 

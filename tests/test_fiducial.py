@@ -273,6 +273,21 @@ class TestBuildFiducials:
             assert row.tobytes() == expected, g.to_text()
             assert build_fiducial(g).tobytes() == expected, g.to_text()
 
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_phase_table_equals_the_exp_expression(self, m):
+        # a block gathers its phases from a 2^m table when 2^m is at most its
+        # entry count, and takes exp over the entries otherwise; both sides of
+        # that bound occur below, and every row must be the exp expression's
+        from tetrabasis.fiducial import HADAMARD, _staircase_index
+        rng = np.random.default_rng(m)
+        for n in range(1, 7):
+            for rows in (1, 2, 3, 7, 200, 4096):
+                values = rng.integers(0, 2**m, (rows, 2**n))
+                values[0, 0], values[-1, -1] = 0, 2**m - 1
+                psi = 2 ** (-n / 2) * np.exp(2j * np.pi * values / 2**m)
+                psi = (psi.reshape(-1, 2) @ HADAMARD.T).reshape(rows, -1)[:, _staircase_index(n)]
+                assert build_fiducials(values, n, m).tobytes() == psi.tobytes(), (n, rows)
+
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_single_qubit_rows_one_at_a_time(self, m):
         # at n = 1 a block of two or more rows goes through another BLAS kernel

@@ -1,4 +1,5 @@
 from functools import reduce
+from itertools import product
 
 import numpy as np
 import pytest
@@ -22,16 +23,23 @@ from tetrabasis.geometry import (
     basis_bloch_table,
     bloch_vector,
     bloch_vectors,
+    EPS_GEO,
     classify_geometries,
     classify_geometry,
     conjugate_state,
     orbit_bloch_table,
+    orbit_bloch_tables,
+    orbit_geometries,
+    orbit_geometry,
+    orbit_geometry_reports,
     relational_chirality,
     tetra_product_decomposition,
 )
 from tetrabasis.qcore import PAULI_MATS, partial_trace
 from tetrabasis.reproduce import APPD_EXAMPLE1, APPD_EXAMPLE2
-from tetrabasis.search import canonical_monomials, polynomial_from_coeffs
+from tetrabasis.basisgen import TetraGroup
+from tetrabasis.fiducial import build_fiducials
+from tetrabasis.search import _monomial_indicator, canonical_monomials, polynomial_from_coeffs
 
 from polyspace import enumerate_polynomials
 
@@ -146,6 +154,12 @@ class TestClassifyGeometry:
     def test_nonzero_components_flag(self):
         report = classify_geometry(basis_bloch_table(table1_basis()))
         assert report.nonzero_components
+
+    def test_nonzero_components_reads_every_column(self):
+        # column 0 has no zero component; the off-orbit column 1 has one
+        report = classify_geometry(np.array([[[0.5, 0.5, 0.5], [0.5, 0.0, 0.5]]]))
+        assert report.classes == ("degenerate",)
+        assert not report.nonzero_components
 
     def test_n4_mixed_tetra_sizes(self):
         # found by sampled search: all four qubits regular but with two
@@ -364,6 +378,88 @@ class TestOrbitBlochTable:
             for line in qubit_lines:
                 assert all(x == 0.0 or abs(x) > 1e-8 for x in line)
                 assert all(np.copysign(1.0, x) > 0 for x in line if x == 0.0)
+
+def space_rows(n, m, sample=None, seed=0):
+    """Fiducial rows of the full canonical space, or of a seeded sample of it."""
+    monos = canonical_monomials(n)
+    if sample is None:
+        coeffs = np.array(list(product(range(2**m), repeat=len(monos))))
+    else:
+        coeffs = np.random.default_rng(seed).integers(0, 2**m, (sample, len(monos)))
+    return build_fiducials(coeffs @ _monomial_indicator(n, tuple(monos)) % 2**m, n, m)
+
+
+def outcome(call):
+    """repr of what call returns, or the type and message of what it raises."""
+    try:
+        return repr(call())
+    except (ChiralityInconsistencyError, DegenerateGeometryError) as exc:
+        return type(exc), str(exc)
+
+
+ORBIT_SPACES = ([(n, m, None) for n in (2, 3) for m in (1, 2, 3)]
+                + [(n, m, 300) for n in (4, 5, 6) for m in (2, 3)])
+
+
+class TestOrbitGeometries:
+    """The orbit kernel against ``classify_geometries`` of the full orbit tables."""
+
+    @pytest.mark.parametrize("tol", [EPS_GEO, 0.05, 0.2])
+    @pytest.mark.parametrize("n,m,sample", ORBIT_SPACES)
+    def test_reports_equal_classify_geometries(self, n, m, sample, tol):
+        group = build_tetra_group(n)
+        states = space_rows(n, m, sample, seed=10 * n + m)
+        reference = outcome(lambda: classify_geometries(orbit_bloch_tables(states, group), tol))
+        assert outcome(lambda: orbit_geometry_reports(states, group, tol)) == reference
+        if isinstance(reference, tuple):  # the stack raised: every row must answer as its table
+            for i in range(len(states)):
+                rows = states[i:i + 1]
+                assert outcome(lambda: orbit_geometry_reports(rows, group, tol)) == outcome(
+                    lambda: classify_geometries(orbit_bloch_tables(rows, group), tol))
+            return
+        reports = orbit_geometry_reports(states, group, tol)
+        arrays = orbit_geometries(states, group, tol)
+        assert [tuple(GEOMETRY_CLASSES[c] for c in row) for row in arrays.classes.tolist()] == [
+            r.classes for r in reports]
+        assert arrays.all_regular.tolist() == [r.all_regular for r in reports]
+        assert arrays.nonzero.tolist() == [r.nonzero_components for r in reports]
+        assert arrays.lengths.tolist() == [list(r.lengths) for r in reports]
+        assert arrays.shared_lengths() == [r.r for r in reports]
+        assert arrays.chirality_signatures() == [r.chirality_signature() for r in reports]
+
+    def test_regimes_are_covered(self):
+        # the spaces above reach every class and, at 0.2, the chirality error
+        classes = set()
+        for n, m, sample in ORBIT_SPACES[:6]:
+            for report in orbit_geometry_reports(space_rows(n, m, sample), build_tetra_group(n)):
+                classes.update(report.classes)
+        assert classes >= {"regular_tetrahedron", "planar_rectangle", "collinear", "degenerate"}
+        with pytest.raises(ChiralityInconsistencyError):
+            orbit_geometry_reports(space_rows(3, 3), build_tetra_group(3), 0.2)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_any_mask_group(self, n):
+        # column 0 need not be the identity, and a qubit may see fewer than
+        # four sign patterns; non-finite rows are degenerate in both
+        rng = np.random.default_rng(n)
+        states = space_rows(n, 2, 40, seed=n)
+        states[3, 0] = np.nan
+        states[5, 1] = np.inf
+        groups = [TetraGroup(n, tuple(rng.integers(0, 2**n, 2**n).tolist()),
+                             tuple(rng.integers(0, 2**n, 2**n).tolist())) for _ in range(6)]
+        groups.append(TetraGroup(n, (0,) * 2**n, tuple(rng.integers(0, 2, 2**n).tolist())))
+        with np.errstate(invalid="ignore"):  # the non-finite rows' Bloch vectors
+            for group in groups:
+                for tol in (EPS_GEO, 0.05, 0.6):
+                    assert outcome(lambda: orbit_geometry_reports(states, group, tol)) == outcome(
+                        lambda: classify_geometries(orbit_bloch_tables(states, group), tol))
+
+    def test_one_basis(self):
+        for basis in orbit_cases()[::20]:
+            assert orbit_geometry(basis) == classify_geometry(orbit_bloch_table(basis))
+        with pytest.raises(ValueError, match="group"):
+            orbit_geometry(ejm_reference_basis())
+
 
 class TestConjugateState:
     def test_involution(self):

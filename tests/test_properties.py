@@ -5,6 +5,7 @@ from functools import lru_cache, reduce
 from itertools import combinations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -201,6 +202,19 @@ def scalar_witness_phase(state, tuple_, column, cols_dag):
     return (cols_dag @ batch.T)[column, tuple_[-1]]
 
 
+def einsum_witness_phase(states, tuples, columns, cols_dag):
+    """Reference: ``_witness_phase`` with all 24 last-qubit images formed by one einsum."""
+    stack = np.stack(single_qubit_cliffords())
+    rows, dim = states.shape
+    state = states
+    for l in range(tuples.shape[1] - 1):
+        split = state.reshape(rows, 2**l, 2, -1).transpose(0, 2, 1, 3).reshape(rows, 2, -1)
+        out = stack[tuples[:, l]] @ split
+        state = out.reshape(rows, 2, 2**l, -1).transpose(0, 2, 1, 3).reshape(rows, dim)
+    batch = np.einsum("trb,kab->tkra", state.reshape(rows, -1, 2), stack).reshape(rows, 24, -1)
+    return (cols_dag @ batch.transpose(0, 2, 1))[np.arange(rows), columns, tuples[:, -1]]
+
+
 @st.composite
 def phase_cases(draw):
     """Seeded fiducials (or their conjugates), tuples, columns and orbit targets."""
@@ -249,6 +263,38 @@ class TestBatchedLinkKernels:
             reference = scalar_witness_phase(states[i], tuples[i], columns[i], target.T)
             assert block[2 * i:2 * i + 2].tolist() == row.view(np.int64).tolist()
             assert block[2 * i:2 * i + 2].tolist() == np.array([reference]).view(np.int64).tolist()
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_phase_equals_the_einsum_form_on_random_rows(self, n):
+        # zero and -0.0 parts of the states and of the Cliffords meet in the
+        # products; the bits are compared, -0.0 included
+        rng = np.random.default_rng(n)
+        for rows in (1, 2, 7, 64, 200):
+            states = rng.standard_normal((rows, 2**n)) + 1j * rng.standard_normal((rows, 2**n))
+            states[:, ::3] = states[:, ::3].real
+            states[:, 1::4] *= -0.0
+            cols_dag = (rng.standard_normal((rows, 2**n, 2**n))
+                        + 1j * rng.standard_normal((rows, 2**n, 2**n)))
+            tuples, columns = rng.integers(0, 24, (rows, n)), rng.integers(0, 2**n, rows)
+            got = _witness_phase(states, tuples, columns, cols_dag)
+            reference = einsum_witness_phase(states, tuples, columns, cols_dag)
+            assert got.tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_phase_equals_the_einsum_form_on_every_n3_link(self, monkeypatch, m):
+        from tetrabasis import search
+        calls = []
+
+        def checked(states, tuples, columns, cols_dag):
+            got = _witness_phase(states, tuples, columns, cols_dag)
+            reference = einsum_witness_phase(states, tuples, columns, cols_dag)
+            assert got.tobytes() == reference.tobytes()
+            calls.append(len(states))
+            return got
+
+        monkeypatch.setattr(search, "_witness_phase", checked)
+        records = group_into_classes(search_regular(SearchConfig(3, m)))
+        assert sum(calls) == sum(len(r.witness_links) for r in records) > 0
 
     @settings(max_examples=60, deadline=None)
     @given(segment_cases())

@@ -16,7 +16,14 @@ from tetrabasis.basisgen import (
     orbit_columns,
 )
 from tetrabasis.fiducial import parse_polynomial, build_fiducial
-from tetrabasis.geometry import bloch_vector, bloch_vectors, conjugate_state, orbit_bloch_table
+from tetrabasis.geometry import (
+    bloch_vector,
+    bloch_vectors,
+    classify_geometries,
+    conjugate_state,
+    orbit_bloch_table,
+    orbit_bloch_tables,
+)
 from tetrabasis.qcore import (
     EPS_NORM,
     PAULI_MATS,
@@ -147,6 +154,15 @@ def candidate_coeffs(cfg, rng=None):
     return list(drawn)
 
 
+def eager_geometries(hits):
+    """Reference: the hits' reports as one stack of full orbit tables gives them."""
+    if not hits:
+        return []
+    tables = orbit_bloch_tables(np.array([h.fiducial for h in hits]),
+                                build_tetra_group(hits[0].polynomial.n))
+    return classify_geometries(tables)
+
+
 def passes(hit, cfg):
     return ((not cfg.require_regular or hit.geometry.all_regular)
             and (not cfg.require_nonzero or hit.geometry.nonzero_components))
@@ -171,7 +187,8 @@ class TestBatchedScreen:
     def assert_matches_scalar(self, cfg):
         screened = search_regular(cfg)
         reference = scalar_search(cfg)
-        assert screened == reference  # polynomial, geometry report and level
+        assert screened == reference  # polynomial and level
+        assert [h.geometry for h in screened] == eager_geometries(reference)
         assert [h.key for h in screened] == [h.key for h in reference]
         assert [h.level for h in screened] == [h.level for h in reference]
         assert [h.fingerprint for h in screened] == [h.fingerprint for h in reference]
@@ -256,6 +273,25 @@ class TestBatchedScreen:
             messages.append(str(caught.value))
         assert messages[0].startswith(f"orbit of {bad.to_text()!r} unexpectedly non-orthonormal")
         assert messages == [messages[0]] * 3
+
+
+class TestLazyGeometry:
+    @pytest.mark.parametrize("cfg", [
+        SearchConfig(3, 2), SearchConfig(4, 2, sample=3000, seed=6),
+        SearchConfig(3, 3, require_regular=False, require_nonzero=True),
+    ], ids=["n3-full", "n4-sample", "n3-m3-nonzero"])
+    def test_read_on_demand_equals_the_eager_report(self, cfg):
+        hits = search_regular(cfg)
+        assert len(hits) >= 10
+        assert all("geometry" not in vars(h) for h in hits)  # no hit built a report
+        assert [repr(h.geometry) for h in hits] == [repr(g) for g in eager_geometries(hits)]
+        assert all(h.geometry is h.geometry for h in hits)  # built once
+
+    def test_geometry_is_not_compared(self):
+        # two hits that differ only in geometry are equal, so tests compare it apart
+        hit = evaluate_polynomial_candidate(parse_polynomial("z1 z2", 2, 2))
+        other = replace(hit, fiducial=build_fiducial(parse_polynomial("2 z1 z2", 2, 2)))
+        assert hit == other and hit.geometry != other.geometry
 
 
 def fiducial_rows(cfg):
@@ -1177,11 +1213,15 @@ class TestKeyedGrouping:
     @pytest.mark.skipif(not os.environ.get("TETRABASIS_LONGRUN"),
                         reason="opt-in long-running check (set TETRABASIS_LONGRUN=1)")
     def test_full_n4_census(self, capsys):
-        # the CSV bytes pin the enumeration order too, which the counts alone do not
+        # the CSV bytes pin the enumeration order too, which the counts alone
+        # do not, and the JSON bytes every class, link and phase
         from tetrabasis.cli import main
         assert main(["search", "--n", "4", "--m", "2", "--format", "csv"]) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
             "71e88db5f40c5172f26f6e34b7ff3b411d2ef4d22d3b059f6d09119d03e5db5e")
+        assert main(["classify", "--n", "4", "--m", "2", "--format", "json"]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+            "e22803934247088d58d6bd512ca56c64d4726944574ccbf240483240aeba449d")
         hits = search_regular(SearchConfig(4, 2))
         records = group_into_classes(hits)
         assert len(hits) == 42_052 and len(records) == 4_674
